@@ -1,29 +1,17 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels, vectorized with NumPy.
 
 Three inner loops dominate the package's runtime: counter-mode generation of
 uniform variates, exact cut-norm enumeration over all 2^n row subsets, and the
-alternating-maximization cut-norm heuristic. Each is implemented twice:
-
-* a loop version compiled with ``numba.njit`` (default when numba imports),
-* a vectorized pure-NumPy version.
-
-Setting the environment variable ``GRAPHONLAB_NO_NUMBA=1`` (before import)
-selects the NumPy backend. ``benchmarks/bench_kernels.py`` times both. The
-two backends agree bit-for-bit on the random-variate kernel; the cut-norm
-kernels may differ in the last ulp of intermediate sums (summation order), so
-cross-backend tests compare values at 1e-12.
+alternating-maximization cut-norm heuristic.
 
 Subset conventions: a row subset S of an n-block step matrix is encoded as an
 integer bitmask (bit i set <=> block i in S, n <= 24 for enumeration). The
 kernels return only the best S-mask; callers derive the column subset T and
 the achieved value from S with a single exact pass (`norms._value_and_t`),
-which keeps reported values consistent with their witnesses regardless of
-backend.
+which keeps reported values consistent with their witnesses.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -36,15 +24,6 @@ _U64_GOLDEN = np.uint64(GOLDEN)
 _U64_MIX1 = np.uint64(MIX1)
 _U64_MIX2 = np.uint64(MIX2)
 _INV_2_53 = 2.0 ** -53
-
-
-def numba_disabled_by_env() -> bool:
-    return os.environ.get("GRAPHONLAB_NO_NUMBA", "").strip().lower() in {
-        "1",
-        "true",
-        "yes",
-        "on",
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -63,8 +42,10 @@ def value_at_py(key: int, counter: int) -> int:
     return z
 
 
-def _uniforms_at_np(key, counters):
-    z = np.uint64(key) + (counters + np.uint64(1)) * _U64_GOLDEN
+def uniforms_at(key: int, counters) -> np.ndarray:
+    """Uniforms in [0,1) at the given counters."""
+    c = np.ascontiguousarray(counters, dtype=np.uint64)
+    z = np.uint64(key & MASK64) + (c + np.uint64(1)) * _U64_GOLDEN
     z ^= z >> np.uint64(30)
     z *= _U64_MIX1
     z ^= z >> np.uint64(27)
@@ -79,14 +60,11 @@ def _uniforms_at_np(key, counters):
 #
 # For a fixed S the optimal T is read off the signs of the column sums
 # r_j = sum_{i in S} v[i, j]; the subset value is max(sum of positive r_j,
-# -sum of negative r_j). The numba kernel walks subsets in Gray-code order,
-# maintaining r with Neumaier-compensated updates, and re-evaluates a
-# candidate subset exactly whenever its estimate beats the best estimate
-# seen. The NumPy kernel evaluates chunks of masks from scratch via a
-# bit-matrix product, so each estimate is already drift-free.
+# -sum of negative r_j). Chunks of masks are evaluated from scratch via a
+# bit-matrix product, so each estimate is drift-free.
 
 
-def _subset_estimate_np(values, masks):
+def _subset_estimate(values, masks):
     n = values.shape[1]
     cols = np.arange(n, dtype=np.uint64)
     bits = ((masks[:, None] >> cols[None, :]) & np.uint64(1)).astype(np.float64)
@@ -96,7 +74,8 @@ def _subset_estimate_np(values, masks):
     return np.maximum(pos, neg)
 
 
-def _enum_best_mask_np(values):
+def enum_best_mask(values: np.ndarray) -> int:
+    values = np.ascontiguousarray(values, dtype=np.float64)
     n = values.shape[0]
     total = 1 << n
     chunk = 1 << min(n, 14)
@@ -104,7 +83,7 @@ def _enum_best_mask_np(values):
     best_mask = 0
     for lo in range(0, total, chunk):
         masks = np.arange(lo, min(lo + chunk, total), dtype=np.uint64)
-        est = _subset_estimate_np(values, masks)
+        est = _subset_estimate(values, masks)
         i = int(np.argmax(est))
         if est[i] > best_val:
             best_val = float(est[i])
@@ -120,12 +99,13 @@ def _enum_best_mask_np(values):
 # the value stops improving. Always a valid lower bound. Subsets are boolean
 # row vectors (no size cap). Restart 0 starts from the full set, which is
 # optimal for nonnegative matrices; restart t draws row i from the parity of
-# the generator word at counter t * 2^32 + i, so both backends start alike.
+# the generator word at counter t * 2^32 + i, so every start is a pure
+# function of (key, t).
 
 _RESTART_STRIDE = 1 << 32
 
 
-def _altmax_from_np(values, sel_rows):
+def _altmax_from(values, sel_rows):
     n = values.shape[0]
     best = -1.0
     for _ in range(4 * n * n + 8):
@@ -144,226 +124,27 @@ def _altmax_from_np(values, sel_rows):
     return best, sel_rows
 
 
-def _altmax_best_rows_np(values, restarts, key):
+def altmax_best_rows(values: np.ndarray, restarts: int, key: int) -> np.ndarray:
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    key = int(key) & MASK64
     n = values.shape[0]
     best_val = -1.0
     best_rows = np.zeros(n, dtype=bool)
-    for t in range(restarts):
+    for t in range(int(restarts)):
         if t == 0:
             start = np.ones(n, dtype=bool)
         else:
-            words = [value_at_py(int(key), t * _RESTART_STRIDE + i) for i in range(n)]
+            words = [value_at_py(key, t * _RESTART_STRIDE + i) for i in range(n)]
             start = np.array([w & 1 == 1 for w in words], dtype=bool)
-        val, rows = _altmax_from_np(values, start)
+        val, rows = _altmax_from(values, start)
         if val > best_val:
             best_val = val
             best_rows = rows
     return best_rows
 
 
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-_HAVE_NUMBA = False
-if not numba_disabled_by_env():
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _uniforms_at_nb(key, counters):
-        out = np.empty(counters.shape[0], dtype=np.float64)
-        for i in range(counters.shape[0]):
-            z = key + (counters[i] + np.uint64(1)) * np.uint64(GOLDEN)
-            z ^= z >> np.uint64(30)
-            z *= np.uint64(MIX1)
-            z ^= z >> np.uint64(27)
-            z *= np.uint64(MIX2)
-            z ^= z >> np.uint64(31)
-            out[i] = np.float64(z >> np.uint64(11)) * _INV_2_53
-        return out
-
-    @njit(cache=True)
-    def _subset_value_nb(values, mask):
-        n = values.shape[0]
-        pos = 0.0
-        neg = 0.0
-        for j in range(n):
-            acc = 0.0
-            for i in range(n):
-                if (mask >> i) & 1:
-                    acc += values[i, j]
-            if acc > 0.0:
-                pos += acc
-            elif acc < 0.0:
-                neg -= acc
-        return pos if pos >= neg else neg
-
-    @njit(cache=True)
-    def _enum_best_mask_nb(values):
-        n = values.shape[0]
-        r = np.zeros(n, dtype=np.float64)
-        comp = np.zeros(n, dtype=np.float64)
-        best_val = 0.0
-        best_est = 0.0
-        best_mask = 0
-        prev = 0
-        for step in range(1, 1 << n):
-            g = step ^ (step >> 1)
-            bit = 0
-            diff = g ^ prev
-            while (diff >> bit) & 1 == 0:
-                bit += 1
-            sign = 1.0 if (g >> bit) & 1 else -1.0
-            for j in range(n):
-                x = sign * values[bit, j]
-                t = r[j] + x
-                if abs(r[j]) >= abs(x):
-                    comp[j] += (r[j] - t) + x
-                else:
-                    comp[j] += (x - t) + r[j]
-                r[j] = t
-            prev = g
-            pos = 0.0
-            neg = 0.0
-            for j in range(n):
-                rj = r[j] + comp[j]
-                if rj > 0.0:
-                    pos += rj
-                elif rj < 0.0:
-                    neg -= rj
-            est = pos if pos >= neg else neg
-            if est > best_est + 1e-13:
-                best_est = est
-                val = _subset_value_nb(values, g)
-                if val > best_val:
-                    best_val = val
-                    best_mask = g
-        return best_mask
-
-    @njit(cache=True)
-    def _altmax_from_nb(values, start):
-        n = values.shape[0]
-        rows = start.copy()
-        best = -1.0
-        for _ in range(4 * n * n + 8):
-            pos = 0.0
-            neg = 0.0
-            cols = np.zeros(n, dtype=np.bool_)
-            r = np.zeros(n, dtype=np.float64)
-            for j in range(n):
-                acc = 0.0
-                for i in range(n):
-                    if rows[i]:
-                        acc += values[i, j]
-                r[j] = acc
-                if acc > 0.0:
-                    pos += acc
-                elif acc < 0.0:
-                    neg -= acc
-            take_pos = pos >= neg
-            for j in range(n):
-                cols[j] = (r[j] > 0.0) if take_pos else (r[j] < 0.0)
-            posc = 0.0
-            negc = 0.0
-            c = np.zeros(n, dtype=np.float64)
-            for i in range(n):
-                acc = 0.0
-                for j in range(n):
-                    if cols[j]:
-                        acc += values[i, j]
-                c[i] = acc
-                if acc > 0.0:
-                    posc += acc
-                elif acc < 0.0:
-                    negc -= acc
-            val = posc if posc >= negc else negc
-            take_pos = posc >= negc
-            for i in range(n):
-                rows[i] = (c[i] > 0.0) if take_pos else (c[i] < 0.0)
-            if val <= best:
-                break
-            best = val
-        return best, rows
-
-    @njit(cache=True)
-    def _value_at_nb(key, counter):
-        z = key + (counter + np.uint64(1)) * np.uint64(GOLDEN)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(MIX1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(MIX2)
-        z ^= z >> np.uint64(31)
-        return z
-
-    @njit(cache=True)
-    def _altmax_best_rows_nb(values, restarts, key):
-        n = values.shape[0]
-        best_val = -1.0
-        best_rows = np.zeros(n, dtype=np.bool_)
-        start = np.empty(n, dtype=np.bool_)
-        for t in range(restarts):
-            for i in range(n):
-                if t == 0:
-                    start[i] = True
-                else:
-                    ctr = np.uint64(t) * np.uint64(_RESTART_STRIDE) + np.uint64(i)
-                    start[i] = (_value_at_nb(key, ctr) & np.uint64(1)) == np.uint64(1)
-            val, rows = _altmax_from_nb(values, start)
-            if val > best_val:
-                best_val = val
-                best_rows = rows.copy()
-        return best_rows
-
-
-USING_NUMBA = _HAVE_NUMBA
-
-BACKENDS = {
-    "numpy": {
-        "uniforms_at": _uniforms_at_np,
-        "enum_best_mask": _enum_best_mask_np,
-        "altmax_best_rows": _altmax_best_rows_np,
-    }
-}
-if _HAVE_NUMBA:
-    BACKENDS["numba"] = {
-        "uniforms_at": _uniforms_at_nb,
-        "enum_best_mask": _enum_best_mask_nb,
-        "altmax_best_rows": _altmax_best_rows_nb,
-    }
-
-_ACTIVE = BACKENDS["numba" if USING_NUMBA else "numpy"]
-
-
-def uniforms_at(key: int, counters) -> np.ndarray:
-    """Uniforms in [0,1) at the given counters, on the active backend."""
-    c = np.ascontiguousarray(counters, dtype=np.uint64)
-    return _ACTIVE["uniforms_at"](np.uint64(key & MASK64), c)
-
-
-def enum_best_mask(values: np.ndarray) -> int:
-    return int(_ACTIVE["enum_best_mask"](np.ascontiguousarray(values, dtype=np.float64)))
-
-
-def altmax_best_rows(values: np.ndarray, restarts: int, key: int) -> np.ndarray:
-    return np.asarray(
-        _ACTIVE["altmax_best_rows"](
-            np.ascontiguousarray(values, dtype=np.float64),
-            int(restarts),
-            np.uint64(key & MASK64),
-        ),
-        dtype=bool,
-    )
-
-
 def warmup() -> None:
-    """Trigger JIT compilation of the hot kernels (no-op on the NumPy path)."""
+    """Run each kernel once on a tiny input so first-call costs land in setup."""
     m = np.array([[0.0, 0.5], [0.5, 0.0]])
     uniforms_at(1, np.arange(4))
     enum_best_mask(m)

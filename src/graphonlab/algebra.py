@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import GraphonSpec, StepGraphon, from_step
+from .core import StepGraphon
 from .errors import QuadratureError, ValidationError
 
 LCM_GRID_CAP = 4096
@@ -344,8 +344,3 @@ def discretize(w, m: int, q: QuadratureSpec = QuadratureSpec()) -> StepGraphon:
     lo, hi = kernel.bounds() if hasattr(kernel, "bounds") else (0.0, 1.0)
     cells = cell_means(kernel, m, q, zero_diagonal=False)
     return StepGraphon(m, _clip_to(cells, lo, hi), lo, hi)
-
-
-def spec_of(step: StepGraphon, label: str = "") -> GraphonSpec:
-    """Convenience re-export: wrap a proper step graphon as a spec."""
-    return from_step(step, label)

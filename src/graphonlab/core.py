@@ -186,9 +186,6 @@ class GraphonSpec:
     sup_bound: float = 1.0
     lipschitz: Optional[float] = None
 
-    def evaluate(self, x: float, y: float) -> float:
-        return evaluate(self, x, y)
-
     def eval_grid(self, xs, ys, gz: int = 0) -> np.ndarray:
         if self.kind == "step":
             return self.step.eval_grid(xs, ys)

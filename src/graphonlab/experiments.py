@@ -39,7 +39,7 @@ from . import rng
 from .algebra import QuadratureSpec, as_kernel, ceil_to_multiple, cell_means, midpoints, power
 from .core import StepGraphon, canonical_graphon, cell_index, constant, validate_graphon
 from .errors import QuadratureError, ValidationError
-from .norms import cut_norm_auto
+from .norms import cut_norm_auto, l1_distance
 from .sampling import SamplerConfig, sample_graph, sample_latents, expected_graphon
 
 _TAG_SWEEP_GRAPH = 5
@@ -80,19 +80,14 @@ class ConvergenceReport:
                     raise ValidationError(f"negative distance in row n={r.n}")
 
 
-def _step_power_values(values: np.ndarray, k: int) -> np.ndarray:
-    n = values.shape[0]
-    p = np.linalg.matrix_power(values, k) / float(n) ** (k - 1)
-    return 0.5 * (p + p.T)
-
-
 class _LimitDistance:
-    """Shared machinery for L1 distances from n-step matrices to the limit.
+    """Shared machinery for L1 distances from n-step graphons to the limit.
 
-    When the limit power is itself a step function the distance is exact
-    matrix arithmetic. Otherwise limit values are evaluated on midpoint grids
-    aligned to every swept n (so one cache level serves the whole sweep) and
-    refined per comparison until the estimate settles within tol.
+    When the limit power is itself a step function the distance is
+    `l1_distance`, exact on the common lcm grid. Otherwise limit values are
+    evaluated on midpoint grids aligned to every swept n (so one cache level
+    serves the whole sweep) and refined per comparison until the estimate
+    settles within tol.
     """
 
     def __init__(self, w, k: int, ns, q: QuadratureSpec):
@@ -113,13 +108,10 @@ class _LimitDistance:
             self.cache[g] = self.kw.eval_grid(mids, mids, g)
         return self.cache[g]
 
-    def distance(self, step_values: np.ndarray, n: int) -> float:
+    def distance(self, step: StepGraphon) -> float:
         if self.limit_step is not None:
-            s = self.limit_step
-            m = math.lcm(n, s.n)
-            a = np.kron(step_values, np.ones((m // n, m // n)))
-            b = s.refine(m // s.n).values
-            return float(np.abs(a - b).mean())
+            return l1_distance(step, self.limit_step, self.q)
+        n = step.n
         align = self.shared_align or n
         g0 = ceil_to_multiple(self.q.base_grid, align)
         prev = None
@@ -127,7 +119,7 @@ class _LimitDistance:
             g = g0 << r
             lim = self._limit_at(g)
             idx = cell_index(midpoints(g), n)
-            cur = float(np.abs(step_values[np.ix_(idx, idx)] - lim).mean())
+            cur = float(np.abs(step.values[np.ix_(idx, idx)] - lim).mean())
             if prev is not None and abs(cur - prev) <= self.tol:
                 return cur
             prev = cur
@@ -172,15 +164,14 @@ def run_theorem_sweep(
         t0 = time.perf_counter()
         try:
             expected = expected_graphon(w, n, q)
-            ek = _step_power_values(expected.step.values, k)
-            e_n = dist.distance(ek, n)
+            e_n = dist.distance(power(expected.step, k, q).step_form())
 
             cfg = SamplerConfig(n, rng.derive_key(seed, _TAG_SWEEP_GRAPH, n), w)
-            adj = canonical_graphon(sample_graph(cfg, sample_latents(cfg))).values
-            ak = _step_power_values(adj, k)
-            l1_sampled = dist.distance(ak, n)
+            adj = canonical_graphon(sample_graph(cfg, sample_latents(cfg)))
+            ak = power(adj, k, q).step_form()
+            l1_sampled = dist.distance(ak)
 
-            diff = np.clip(ak - dist.limit_cells(n), -1.0, 1.0)
+            diff = np.clip(ak.values - dist.limit_cells(n), -1.0, 1.0)
             signed = StepGraphon(n, 0.5 * (diff + diff.T), -1.0, 1.0)
             cut = cut_norm_auto(
                 signed, restarts=_SWEEP_RESTARTS, seed=rng.derive_key(seed, _TAG_SWEEP_CUT, n)

@@ -7,7 +7,7 @@ from graphonlab._kernels import warmup
 
 @pytest.fixture(scope="session", autouse=True)
 def _warm_kernels():
-    # JIT-compile the hot kernels once so timed tests measure the algorithms
+    # run each hot kernel once so timed tests measure the algorithms alone
     warmup()
 
 

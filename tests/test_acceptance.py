@@ -1,8 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
-complete. Criteria with runtime budgets time their own computations (kernel
-JIT warmup happens in a session fixture beforehand).
+complete. Criteria with runtime budgets time their own computations (a
+session fixture runs each hot kernel once beforehand).
 """
 
 import math

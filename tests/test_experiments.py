@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import graphonlab as gl
+from graphonlab.cli import main
 from graphonlab.errors import ValidationError
 from graphonlab.experiments import render_svg, report_from_dict, report_to_dict
 
@@ -156,3 +158,33 @@ def test_wall_time_not_serialized():
     r = gl.run_theorem_sweep(gl.constant(0.5), 1, [2, 4], seed=7)
     doc = report_to_dict(r)
     assert "wall_time" not in json.dumps(doc)
+
+
+# Reference digests of two step-limit theorem sweeps (k = 2, seed 7), where
+# e_n is exact step algebra. The 3-block limit is refined to each n.
+GOLDEN_STEP3 = "0.9,0.2,0.5\n0.2,0.6,0.1\n0.5,0.1,0.3\n"
+GOLDEN_REPORTS = {
+    "constant": (
+        ["--graphon-builtin", "constant:0.3"], "4,8,16,32",
+        "9d50312be439a08f86c1a0cf432ab0e57fed443b51f0f7a6f08e11710ff005ba",
+        "4f22f8900988c58cecfb044ea569d9bc0aa3661bcd45da660b331c0372f7cdab",
+    ),
+    "step3": (
+        ["--graphon-step", "w3.csv"], "3,6,12,24",
+        "03cd49df719368bd2a45b8e9bf24f292885e909a380db7646d8732ae5116575b",
+        "da14d79886d4403aa79d2ae70a841f01052e294d1e634f4e93e332eb654fef8b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_step_limit_reports_match_golden_bytes(tmp_path, monkeypatch, name):
+    source, ns, csv_sha, json_sha = GOLDEN_REPORTS[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "w3.csv").write_text(GOLDEN_STEP3)
+    code = main(["sweep", "theorem", *source, "--k", "2", "--ns", ns, "--seed", "7",
+                 "--out", str(tmp_path / name), "--format", "csv,json"])
+    assert code == 0
+    for ext, want in (("csv", csv_sha), ("json", json_sha)):
+        got = hashlib.sha256((tmp_path / f"{name}.{ext}").read_bytes()).hexdigest()
+        assert got == want, ext

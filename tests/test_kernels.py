@@ -1,18 +1,8 @@
-"""Backend agreement and the env-flag switch for the hot kernels."""
-
-import os
-import subprocess
-import sys
+"""The hot kernels against their Python references."""
 
 import numpy as np
-import pytest
 
 from graphonlab import _kernels, rng
-from conftest import random_step
-
-needs_numba = pytest.mark.skipif(
-    "numba" not in _kernels.BACKENDS, reason="numba backend unavailable"
-)
 
 
 def test_uniforms_match_python_reference():
@@ -21,57 +11,6 @@ def test_uniforms_match_python_reference():
     want = [(rng.value_at(key, c) >> 11) * 2.0**-53 for c in range(64)]
     assert got.tolist() == want
     assert np.all((got >= 0.0) & (got < 1.0))
-
-
-@needs_numba
-def test_uniforms_backends_bit_identical():
-    ctrs = np.arange(10_000, dtype=np.uint64)
-    a = _kernels.BACKENDS["numpy"]["uniforms_at"](np.uint64(42), ctrs)
-    b = _kernels.BACKENDS["numba"]["uniforms_at"](np.uint64(42), ctrs)
-    assert np.array_equal(a, b)
-
-
-@needs_numba
-@pytest.mark.parametrize("n", [1, 2, 5, 9, 12])
-def test_enum_backends_agree(n):
-    from graphonlab.norms import _value_and_t
-
-    s = random_step(n, key=n * 7 + 1)
-    masks = {
-        name: _kernels.BACKENDS[name]["enum_best_mask"](s.values)
-        for name in ("numpy", "numba")
-    }
-    vals = {}
-    for name, mask in masks.items():
-        rows = [i for i in range(n) if (mask >> i) & 1]
-        vals[name], _, _ = _value_and_t(s.values, rows)
-    assert abs(vals["numpy"] - vals["numba"]) <= 1e-12
-
-
-@needs_numba
-@pytest.mark.parametrize("n", [3, 8, 20])
-def test_altmax_backends_agree(n):
-    from graphonlab.norms import _value_and_t
-
-    s = random_step(n, key=n + 100)
-    vals = {}
-    for name in ("numpy", "numba"):
-        rows_mask = _kernels.BACKENDS[name]["altmax_best_rows"](
-            s.values, 20, np.uint64(9)
-        )
-        rows = [int(i) for i in np.nonzero(np.asarray(rows_mask, dtype=bool))[0]]
-        vals[name], _, _ = _value_and_t(s.values, rows)
-    assert abs(vals["numpy"] - vals["numba"]) <= 1e-12
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, GRAPHONLAB_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from graphonlab import _kernels; print(_kernels.USING_NUMBA)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "False"
 
 
 def test_derive_key_accepts_negative_and_huge_seeds():
