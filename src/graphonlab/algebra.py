@@ -62,17 +62,15 @@ def ceil_to_multiple(value: int, factor: int) -> int:
 
 
 def as_kernel(obj):
-    """Coerce graphon-like objects to the eval_grid/step_form protocol."""
+    """Coerce graphon-like objects and plain callables f(x, y) to the
+    eval_grid/step_form protocol."""
     if hasattr(obj, "eval_grid") and hasattr(obj, "step_form"):
         return obj
-    if hasattr(obj, "step") and isinstance(getattr(obj, "step"), StepGraphon):
+    if isinstance(getattr(obj, "step", None), StepGraphon):
         return obj.step
+    if callable(obj):
+        return _CallableKernel(obj)
     raise TypeError(f"not a graphon-like object: {type(obj).__name__}")
-
-
-def _grain(kernel) -> int:
-    s = kernel.step_form()
-    return s.n if s is not None else 0
 
 
 def grain_of(kernel) -> int:
@@ -88,7 +86,8 @@ def grain_of(kernel) -> int:
         if ga and gb:
             return math.lcm(ga, gb)
         return 0
-    return _grain(kernel)
+    s = kernel.step_form()
+    return s.n if s is not None else 0
 
 
 class _CallableKernel:
@@ -115,14 +114,6 @@ class _CallableKernel:
             return out
 
 
-def _coerce_integrand(f):
-    if hasattr(f, "eval_grid"):
-        return f
-    if callable(f):
-        return _CallableKernel(f)
-    raise TypeError(f"cannot integrate object of type {type(f).__name__}")
-
-
 def _grid_mean(kernel, g: int) -> float:
     xs = midpoints(g)
     if g <= 1024:
@@ -142,7 +133,7 @@ def integrate2d(f, q: QuadratureSpec, align: int = 1) -> QuadratureResult:
     step integrands are sampled exactly. Raises QuadratureError when the
     estimates have not settled within q.tol after q.max_refinements doublings.
     """
-    kernel = _coerce_integrand(f)
+    kernel = as_kernel(f)
     grain = grain_of(kernel)
     if grain:
         aligned = math.lcm(align, grain)
@@ -336,11 +327,18 @@ def cell_means(w, m: int, q: QuadratureSpec, zero_diagonal: bool = False) -> np.
     )
 
 
+def require_symmetric(kernel) -> None:
+    """Reject a product proven asymmetric: no step graphon represents it."""
+    if getattr(kernel, "asym_values", None) is not None:
+        raise ValidationError(f"{kernel.label} is not symmetric, so it has no step graphon")
+
+
 def discretize(w, m: int, q: QuadratureSpec = QuadratureSpec()) -> StepGraphon:
     """Step graphon of cell averages over the m-grid (diagonal included)."""
     if m < 1:
         raise ValidationError("discretization block count must be >= 1")
     kernel = as_kernel(w)
+    require_symmetric(kernel)
     lo, hi = kernel.bounds() if hasattr(kernel, "bounds") else (0.0, 1.0)
     cells = cell_means(kernel, m, q, zero_diagonal=False)
     return StepGraphon(m, _clip_to(cells, lo, hi), lo, hi)

@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import io as glio
-from .algebra import QuadratureSpec, discretize, power, product
+from .algebra import QuadratureSpec, discretize, power, product, require_symmetric
 from .core import builtin, builtin_names, from_step, validate_graphon
 from .errors import GraphonLabError
 from .experiments import emit_report, run_counterexample_sweep, run_theorem_sweep
@@ -35,7 +35,7 @@ def _add_graphon_flags(p, prefix="graphon", required=True):
 
 
 def _add_common(p):
-    p.add_argument("--config", help="JSON config file mirroring the flags")
+    p.add_argument("--config", help="JSON config file; explicit flags override it")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--grid", type=int, default=None, help="quadrature base grid")
     p.add_argument("--tol", type=float, default=None, help="quadrature tolerance")
@@ -219,7 +219,7 @@ def _cmd_sample(args):
         print(f"graph with {g.edge_count} edge(s) written to {path}")
     else:
         print(f"n={g.n}")
-        for u, v in sorted(g.edges):
+        for u, v in g.pairs.tolist():
             print(u, v)
     return 0
 
@@ -250,6 +250,7 @@ def _cmd_mc_expect(args):
 
 
 def _materialize(result, cfg, args):
+    require_symmetric(result)
     m = getattr(args, "discretize", None)
     if m:
         return discretize(result, m, _quadrature(cfg))

@@ -91,33 +91,45 @@ class StepGraphon:
 
 @dataclass(frozen=True, eq=False)
 class SimpleGraph:
-    """Undirected simple graph; edges stored as (i, j) with i < j."""
+    """Undirected simple graph. ``pairs`` is a read-only (E, 2) int64 array of
+    the edges (i, j), i < j, in lexicographic order; ``edges`` is its tuple view.
+    Any iterable of pairs or int array is accepted and normalized."""
 
     n: int
-    edges: frozenset
+    pairs: np.ndarray
 
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError("graph needs at least one vertex")
-        norm = set()
-        for e in self.edges:
-            u, v = e
-            if u == v:
-                raise ValidationError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValidationError(f"edge ({u}, {v}) out of range for n={self.n}")
-            norm.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "edges", frozenset(norm))
+        raw = self.pairs if isinstance(self.pairs, np.ndarray) else list(self.pairs)
+        e = np.array(raw, dtype=np.int64).reshape(len(raw), 2)
+        lo, hi = e.min(axis=1), e.max(axis=1)
+        loops = lo == hi
+        if loops.any():
+            raise ValidationError(f"self-loop at vertex {lo[loops.argmax()]}")
+        bad = (lo < 0) | (hi >= self.n)
+        if bad.any():
+            u, v = e[bad.argmax()]
+            raise ValidationError(f"edge ({u}, {v}) out of range for n={self.n}")
+        # sort-and-compare dedupe: np.unique would import numpy.ma on first use
+        keys = np.sort(lo * self.n + hi)
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        pairs = np.stack((keys // self.n, keys % self.n), axis=1)
+        pairs.setflags(write=False)
+        object.__setattr__(self, "pairs", pairs)
+
+    @property
+    def edges(self) -> tuple:
+        return tuple(zip(self.pairs[:, 0].tolist(), self.pairs[:, 1].tolist()))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.pairs)
 
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
-        for u, v in self.edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
+        i, j = self.pairs.T
+        a[i, j] = a[j, i] = 1.0
         return a
 
 
@@ -171,14 +183,13 @@ _BUILTINS = {
 
 @dataclass(frozen=True, eq=False)
 class GraphonSpec:
-    """A kernel on [0,1]^2 defined by a builtin, an expression, or a step.
+    """A kernel on [0,1]^2 defined by a builtin or an expression.
 
     ``fn`` evaluates on broadcastable float arrays. ``sup_bound`` is an upper
     bound on |W| and ``lipschitz`` the rate constant used in convergence
     bounds (None when unknown).
     """
 
-    kind: str
     label: str
     fn: Callable
     step: Optional[StepGraphon] = None
@@ -186,9 +197,11 @@ class GraphonSpec:
     sup_bound: float = 1.0
     lipschitz: Optional[float] = None
 
+    def evaluate(self, x: float, y: float) -> float:
+        v = float(np.asarray(self.fn(np.float64(x), np.float64(y))))
+        return min(1.0, max(0.0, v)) if self.clamp else v
+
     def eval_grid(self, xs, ys, gz: int = 0) -> np.ndarray:
-        if self.kind == "step":
-            return self.step.eval_grid(xs, ys)
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
         out = np.asarray(self.fn(xs[:, None], ys[None, :]), dtype=np.float64)
@@ -208,7 +221,6 @@ def constant(p: float) -> GraphonSpec:
     if not (0.0 <= p <= 1.0):
         raise ValidationError(f"constant level {p} outside [0, 1]")
     return GraphonSpec(
-        kind="builtin",
         label=f"constant({p:g})",
         fn=_constant_fn(float(p)),
         step=StepGraphon(1, [[float(p)]]),
@@ -229,39 +241,27 @@ def builtin(name: str, **params) -> GraphonSpec:
         known = ", ".join(["constant"] + sorted(_BUILTINS))
         raise ValidationError(f"unknown builtin '{name}' (known: {known})")
     b = _BUILTINS[name]
-    return GraphonSpec(
-        kind="builtin", label=name, fn=b.fn, sup_bound=b.sup, lipschitz=b.lipschitz
-    )
+    return GraphonSpec(label=name, fn=b.fn, sup_bound=b.sup, lipschitz=b.lipschitz)
 
 
 def builtin_names() -> list[str]:
     return ["constant"] + sorted(_BUILTINS)
 
 
-def from_step(step: StepGraphon, label: str = "") -> GraphonSpec:
+def from_step(step: StepGraphon) -> StepGraphon:
+    """The step itself, once its values are checked to lie in [0, 1]."""
     if step.lo < 0.0:
-        raise ValidationError("a graphon spec needs values in [0, 1]; got a signed step")
-    return GraphonSpec(
-        kind="step",
-        label=label or step.label,
-        fn=lambda x, y: step.values[cell_index(x, step.n), cell_index(y, step.n)],
-        step=step,
-        sup_bound=float(np.max(np.abs(step.values))),
-    )
+        raise ValidationError("a graphon needs values in [0, 1]; got a signed step")
+    return step
 
 
 def evaluate(w, x: float, y: float) -> float:
     """Pointwise kernel value; raises DomainError outside the unit square."""
+    from .algebra import as_kernel  # algebra imports this module
+
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
         raise DomainError(f"point ({x}, {y}) outside the unit square")
-    if isinstance(w, StepGraphon):
-        return w.evaluate(x, y)
-    if isinstance(w, GraphonSpec) and w.kind == "step":
-        return w.step.evaluate(x, y)
-    v = float(np.asarray(w.fn(np.float64(x), np.float64(y))))
-    if getattr(w, "clamp", False):
-        v = min(1.0, max(0.0, v))
-    return v
+    return as_kernel(w).evaluate(x, y)
 
 
 def canonical_graphon(g: SimpleGraph) -> StepGraphon:
@@ -276,8 +276,7 @@ def graph_from_step(s: StepGraphon) -> SimpleGraph:
         raise ValidationError("step values are not all 0/1")
     if np.any(np.diag(v) != 0.0):
         raise ValidationError("nonzero diagonal block; not a simple-graph graphon")
-    iu, ju = np.nonzero(np.triu(v, 1))
-    return SimpleGraph(s.n, frozenset(zip(iu.tolist(), ju.tolist())))
+    return SimpleGraph(s.n, np.argwhere(np.triu(v, 1)))
 
 
 # ---------------------------------------------------------------------------

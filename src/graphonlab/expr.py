@@ -347,7 +347,6 @@ def from_expression(source: str, clamp: bool = False, symmetrize: bool = False,
             return eval_array(_ast, x, y)
 
     return GraphonSpec(
-        kind="expression",
         label=label or ("sym:" + source if symmetrize else source),
         fn=fn,
         clamp=clamp,

@@ -132,7 +132,7 @@ def load_step_matrix(path, fmt: Optional[str] = None, lo: float = 0.0, hi: float
 def save_graph(g: SimpleGraph, path) -> Path:
     p = resolve_out(path)
     lines = [f"n={g.n}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
+    lines.extend(f"{u} {v}" for u, v in g.pairs.tolist())
     p.write_text("\n".join(lines) + "\n")
     return p
 
@@ -167,7 +167,7 @@ def load_graph(path) -> SimpleGraph:
         if e in edges:
             raise DuplicateEdgeError(f"{p.name}:{lineno}: duplicate edge {e}")
         edges.add(e)
-    return SimpleGraph(n, frozenset(edges))
+    return SimpleGraph(n, edges)
 
 
 # ---------------------------------------------------------------------------

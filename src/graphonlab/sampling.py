@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .algebra import QuadratureSpec, cell_means
+from .algebra import QuadratureSpec, as_kernel, cell_means
 from .core import LatentPoints, SimpleGraph, StepGraphon
 from .errors import ValidationError
 
@@ -87,8 +87,6 @@ def sample_latents_iid(cfg: SamplerConfig) -> np.ndarray:
 
 
 def _pair_probabilities(graphon, xs: np.ndarray) -> np.ndarray:
-    from .algebra import as_kernel
-
     kernel = as_kernel(graphon)
     p = kernel.eval_grid(xs, xs, 0)
     if np.min(p) < -1e-12 or np.max(p) > 1.0 + 1e-12:
@@ -96,17 +94,15 @@ def _pair_probabilities(graphon, xs: np.ndarray) -> np.ndarray:
     return np.clip(p, 0.0, 1.0)
 
 
-def _adjacency_draw(cfg: SamplerConfig, xs: np.ndarray) -> np.ndarray:
+def _edge_draw(cfg: SamplerConfig, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays (i, j), i < j in lexicographic order, of one edge draw."""
     n = cfg.n
     p = _pair_probabilities(cfg.graphon, xs)
     iu, ju = np.triu_indices(n, 1)
     key = rng.derive_key(cfg.seed, _TAG_EDGES)
     u = rng.uniforms(key, iu.astype(np.uint64) * np.uint64(n) + ju.astype(np.uint64))
-    a = np.zeros((n, n))
     hit = u < p[iu, ju]
-    a[iu[hit], ju[hit]] = 1.0
-    a[ju[hit], iu[hit]] = 1.0
-    return a
+    return iu[hit], ju[hit]
 
 
 def sample_graph(cfg: SamplerConfig, latents) -> SimpleGraph:
@@ -114,9 +110,7 @@ def sample_graph(cfg: SamplerConfig, latents) -> SimpleGraph:
     xs = latents.xs if isinstance(latents, LatentPoints) else np.asarray(latents, float)
     if xs.shape != (cfg.n,):
         raise ValidationError(f"latents have shape {xs.shape}, expected ({cfg.n},)")
-    a = _adjacency_draw(cfg, xs)
-    iu, ju = np.nonzero(np.triu(a, 1))
-    return SimpleGraph(cfg.n, frozenset(zip(iu.tolist(), ju.tolist())))
+    return SimpleGraph(cfg.n, np.stack(_edge_draw(cfg, xs), axis=1))
 
 
 def expected_graphon(w, n: int, q: QuadratureSpec = QuadratureSpec()) -> ExpectedGraphon:
@@ -149,7 +143,9 @@ def mc_expected_graphon(cfg: SamplerConfig, draws: int) -> McEstimate:
     for d in range(draws):
         sub = replace(cfg, seed=draw_seed(cfg.seed, d))
         xs = sample_latents(sub).xs
-        counts += _adjacency_draw(sub, xs)
+        i, j = _edge_draw(sub, xs)
+        counts[i, j] += 1.0
+        counts[j, i] += 1.0
     mean = counts / draws
     if draws > 1:
         stderr = np.sqrt(mean * (1.0 - mean) / (draws - 1))

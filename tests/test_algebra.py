@@ -181,3 +181,12 @@ def test_associativity_of_step_powers():
     assert np.max(np.abs(lv - rv)) <= 1e-8
     direct = gl.power(s, 3).step_form().values
     assert np.max(np.abs(lv - direct)) <= 1e-8
+
+
+def test_discretize_rejects_asymmetric_product():
+    a = gl.StepGraphon(3, [[0.1, 0.2, 0.9], [0.2, 0.4, 0.5], [0.9, 0.5, 0.7]])
+    b = gl.StepGraphon(2, [[0.5, 0.25], [0.25, 1.0]])
+    r = gl.product(a, b)
+    assert r.asym_values is not None
+    with pytest.raises(ValidationError, match="not symmetric"):
+        gl.discretize(r, 6)

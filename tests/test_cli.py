@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -63,6 +64,17 @@ def test_product_of_step_files(tmp_path, capsys):
                      "--out", str(out_path))
     assert code == 0
     assert glio.load_step_matrix(out_path).values.tolist() == [[0.5, 0.0], [0.0, 0.5]]
+
+
+@pytest.mark.parametrize("flags", [[], ["--discretize", "6"]])
+def test_product_proven_asymmetric_is_rejected(tmp_path, capsys, flags):
+    a, b = tmp_path / "s3.csv", tmp_path / "s2.csv"
+    a.write_text("0.1,0.2,0.9\n0.2,0.4,0.5\n0.9,0.5,0.7\n")
+    b.write_text("0.5,0.25\n0.25,1\n")
+    code, out, err = run(capsys, "product", "--graphon-step", str(a), "--with-step", str(b),
+                         *flags)
+    assert code == 2 and out == ""
+    assert "not symmetric" in err and "--discretize" not in err
 
 
 def test_power_requires_discretize_for_analytic(tmp_path, capsys):
@@ -166,3 +178,27 @@ def test_conflicting_sources_rejected(capsys):
 def test_unknown_builtin_is_reported(capsys):
     code, _, err = run(capsys, "validate", "--graphon-builtin", "blancmange")
     assert code == 2 and "unknown builtin" in err
+
+
+# sha256 digests of sampler outputs; these bytes must not depend on how
+# SimpleGraph stores its edges
+SAMPLE_MINMAX_SHA = "391a00153955a9c3c2a8f16ac92a4bddb3c4c55ad85b8861bf4a7e8fc0152874"
+MC_PRODUCT_SHA = {
+    "m.csv": "9abab312dbbc99385f01496195a20bc3254cb82dea73dad528d49e345bf76469",
+    "m.stderr.csv": "7129f6748318e00c2eea76a0ba920f65fe668ef066d6d48ddd18ac154b88819b",
+}
+
+
+def test_sample_stdout_matches_golden_bytes(capsys):
+    code, out, _ = run(capsys, "sample", "--graphon-builtin", "minmax", "--n", "64",
+                       "--seed", "7")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_MINMAX_SHA
+
+
+def test_mc_expect_matches_golden_bytes(tmp_path, capsys):
+    code, _, _ = run(capsys, "mc-expect", "--graphon-builtin", "product", "--n", "8",
+                     "--draws", "200", "--seed", "7", "--out", str(tmp_path / "m.csv"))
+    assert code == 0
+    for name, want in MC_PRODUCT_SHA.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name

@@ -90,6 +90,56 @@ def test_simple_graph_invariants():
         gl.SimpleGraph(3, frozenset({(0, 5)}))
 
 
+def test_simple_graph_normalizes_reversed_and_repeated_pairs():
+    g = gl.SimpleGraph(4, [(2, 0), (0, 2), (3, 1), (0, 1), (1, 3)])
+    assert g.edges == ((0, 1), (0, 2), (1, 3))
+    assert g.edge_count == 3
+    assert g.pairs.dtype == np.int64 and g.pairs.shape == (3, 2)
+
+
+@given(n=st.integers(2, 12), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_simple_graph_matches_set_reference(n, data):
+    vertex = st.integers(0, n - 1)
+    raw = data.draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])))
+    want = tuple(sorted({(min(u, v), max(u, v)) for u, v in raw}))
+    g = gl.SimpleGraph(n, raw)
+    assert g.edges == want
+    adj = np.zeros((n, n))
+    for u, v in want:
+        adj[u, v] = adj[v, u] = 1.0
+    assert np.array_equal(g.adjacency(), adj)
+
+
+def test_simple_graph_empty():
+    for pairs in ([], frozenset(), np.zeros((0, 2), dtype=np.int64)):
+        g = gl.SimpleGraph(3, pairs)
+        assert g.edges == () and g.edge_count == 0 and g.pairs.shape == (0, 2)
+        assert np.array_equal(g.adjacency(), np.zeros((3, 3)))
+
+
+def test_simple_graph_rejects_negative_vertex():
+    with pytest.raises(ValidationError, match="out of range"):
+        gl.SimpleGraph(3, [(0, 1), (-1, 2)])
+
+
+def test_simple_graph_array_input_equals_iterable_input():
+    pairs = [(4, 1), (0, 3), (1, 2), (2, 4), (1, 4)]
+    from_iter = gl.SimpleGraph(5, frozenset(pairs))
+    from_array = gl.SimpleGraph(5, np.array(pairs, dtype=np.int32))
+    assert np.array_equal(from_iter.pairs, from_array.pairs)
+    assert from_iter.edges == from_array.edges
+    assert np.array_equal(from_iter.adjacency(), from_array.adjacency())
+
+
+def test_simple_graph_pairs_read_only_and_edges_sorted_view():
+    g = gl.SimpleGraph(4, {(3, 2), (1, 0), (0, 3)})
+    with pytest.raises(ValueError):
+        g.pairs[0, 0] = 2
+    assert g.edges == tuple(sorted(g.edges)) == ((0, 1), (0, 3), (2, 3))
+    assert all(type(u) is int and type(v) is int for u, v in g.edges)
+
+
 def test_latent_points_invariants():
     gl.LatentPoints(2, [0.25, 0.75])
     with pytest.raises(ValidationError):
@@ -135,3 +185,24 @@ def test_eval_grid_matches_pointwise():
         for i, x in enumerate(xs):
             for j, y in enumerate(xs):
                 assert grid[i, j] == pytest.approx(gl.evaluate(w, x, y), abs=1e-15)
+
+
+def test_evaluate_dispatches_through_products_and_estimates():
+    p2 = gl.power(gl.builtin("product"), 2)
+    assert gl.evaluate(p2, 0.3, 0.8) == pytest.approx(0.3 * 0.8 / 3, abs=1e-6)
+    assert gl.validate_graphon(p2, samples=100, seed=1).passed
+
+    e = gl.expected_graphon(gl.builtin("minmax"), 4)
+    assert gl.evaluate(e, 0.1, 0.6) == e.step.values[0, 2]
+    assert gl.validate_graphon(e, samples=100, seed=1).passed
+
+    mc = gl.mc_expected_graphon(gl.SamplerConfig(3, 5, gl.constant(1.0)), 2)
+    assert gl.evaluate(mc, 0.1, 0.9) == 1.0
+    assert gl.evaluate(mc, 0.1, 0.2) == 0.0
+
+
+def test_from_step_returns_the_step():
+    s = gl.StepGraphon(2, [[0.0, 1.0], [1.0, 0.0]])
+    assert gl.from_step(s) is s
+    with pytest.raises(ValidationError):
+        gl.from_step(gl.StepGraphon(2, [[0.0, -0.5], [-0.5, 0.0]], -1.0, 1.0))
