@@ -129,7 +129,7 @@ def _merge(args) -> glio.ExperimentConfig:
         cfg.builtin = cfg.expr = cfg.step_file = None
     ns = getattr(args, "ns", None)
     if ns is not None:
-        cfg.ns = [int(tok) for tok in str(ns).split(",") if tok.strip()]
+        cfg.ns = [_parse_n(tok) for tok in str(ns).split(",") if tok.strip()]
     fmt = getattr(args, "format", None)
     if fmt is not None:
         cfg.formats = [tok.strip() for tok in fmt.split(",") if tok.strip()]
@@ -139,6 +139,13 @@ def _merge(args) -> glio.ExperimentConfig:
     if len(cfg.graphon_sources()) > 1:
         raise GraphonLabError("more than one graphon source given")
     return cfg
+
+
+def _parse_n(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise GraphonLabError(f"bad --ns value '{tok.strip()}'") from None
 
 
 def _parse_builtin(text: str):

@@ -51,6 +51,9 @@ class StepGraphon:
             raise ValidationError(f"declared n={self.n} but matrix is {m.shape[0]}x{m.shape[0]}")
         if not (-1.0 <= self.lo <= self.hi <= 1.0):
             raise ValidationError(f"declared range [{self.lo}, {self.hi}] not inside [-1, 1]")
+        if not np.isfinite(m).all():
+            i, j = np.argwhere(~np.isfinite(m))[0]
+            raise ValidationError(f"non-finite entry at ({i}, {j})")
         if not np.array_equal(m, m.T):
             i, j = np.argwhere(m != m.T)[0]
             raise ValidationError(f"matrix not symmetric at ({i}, {j})")

@@ -84,12 +84,18 @@ def save_matrix(values: np.ndarray, path) -> Path:
     return p
 
 
-def _matrix_from_rows(rows, lo: float, hi: float) -> StepGraphon:
+def _matrix_from_rows(rows, lo: float, hi: float, name: str) -> StepGraphon:
     n = len(rows)
     for i, row in enumerate(rows):
         if len(row) != n:
             raise ValidationError(f"ragged matrix: row {i + 1} has {len(row)} of {n} entries")
-    m = np.array(rows, dtype=np.float64)
+    try:
+        m = np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name}: {exc}") from None
+    if not np.isfinite(m).all():
+        i, j = np.argwhere(~np.isfinite(m))[0]
+        raise ValidationError(f"{name}: non-finite entry at ({i + 1},{j + 1})")
     if not np.array_equal(m, m.T):
         i, j = np.argwhere(m != m.T)[0]
         raise ValidationError(f"matrix not symmetric at ({i + 1},{j + 1})/({j + 1},{i + 1})")
@@ -114,14 +120,19 @@ def load_step_matrix(path, fmt: Optional[str] = None, lo: float = 0.0, hi: float
                 raise ValidationError(f"{p.name}:{lineno}: {exc}") from None
         if not rows:
             raise ValidationError(f"{p.name}: empty matrix file")
-        return _matrix_from_rows(rows, lo, hi)
-    doc = json.loads(p.read_text())
+        return _matrix_from_rows(rows, lo, hi, p.name)
+    try:
+        doc = json.loads(p.read_text())
+    except ValueError as exc:
+        raise ValidationError(f"{p.name}: malformed JSON: {exc}") from None
     if not isinstance(doc, dict) or "values" not in doc:
         raise ValidationError(f"{p.name}: expected an object with a 'values' field")
     rows = doc["values"]
+    if not isinstance(rows, list) or not rows or not all(isinstance(row, list) for row in rows):
+        raise ValidationError(f"{p.name}: 'values' must be a non-empty list of rows")
     if "n" in doc and doc["n"] != len(rows):
         raise ValidationError(f"{p.name}: declared n={doc['n']} but {len(rows)} rows present")
-    return _matrix_from_rows(rows, lo, hi)
+    return _matrix_from_rows(rows, lo, hi, p.name)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +216,10 @@ def load_config(path) -> ExperimentConfig:
     p = Path(path)
     if not p.exists():
         raise ValidationError(f"config file not found: {p}")
-    doc = json.loads(p.read_text())
+    try:
+        doc = json.loads(p.read_text())
+    except ValueError as exc:
+        raise ValidationError(f"{p.name}: malformed JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValidationError(f"{p.name}: config must be a JSON object")
     unknown = set(doc) - _CONFIG_FIELDS

@@ -14,10 +14,17 @@ search exact: for every row subset S, the optimal column subset is read off
 the signs of the column sums r_j = sum_{i in S} M_ij, giving
 max(sum of positive r_j, -sum of negative r_j) / n^2.
 
-Enumeration over S costs O(2^n * n) and is capped at n = 24; larger inputs
-must use the seeded alternating-maximization heuristic, which returns a
-certified lower bound (its witness is a feasible pair). For kernels that are
-not step functions no exact algorithm is available; use
+Twice that maximum is sum_j |r_j| + |sum_j r_j|, and r for S is the sum of
+the r of its low rows and of its high rows. Enumeration over S therefore
+splits the rows in two, tabulates the subset column sums of each part, and
+scans every pair (low subset, high subset) at O(n) each: O(2^n * n) time in
+O(2^(n/2) * n) memory (meet in the middle). The masks the split sums
+nominate are rescored by summing the rows of S in ascending order, and the
+first best one wins, so the witness does not depend on the split. The
+search is capped at n = 24; larger inputs must use the seeded
+alternating-maximization heuristic, which returns a certified lower bound
+(its witness is a feasible pair). For kernels that are not step functions
+no exact algorithm is available; use
 :func:`cut_distance_upper_via_discretization`, which brackets the value using
 the fact that the cut norm is 1-Lipschitz with respect to the L1 norm
 (||W||_cut <= ||W||_1 applied to W minus its discretization).

@@ -145,6 +145,26 @@ def test_sweep_counterexample(tmp_path, capsys):
     assert all(row.l1_sampled_vs_limit == 0.5 for row in report.rows)
 
 
+def test_sweep_bad_ns_value_exits_2(tmp_path, capsys):
+    code, _, err = run(capsys, "sweep", "counterexample", "--ns", "4,x",
+                       "--out", str(tmp_path / "ce"))
+    assert code == 2 and "bad --ns value 'x'" in err
+
+
+def test_validate_non_finite_step_file_exits_2(tmp_path, capsys):
+    p = tmp_path / "nan.csv"
+    p.write_text("0.1,nan\nnan,0.2\n")
+    code, _, err = run(capsys, "validate", "--graphon-step", str(p))
+    assert code == 2 and "non-finite entry at (1,2)" in err and "symmetric" not in err
+
+
+def test_json_step_with_non_numeric_entry_exits_2(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text('{"n": 2, "values": [["a", 0.1], [0.1, 0.2]]}')
+    code, _, err = run(capsys, "validate", "--graphon-step", str(p))
+    assert code == 2 and "bad.json" in err
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

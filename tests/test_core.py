@@ -83,6 +83,12 @@ def test_step_graphon_invariants():
         gl.StepGraphon(2, [[0.0, -0.5], [-0.5, 0.0]], 0.0, 1.0)  # below declared lo
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_step_graphon_rejects_non_finite_entries(bad):
+    with pytest.raises(ValidationError, match=r"non-finite entry at \(0, 1\)"):
+        gl.StepGraphon(2, [[0.1, bad], [bad, 0.2]])
+
+
 def test_simple_graph_invariants():
     with pytest.raises(ValidationError):
         gl.SimpleGraph(3, frozenset({(1, 1)}))

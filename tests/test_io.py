@@ -37,6 +37,42 @@ def test_csv_parse_error_has_line_number(tmp_path):
         glio.load_step_matrix(p)
 
 
+def test_csv_nan_is_reported_as_non_finite(tmp_path):
+    p = tmp_path / "nan.csv"
+    p.write_text("0.1,nan\nnan,0.2\n")
+    with pytest.raises(ValidationError, match=r"nan.csv: non-finite entry at \(1,2\)"):
+        glio.load_step_matrix(p)
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 2, "values": [["a", 0.1], [0.1, 0.2]]}',
+    '{"n": 2, "values": [[null, 0.1], [0.1, 0.2]]}',
+    '{"n": 2, "values": [[[0.0], 0.1], [0.1, 0.2]]}',
+    '{"n": 2, "values": [0.1, 0.2]}',
+    '{"values": []}',
+    '{"n": 2, "values": [[0.0, 0.1], [0.1, 0.2]',
+])
+def test_json_bad_matrix_names_file(tmp_path, text):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    with pytest.raises(ValidationError, match="bad.json"):
+        glio.load_step_matrix(p)
+
+
+def test_json_non_finite_entry(tmp_path):
+    p = tmp_path / "m.json"
+    p.write_text('{"values": [[0.1, NaN], [NaN, 0.2]]}')
+    with pytest.raises(ValidationError, match="non-finite"):
+        glio.load_step_matrix(p)
+
+
+def test_malformed_config_names_file(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text('{"ns": [4, 8')
+    with pytest.raises(ValidationError, match="cfg.json: malformed JSON"):
+        glio.load_config(p)
+
+
 def test_range_violation(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("0,0.5\n0.5,0\n")
