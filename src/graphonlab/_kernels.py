@@ -42,8 +42,8 @@ def value_at_py(key: int, counter: int) -> int:
     return z
 
 
-def uniforms_at(key: int, counters) -> np.ndarray:
-    """Uniforms in [0,1) at the given counters."""
+def words_at(key: int, counters) -> np.ndarray:
+    """Raw 64-bit generator outputs (uint64) at the given counters."""
     c = np.ascontiguousarray(counters, dtype=np.uint64)
     z = np.uint64(key & MASK64) + (c + np.uint64(1)) * _U64_GOLDEN
     z ^= z >> np.uint64(30)
@@ -51,7 +51,12 @@ def uniforms_at(key: int, counters) -> np.ndarray:
     z ^= z >> np.uint64(27)
     z *= _U64_MIX2
     z ^= z >> np.uint64(31)
-    return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    return z
+
+
+def uniforms_at(key: int, counters) -> np.ndarray:
+    """Uniforms in [0,1) at the given counters."""
+    return (words_at(key, counters) >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
 # ---------------------------------------------------------------------------
@@ -159,21 +164,29 @@ def enum_best_mask(values: np.ndarray) -> int:
 # the value stops improving. Always a valid lower bound. Subsets are boolean
 # row vectors (no size cap). Restart 0 starts from the full set, which is
 # optimal for nonnegative matrices; restart t draws row i from the parity of
-# the generator word at counter t * 2^32 + i, so every start is a pure
-# function of (key, t).
+# the generator word at counter t * 2^32 + i (mod 2^64), so every start is a
+# pure function of (key, t).
+#
+# Summation order: r sums the rows of S and c the columns of T, each one
+# term at a time in ascending index order. The columns are taken as rows of
+# one C-contiguous transpose per call, so both sums are `compress(axis=0)`
+# followed by a row-by-row `sum(axis=0)`, with no fancy-index gather and no
+# symmetry assumed. `compress(values, axis=1).sum(axis=1)` would reduce along
+# contiguous rows, which NumPy sums pairwise: a different rounding that can
+# flip a sign and with it the chosen rows.
 
 _RESTART_STRIDE = 1 << 32
 
 
-def _altmax_from(values, sel_rows):
+def _altmax_from(values, vt, sel_rows):
     n = values.shape[0]
     best = -1.0
     for _ in range(4 * n * n + 8):
-        r = values[sel_rows].sum(axis=0) if sel_rows.any() else np.zeros(n)
+        r = np.compress(sel_rows, values, axis=0).sum(axis=0)
         pos = r[r > 0.0].sum()
         neg = -r[r < 0.0].sum()
         sel_cols = (r > 0.0) if pos >= neg else (r < 0.0)
-        c = values[:, sel_cols].sum(axis=1) if sel_cols.any() else np.zeros(n)
+        c = np.compress(sel_cols, vt, axis=0).sum(axis=0)
         posc = c[c > 0.0].sum()
         negc = -c[c < 0.0].sum()
         val = max(posc, negc)
@@ -186,17 +199,19 @@ def _altmax_from(values, sel_rows):
 
 def altmax_best_rows(values: np.ndarray, restarts: int, key: int) -> np.ndarray:
     values = np.ascontiguousarray(values, dtype=np.float64)
+    vt = np.ascontiguousarray(values.T)
     key = int(key) & MASK64
     n = values.shape[0]
+    counters = np.arange(n, dtype=np.uint64)
     best_val = -1.0
     best_rows = np.zeros(n, dtype=bool)
     for t in range(int(restarts)):
         if t == 0:
             start = np.ones(n, dtype=bool)
         else:
-            words = [value_at_py(key, t * _RESTART_STRIDE + i) for i in range(n)]
-            start = np.array([w & 1 == 1 for w in words], dtype=bool)
-        val, rows = _altmax_from(values, start)
+            base = np.uint64((t * _RESTART_STRIDE) & MASK64)
+            start = (words_at(key, base + counters) & np.uint64(1)).astype(bool)
+        val, rows = _altmax_from(values, vt, start)
         if val > best_val:
             best_val = val
             best_rows = rows

@@ -37,7 +37,7 @@ import numpy as np
 from . import io as glio
 from . import rng
 from .algebra import QuadratureSpec, as_kernel, ceil_to_multiple, cell_means, midpoints, power
-from .core import StepGraphon, canonical_graphon, cell_index, constant, validate_graphon
+from .core import StepGraphon, canonical_graphon, constant, validate_graphon
 from .errors import QuadratureError, ValidationError
 from .norms import cut_norm_auto, l1_distance
 from .sampling import SamplerConfig, sample_graph, sample_latents, expected_graphon
@@ -118,8 +118,8 @@ class _LimitDistance:
         for r in range(self.q.max_refinements + 1):
             g = g0 << r
             lim = self._limit_at(g)
-            idx = cell_index(midpoints(g), n)
-            cur = float(np.abs(step.values[np.ix_(idx, idx)] - lim).mean())
+            s = g // n
+            cur = float(np.abs(lim.reshape(n, s, n, s) - step.values[:, None, :, None]).mean())
             if prev is not None and abs(cur - prev) <= self.tol:
                 return cur
             prev = cur

@@ -13,7 +13,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -193,7 +193,7 @@ class ExperimentConfig:
     builtin: Optional[str] = None
     expr: Optional[str] = None
     step_file: Optional[str] = None
-    ns: list = field(default_factory=list)
+    ns: list[int] = field(default_factory=list)
     n: Optional[int] = None
     k: int = 1
     draws: int = 20
@@ -203,13 +203,31 @@ class ExperimentConfig:
     tol: float = 1e-4
     max_refinements: int = 4
     out: Optional[str] = None
-    formats: list = field(default_factory=lambda: ["csv", "json"])
+    formats: list[str] = field(default_factory=lambda: ["csv", "json"])
 
     def graphon_sources(self) -> list:
         return [s for s in (self.builtin, self.expr, self.step_file) if s]
 
 
-_CONFIG_FIELDS = set(ExperimentConfig.__dataclass_fields__)
+_CONFIG_FIELDS = ExperimentConfig.__dataclass_fields__
+_CONFIG_TYPES = get_type_hints(ExperimentConfig)
+
+
+def _has_type(value, tp) -> bool:
+    """JSON value check against a config annotation; bool is not an int."""
+    origin = get_origin(tp)
+    if origin is Union:
+        return any(_has_type(value, arg) for arg in get_args(tp))
+    if origin is list:
+        (item,) = get_args(tp)
+        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    if tp is type(None):
+        return value is None
+    if isinstance(value, bool):
+        return tp is bool
+    if tp is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, tp)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -222,9 +240,15 @@ def load_config(path) -> ExperimentConfig:
         raise ValidationError(f"{p.name}: malformed JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValidationError(f"{p.name}: config must be a JSON object")
-    unknown = set(doc) - _CONFIG_FIELDS
+    unknown = doc.keys() - _CONFIG_FIELDS.keys()
     if unknown:
         raise ValidationError(f"{p.name}: unknown config fields {sorted(unknown)}")
+    for name, value in doc.items():
+        if not _has_type(value, _CONFIG_TYPES[name]):
+            raise ValidationError(
+                f"{p.name}: config field '{name}' must be {_CONFIG_FIELDS[name].type}, "
+                f"got {json.dumps(value)}"
+            )
     cfg = ExperimentConfig(**doc)
     if len(cfg.graphon_sources()) > 1:
         raise ValidationError(f"{p.name}: more than one graphon source present")

@@ -186,6 +186,16 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert [row.n for row in report.rows] == [2]
 
 
+@pytest.mark.parametrize("doc", [{"ns": ["x"]}, {"p": "0.5"}, {"k": "2"}])
+def test_config_field_of_wrong_type_exits_2(tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"builtin": "constant:0.5", "ns": [2, 4],
+                               "out": str(tmp_path / "r"), **doc}))
+    code, _, err = run(capsys, "sweep", "counterexample" if "p" in doc else "theorem",
+                       "--config", str(cfg))
+    assert code == 2 and f"cfg.json: config field '{next(iter(doc))}'" in err
+
+
 def test_conflicting_sources_rejected(capsys):
     code, _, err = run(capsys, "norm", "--l1", "--graphon-builtin", "product",
                        "--with-builtin", "constant:0.5", "--grid", "64")

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import graphonlab as gl
+from graphonlab.algebra import midpoints
 from graphonlab.cli import main
+from graphonlab.core import cell_index
 from graphonlab.errors import ValidationError
 from graphonlab.experiments import render_svg, report_from_dict, report_to_dict
 
@@ -188,3 +190,43 @@ def test_step_limit_reports_match_golden_bytes(tmp_path, monkeypatch, name):
     for ext, want in (("csv", csv_sha), ("json", json_sha)):
         got = hashlib.sha256((tmp_path / f"{name}.{ext}").read_bytes()).hexdigest()
         assert got == want, ext
+
+
+# Reference digests of two sweeps past the enumeration cap (n > 24): an
+# analytic limit, whose e_n is a quadrature distance and whose cut norms are
+# heuristic, and ER draws with heuristic cut norms from n = 26 on.
+GOLDEN_LARGE_REPORTS = {
+    "expr": (
+        ["theorem", "--graphon-expr", "min(x,y)*(1-max(x,y))", "--k", "2",
+         "--ns", "32,64,128", "--seed", "7"],
+        "7135c9874e9ce65497b6229c5e3ce298d72d7f015bfddbf734baeebbf9d2cc38",
+        "bd8cc25af8b280fd6f4b1ef6229f173457b664e32992001c66300d8e0eb78395",
+    ),
+    "er": (
+        ["counterexample", "--p", "0.3", "--ns", "26,40,64,150", "--draws", "3", "--seed", "9"],
+        "e6bd07b4e2489b5b71990df01f9db3b67a869da74e2c31a5cef685e33f202dfb",
+        "571edfec35631e77a42aeb5acc8262c2d4003b173721f6c05cc368b002c9dd72",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_LARGE_REPORTS))
+def test_heuristic_range_reports_match_golden_bytes(tmp_path, name):
+    args, csv_sha, json_sha = GOLDEN_LARGE_REPORTS[name]
+    code = main(["sweep", *args, "--out", str(tmp_path / name), "--format", "csv,json"])
+    assert code == 0
+    for ext, want in (("csv", csv_sha), ("json", json_sha)):
+        got = hashlib.sha256((tmp_path / f"{name}.{ext}").read_bytes()).hexdigest()
+        assert got == want, ext
+
+
+def test_midpoint_grid_cells_are_contiguous_runs():
+    # _LimitDistance broadcasts each step cell over an s x s block of the g-point
+    # midpoint grid (s = g // n), which needs cell_index to map the midpoints
+    # to n equal runs for every n dividing a reachable grid size g
+    for g in range(2, 4097):
+        mids = midpoints(g)
+        for n in range(2, g + 1):
+            if g % n == 0:
+                want = np.repeat(np.arange(n), g // n)
+                assert np.array_equal(cell_index(mids, n), want), (g, n)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,6 +73,28 @@ def test_malformed_config_names_file(tmp_path):
     p.write_text('{"ns": [4, 8')
     with pytest.raises(ValidationError, match="cfg.json: malformed JSON"):
         glio.load_config(p)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("ns", ["x"]), ("ns", [4, 8.5]), ("ns", 8), ("p", "0.5"), ("k", "2"), ("k", True),
+    ("k", None), ("grid", 256.0), ("tol", "1e-4"), ("seed", False), ("builtin", 3),
+    ("formats", "csv"),
+])
+def test_config_field_of_wrong_type_names_file_and_field(tmp_path, field, value):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({field: value}))
+    with pytest.raises(ValidationError, match=f"cfg.json: config field '{field}' must be"):
+        glio.load_config(p)
+
+
+def test_config_accepts_every_field_type(tmp_path):
+    p = tmp_path / "cfg.json"
+    doc = {"expr": "x*y", "ns": [4, 8], "n": None, "k": 2, "draws": 3, "seed": -1,
+           "p": 0.25, "grid": 64, "tol": 1, "max_refinements": 2, "out": "o",
+           "formats": ["csv", "svg"]}
+    p.write_text(json.dumps(doc))
+    cfg = glio.load_config(p)
+    assert all(getattr(cfg, name) == value for name, value in doc.items())
 
 
 def test_range_violation(tmp_path):

@@ -75,3 +75,78 @@ def test_enum_best_mask_allocates_no_full_subset_array():
     finally:
         tracemalloc.stop()
     assert peak < (1 << 20) * 8 // 4  # a quarter of one float per subset
+
+
+def _gather_altmax_best_rows(values, restarts, key):
+    """Reference: the heuristic with fancy-index gathers and per-row Python
+    restart starts; column sums add the columns of T in ascending order."""
+    n = values.shape[0]
+    best_val, best_rows = -1.0, np.zeros(n, dtype=bool)
+    for t in range(restarts):
+        rows = np.ones(n, dtype=bool) if t == 0 else np.array(
+            [_kernels.value_at_py(key, t * 2**32 + i) & 1 == 1 for i in range(n)], dtype=bool)
+        best = -1.0
+        for _ in range(4 * n * n + 8):
+            r = values[rows].sum(axis=0) if rows.any() else np.zeros(n)
+            pos, neg = r[r > 0.0].sum(), -r[r < 0.0].sum()
+            cols = (r > 0.0) if pos >= neg else (r < 0.0)
+            c = values[:, cols].sum(axis=1) if cols.any() else np.zeros(n)
+            posc, negc = c[c > 0.0].sum(), -c[c < 0.0].sum()
+            val = max(posc, negc)
+            rows = (c > 0.0) if posc >= negc else (c < 0.0)
+            if val <= best:
+                break
+            best = val
+        if best > best_val:
+            best_val, best_rows = best, rows
+    return best_rows
+
+
+def _altmax_cases():
+    g = np.random.default_rng(5150)
+    cases = []
+    for n in (1, 2, 3, 4, 5, 7, 9, 12, 16, 23, 31, 40, 57, 64, 90, 128, 160):
+        u = g.uniform(-1, 1, (n, n))
+        cases.append((f"symmetric-{n}", np.triu(u) + np.triu(u, 1).T))
+    for n in (2, 3, 5, 8, 13, 21, 34, 55, 89, 144):
+        q = g.integers(-3, 4, (n, n)) / 7
+        cases.append((f"quantized-{n}", np.triu(q) + np.triu(q, 1).T))
+    for n in (40, 64, 150):
+        for p in (0.1, 0.3, 0.5, 0.7):
+            for rep in range(4):
+                adj = np.triu(g.uniform(size=(n, n)) < p, 1).astype(float)
+                cases.append((f"er-{n}-{p}-{rep}", adj + adj.T - p))
+    for n in (1, 2, 6, 17, 33, 70, 120):
+        cases.append((f"nonsymmetric-{n}", g.uniform(-1, 1, (n, n))))
+    for n in (3, 10, 48, 100):
+        u = g.uniform(-1, 1, (n, n))
+        cases.append((f"tiny-{n}", 1e-9 * (np.triu(u) + np.triu(u, 1).T)))
+    for n in (4, 26, 77):
+        cases.append((f"random_step-{n}", random_step(n, key=n).values))
+    cases += [("zero-1", np.zeros((1, 1))), ("zero-9", np.zeros((9, 9))),
+              ("single-pos", np.array([[0.25]])), ("single-neg", np.array([[-0.25]]))]
+    for i, (name, values) in enumerate(cases):
+        restarts = 1 + i % 12
+        key = rng.derive_key(77, i) if i % 5 else _kernels.MASK64 - i
+        yield pytest.param(values, restarts, key, id=f"{name}-r{restarts}")
+
+
+@pytest.mark.parametrize("values,restarts,key", list(_altmax_cases()))
+def test_altmax_best_rows_matches_gather_reference(values, restarts, key):
+    got = _kernels.altmax_best_rows(values, restarts, key)
+    want = _gather_altmax_best_rows(values, restarts, key)
+    assert got.dtype == bool and got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("key", [0, 1, _kernels.MASK64])
+def test_words_at_matches_value_at_py(key):
+    # restart counters t * 2^32 + i (t * 2^32 >= 2^64 for the last t), and
+    # counters that cross 2^64
+    counters = [t * 2**32 + i for t in (0, 1, 2, 11, 2**31, 2**32 - 1, 2**32 + 3)
+                for i in range(4)]
+    counters += [_kernels.MASK64 - 2 + i for i in range(6)]
+    want = [_kernels.value_at_py(key, c) for c in counters]
+    got = _kernels.words_at(key, np.array([c & _kernels.MASK64 for c in counters], np.uint64))
+    assert got.dtype == np.uint64 and got.tolist() == want
+    near = np.uint64(_kernels.MASK64 - 2) + np.arange(6, dtype=np.uint64)
+    assert _kernels.words_at(key, near).tolist() == want[-6:]
