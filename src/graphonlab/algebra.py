@@ -5,12 +5,17 @@ until two successive estimates agree within tolerance. Midpoint Riemann sums
 are deterministic, handle bounded discontinuous step mixtures, and are exact
 for step functions whenever the grid is aligned with the step grain, which is
 why grids are always rounded up to a multiple of the relevant block counts.
+That one doubling rule is `settle`, used by `integrate2d`, `cell_means`, lazy
+products and the sweep's limit distance: matrix estimates agree when no entry
+moves by more than the tolerance, and after QuadratureSpec.max_refinements
+doublings QuadratureError names the quantity that did not settle.
 
 Products of analytic kernels are kept lazy: (a (.) b)(x, y) is evaluated by
 midpoint quadrature in z on demand, and grid evaluation contracts the factor
 matrices with a matrix product, so no grid is committed before the final norm
-computation chooses one. Step-by-step products always use the exact matrix
-formula (1/n) A B on the common (lcm) grid.
+computation chooses one; evaluated without a z-grid (gz == 0), a lazy product
+settles its z-integral under the QuadratureSpec it was built with. Step-by-step
+products always use the exact matrix formula (1/n) A B on the common (lcm) grid.
 """
 
 from __future__ import annotations
@@ -50,6 +55,23 @@ class QuadratureResult:
     error: float
     grid: int
     refinements: int
+
+
+def settle(q: QuadratureSpec, g0: int, estimate, what: str, tol: Optional[float] = None):
+    """The first ``estimate(g)``, g = g0 << r for r = 0..q.max_refinements, whose
+    largest entry moved by at most ``tol`` (q.tol by default) from the previous one."""
+    tol = q.tol if tol is None else tol
+    prev = cur = None
+    for r in range(q.max_refinements + 1):
+        g = g0 << r
+        prev, cur = cur, estimate(g)
+        if prev is not None:
+            change = float(np.abs(cur - prev).max(initial=0.0))
+            if change <= tol:
+                return QuadratureResult(cur, change, g, r)
+    raise QuadratureError(
+        f"{what} did not settle within tol={tol} at grid {g}", last_estimates=(prev, cur)
+    )
 
 
 def midpoints(g: int) -> np.ndarray:
@@ -139,17 +161,7 @@ def integrate2d(f, q: QuadratureSpec, align: int = 1) -> QuadratureResult:
         aligned = math.lcm(align, grain)
         align = aligned if aligned <= LCM_GRID_CAP else align
     g0 = ceil_to_multiple(q.base_grid, align)
-    prev = None
-    for r in range(q.max_refinements + 1):
-        g = g0 << r
-        val = _grid_mean(kernel, g)
-        if prev is not None and abs(val - prev) <= q.tol:
-            return QuadratureResult(val, abs(val - prev), g, r)
-        prev = val
-    raise QuadratureError(
-        f"integral did not settle within tol={q.tol} at grid {g0 << q.max_refinements}",
-        last_estimates=(prev, val),
-    )
+    return settle(q, g0, lambda g: _grid_mean(kernel, g), "integral")
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +176,8 @@ class ProductGraphon:
     ``symmetric`` records whether the result is a graphon (equal symmetric
     factors, or symmetry verified on the materialized matrix); products of
     distinct kernels are otherwise labelled kernels. Asymmetric step-by-step
-    products keep their exact matrix in ``asym_values``.
+    products keep their exact matrix in ``asym_values``. ``q`` settles the
+    z-integral of a lazy product evaluated without a z-grid (gz == 0).
     """
 
     label: str
@@ -173,6 +186,7 @@ class ProductGraphon:
     left: object = None
     right: object = None
     asym_values: Optional[np.ndarray] = None
+    q: QuadratureSpec = QuadratureSpec()
 
     def step_form(self) -> Optional[StepGraphon]:
         return self.step
@@ -190,30 +204,19 @@ class ProductGraphon:
 
             n = self.asym_values.shape[0]
             return self.asym_values[np.ix_(cell_index(xs, n), cell_index(ys, n))]
+        if gz == 0:
+            return settle(
+                self.q, self.q.base_grid, lambda g: self.eval_grid(xs, ys, g),
+                f"z-integral of {self.label}",
+            ).value
         zm = midpoints(gz)
         lhs = self.left.eval_grid(xs, zm, gz)
         rhs = self.right.eval_grid(zm, ys, gz)
         return (lhs @ rhs) / gz
 
-    def evaluate(self, x: float, y: float, q: QuadratureSpec = QuadratureSpec()) -> float:
-        """Pointwise value via refined midpoint quadrature in z."""
-        if self.step is not None:
-            return self.step.evaluate(x, y)
-        if self.asym_values is not None:
-            return float(self.eval_grid(np.array([x]), np.array([y]), 0)[0, 0])
-        xa = np.array([x])
-        ya = np.array([y])
-        prev = None
-        for r in range(q.max_refinements + 1):
-            gz = q.base_grid << r
-            val = float(self.eval_grid(xa, ya, gz)[0, 0])
-            if prev is not None and abs(val - prev) <= q.tol:
-                return val
-            prev = val
-        raise QuadratureError(
-            f"pointwise product value did not settle within tol={q.tol}",
-            last_estimates=(prev, val),
-        )
+    def evaluate(self, x: float, y: float) -> float:
+        """Pointwise value; a lazy product settles its z-integral under ``q``."""
+        return float(self.eval_grid(np.array([x]), np.array([y]), 0)[0, 0])
 
 
 def _clip_to(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -258,7 +261,7 @@ def product(a, b, q: QuadratureSpec = QuadratureSpec()) -> ProductGraphon:
     sa, sb = ka.step_form(), kb.step_form()
     if sa is not None and sb is not None:
         return _step_product(sa, sb, symmetric, label)
-    return ProductGraphon(label=label, symmetric=symmetric, left=ka, right=kb)
+    return ProductGraphon(label=label, symmetric=symmetric, left=ka, right=kb, q=q)
 
 
 def power(w, k: int, q: QuadratureSpec = QuadratureSpec()):
@@ -278,7 +281,7 @@ def power(w, k: int, q: QuadratureSpec = QuadratureSpec()):
         return ProductGraphon(label=label, symmetric=True, step=StepGraphon(s.n, vals, lo, hi))
     node = kw
     for _ in range(k - 1):
-        node = ProductGraphon(label=label, symmetric=True, left=node, right=kw)
+        node = ProductGraphon(label=label, symmetric=True, left=node, right=kw, q=q)
     return node
 
 
@@ -291,7 +294,7 @@ def cell_means(w, m: int, q: QuadratureSpec, zero_diagonal: bool = False) -> np.
     """Matrix of cell averages of w over the uniform m-grid, with refinement.
 
     Convergence is measured as the max absolute change of any cell entry
-    between successive grid doublings (diagonal excluded when it is zeroed).
+    between successive grid doublings (a zeroed diagonal never changes).
     """
     kernel = as_kernel(w)
     s = kernel.step_form()
@@ -301,11 +304,8 @@ def cell_means(w, m: int, q: QuadratureSpec, zero_diagonal: bool = False) -> np.
     align = math.lcm(m, grain) if grain else m
     if align > LCM_GRID_CAP:
         align = m
-    g0 = ceil_to_multiple(q.base_grid, align)
-    prev = None
-    off_diag = ~np.eye(m, dtype=bool)
-    for r in range(q.max_refinements + 1):
-        g = g0 << r
+
+    def cells_at(g: int) -> np.ndarray:
         xs = midpoints(g)
         vals = kernel.eval_grid(xs, xs, g)
         s_per = g // m
@@ -314,17 +314,10 @@ def cell_means(w, m: int, q: QuadratureSpec, zero_diagonal: bool = False) -> np.
         if zero_diagonal:
             upper = np.triu(cells, 1)
             cells = upper + upper.T
-        if prev is not None:
-            delta = np.abs(cells - prev)
-            if zero_diagonal:
-                delta = delta[off_diag]
-            if float(delta.max() if delta.size else 0.0) <= q.tol:
-                return cells
-        prev = cells
-    raise QuadratureError(
-        f"cell averages did not settle within tol={q.tol} on the {m}-grid",
-        last_estimates=None,
-    )
+        return cells
+
+    g0 = ceil_to_multiple(q.base_grid, align)
+    return settle(q, g0, cells_at, f"cell averages on the {m}-grid").value
 
 
 def require_symmetric(kernel) -> None:

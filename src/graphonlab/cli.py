@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: validate, sample, expect, mc-expect, product, power, norm,
-sweep theorem|counterexample. A JSON config file (--config) mirrors the
-flags; explicit flags override file values.
+sweep theorem|counterexample. A JSON config file (--config) holds the
+fields of io.ExperimentConfig; each flag that sets a field stores it under the
+field's name, and explicit flags override file values.
 """
 
 from __future__ import annotations
@@ -10,12 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 from . import io as glio
 from .algebra import QuadratureSpec, discretize, power, product, require_symmetric
 from .core import builtin, builtin_names, from_step, validate_graphon
 from .errors import GraphonLabError
-from .experiments import emit_report, run_counterexample_sweep, run_theorem_sweep
+from .experiments import emit_report, report_paths, run_counterexample_sweep, run_theorem_sweep
 from .expr import from_expression
 from .norms import (
     cut_distance_upper_via_discretization,
@@ -26,12 +29,16 @@ from .sampling import SamplerConfig, mc_expected_graphon, expected_graphon, samp
     sample_latents, sample_latents_iid
 
 
-def _add_graphon_flags(p, prefix="graphon", required=True):
+def _add_graphon_flags(p, prefix="graphon"):
+    # the main kernel's flags set config fields, so they store under the field names
+    dests = ("builtin", "expr", "step_file") if prefix == "graphon" else (None, None, None)
     g = p.add_mutually_exclusive_group(required=False)
-    g.add_argument(f"--{prefix}-builtin", metavar="NAME[:P]",
+    g.add_argument(f"--{prefix}-builtin", dest=dests[0], metavar="NAME[:P]",
                    help=f"builtin kernel ({', '.join(builtin_names())}); constant takes :p")
-    g.add_argument(f"--{prefix}-expr", metavar="EXPR", help="expression in x and y")
-    g.add_argument(f"--{prefix}-step", metavar="FILE", help="step matrix file (csv/json)")
+    g.add_argument(f"--{prefix}-expr", dest=dests[1], metavar="EXPR",
+                   help="expression in x and y")
+    g.add_argument(f"--{prefix}-step", dest=dests[2], metavar="FILE",
+                   help="step matrix file (csv/json)")
 
 
 def _add_common(p):
@@ -102,50 +109,40 @@ def _build_parser():
     _add_graphon_flags(p)
     _add_common(p)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--ns", default=None, help="comma-separated block counts, e.g. 4,8,16")
+    p.add_argument("--ns", type=_parse_ns, default=None,
+                   help="comma-separated block counts, e.g. 4,8,16")
     p.add_argument("--draws", type=int, default=None)
     p.add_argument("--p", type=float, default=None, help="ER edge density (counterexample)")
-    p.add_argument("--format", default=None, help="comma-separated: csv,json,svg")
+    p.add_argument("--format", dest="formats", type=_comma_list, default=None,
+                   help="comma-separated: csv,json,svg")
     return ap
 
 
 def _merge(args) -> glio.ExperimentConfig:
     cfg = glio.load_config(args.config) if args.config else glio.ExperimentConfig()
-    over = {
-        "builtin": getattr(args, "graphon_builtin", None),
-        "expr": getattr(args, "graphon_expr", None),
-        "step_file": getattr(args, "graphon_step", None),
-        "n": getattr(args, "n", None),
-        "k": getattr(args, "k", None),
-        "draws": getattr(args, "draws", None),
-        "seed": getattr(args, "seed", None),
-        "p": getattr(args, "p", None),
-        "grid": getattr(args, "grid", None),
-        "tol": getattr(args, "tol", None),
-        "max_refinements": getattr(args, "max_refinements", None),
-        "out": getattr(args, "out", None),
-    }
-    if any(over[k] is not None for k in ("builtin", "expr", "step_file")):
+    flags = {f.name: v for f in fields(cfg) if (v := getattr(args, f.name, None)) is not None}
+    if flags.keys() & {"builtin", "expr", "step_file"}:
         cfg.builtin = cfg.expr = cfg.step_file = None
-    ns = getattr(args, "ns", None)
-    if ns is not None:
-        cfg.ns = [_parse_n(tok) for tok in str(ns).split(",") if tok.strip()]
-    fmt = getattr(args, "format", None)
-    if fmt is not None:
-        cfg.formats = [tok.strip() for tok in fmt.split(",") if tok.strip()]
-    for key, val in over.items():
-        if val is not None:
-            setattr(cfg, key, val)
+    for name, val in flags.items():
+        setattr(cfg, name, val)
     if len(cfg.graphon_sources()) > 1:
         raise GraphonLabError("more than one graphon source given")
     return cfg
+
+
+def _comma_list(text: str) -> list:
+    return [tok.strip() for tok in text.split(",") if tok.strip()]
 
 
 def _parse_n(tok: str) -> int:
     try:
         return int(tok)
     except ValueError:
-        raise GraphonLabError(f"bad --ns value '{tok.strip()}'") from None
+        raise GraphonLabError(f"bad --ns value '{tok}'") from None
+
+
+def _parse_ns(text: str) -> list:
+    return [_parse_n(tok) for tok in _comma_list(text)]
 
 
 def _parse_builtin(text: str):
@@ -351,18 +348,19 @@ def _cmd_norm(args):
 def _cmd_sweep(args):
     cfg = _merge(args)
     q = _quadrature(cfg)
+    w = _graphon_from(cfg, args) if args.mode == "theorem" else None
+    if not cfg.ns:
+        raise GraphonLabError("missing --ns")
+    inputs = {Path(f).resolve() for f in (args.config, cfg.step_file) if f}
+    for path in report_paths(_need(cfg.out, "--out"), cfg.formats).values():
+        if path.resolve() in inputs:  # refused before the sweep runs
+            raise GraphonLabError(f"report {path} would overwrite an input of this run")
     if args.mode == "theorem":
-        w = _graphon_from(cfg, args)
-        if not cfg.ns:
-            raise GraphonLabError("missing --ns")
         report = run_theorem_sweep(w, cfg.k, cfg.ns, q, cfg.seed)
     else:
         p = cfg.p if cfg.p is not None else 0.5
-        if not cfg.ns:
-            raise GraphonLabError("missing --ns")
         report = run_counterexample_sweep(p, cfg.ns, cfg.draws, cfg.seed, q)
-    out = _need(cfg.out, "--out")
-    written = emit_report(report, out, cfg.formats)
+    written = emit_report(report, cfg.out, cfg.formats)
     flag = " (incomplete)" if report.incomplete else ""
     print(f"{report.kind} sweep '{report.label}' k={report.k}{flag}:")
     for row in report.rows:
@@ -392,8 +390,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)  # a bad --ns value raises here
         return _COMMANDS[args.command](args)
     except GraphonLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

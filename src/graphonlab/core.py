@@ -200,10 +200,6 @@ class GraphonSpec:
     sup_bound: float = 1.0
     lipschitz: Optional[float] = None
 
-    def evaluate(self, x: float, y: float) -> float:
-        v = float(np.asarray(self.fn(np.float64(x), np.float64(y))))
-        return min(1.0, max(0.0, v)) if self.clamp else v
-
     def eval_grid(self, xs, ys, gz: int = 0) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
@@ -259,12 +255,13 @@ def from_step(step: StepGraphon) -> StepGraphon:
 
 
 def evaluate(w, x: float, y: float) -> float:
-    """Pointwise kernel value; raises DomainError outside the unit square."""
+    """Pointwise kernel value, read off a 1x1 grid evaluation (so a lazy product
+    settles its z-integral); raises DomainError outside the unit square."""
     from .algebra import as_kernel  # algebra imports this module
 
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
         raise DomainError(f"point ({x}, {y}) outside the unit square")
-    return as_kernel(w).evaluate(x, y)
+    return float(as_kernel(w).eval_grid(np.array([float(x)]), np.array([float(y)]), 0)[0, 0])
 
 
 def canonical_graphon(g: SimpleGraph) -> StepGraphon:

@@ -36,7 +36,9 @@ import numpy as np
 
 from . import io as glio
 from . import rng
-from .algebra import QuadratureSpec, as_kernel, ceil_to_multiple, cell_means, midpoints, power
+from .algebra import (
+    QuadratureSpec, as_kernel, ceil_to_multiple, cell_means, midpoints, power, settle,
+)
 from .core import StepGraphon, canonical_graphon, constant, validate_graphon
 from .errors import QuadratureError, ValidationError
 from .norms import cut_norm_auto, l1_distance
@@ -112,21 +114,14 @@ class _LimitDistance:
         if self.limit_step is not None:
             return l1_distance(step, self.limit_step, self.q)
         n = step.n
-        align = self.shared_align or n
-        g0 = ceil_to_multiple(self.q.base_grid, align)
-        prev = None
-        for r in range(self.q.max_refinements + 1):
-            g = g0 << r
-            lim = self._limit_at(g)
+
+        def distance_at(g: int) -> float:
             s = g // n
-            cur = float(np.abs(lim.reshape(n, s, n, s) - step.values[:, None, :, None]).mean())
-            if prev is not None and abs(cur - prev) <= self.tol:
-                return cur
-            prev = cur
-        raise QuadratureError(
-            f"limit distance at n={n} did not settle within tol={self.tol}",
-            last_estimates=(prev, cur),
-        )
+            lim = self._limit_at(g).reshape(n, s, n, s)
+            return float(np.abs(lim - step.values[:, None, :, None]).mean())
+
+        g0 = ceil_to_multiple(self.q.base_grid, self.shared_align or n)
+        return settle(self.q, g0, distance_at, f"limit distance at n={n}", self.tol).value
 
     def limit_cells(self, n: int) -> np.ndarray:
         """Cell averages of the limit power on the n-grid."""
@@ -288,16 +283,21 @@ def _csv_cell(v: Optional[float]) -> str:
     return "" if v is None else glio.fmt_float(v)
 
 
-def emit_report(report: ConvergenceReport, out, formats=("csv", "json")) -> dict:
-    """Write the report next to `out` (base path, extension per format)."""
-    if not report.rows:
-        raise ValidationError("empty sweep")
+def report_paths(out, formats) -> dict:
+    """Report file per chosen format: `out` resolved, the format as extension."""
     bad = set(formats) - set(_FORMATS)
     if bad:
         raise ValidationError(f"unknown report formats {sorted(bad)}")
     base = glio.resolve_out(out)
-    written = {}
-    if "csv" in formats:
+    return {fmt: base.with_suffix("." + fmt) for fmt in _FORMATS if fmt in formats}
+
+
+def emit_report(report: ConvergenceReport, out, formats=("csv", "json")) -> dict:
+    """Write the report next to `out` (base path, extension per format)."""
+    if not report.rows:
+        raise ValidationError("empty sweep")
+    written = report_paths(out, formats)
+    if "csv" in written:
         lines = [_CSV_HEADER]
         for row in report.rows:
             lines.append(
@@ -310,17 +310,11 @@ def emit_report(report: ConvergenceReport, out, formats=("csv", "json")) -> dict
                     ]
                 )
             )
-        path = base.with_suffix(".csv")
-        path.write_text("\n".join(lines) + "\n")
-        written["csv"] = path
-    if "json" in formats:
-        path = base.with_suffix(".json")
-        path.write_text(json.dumps(report_to_dict(report), indent=2) + "\n")
-        written["json"] = path
-    if "svg" in formats:
-        path = base.with_suffix(".svg")
-        path.write_text(render_svg(report))
-        written["svg"] = path
+        written["csv"].write_text("\n".join(lines) + "\n")
+    if "json" in written:
+        written["json"].write_text(json.dumps(report_to_dict(report), indent=2) + "\n")
+    if "svg" in written:
+        written["svg"].write_text(render_svg(report))
     return written
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
@@ -188,7 +189,8 @@ def load_graph(path) -> SimpleGraph:
 
 @dataclass
 class ExperimentConfig:
-    """Mirror of the CLI flags; flags override file values."""
+    """Settings of a run: the --config file's fields, each also set by the CLI flag
+    stored under the field's name; flags override file values."""
 
     builtin: Optional[str] = None
     expr: Optional[str] = None
@@ -211,6 +213,7 @@ class ExperimentConfig:
 
 _CONFIG_FIELDS = ExperimentConfig.__dataclass_fields__
 _CONFIG_TYPES = get_type_hints(ExperimentConfig)
+_FLOAT_FIELDS = {name for name, tp in _CONFIG_TYPES.items() if float in (tp, *get_args(tp))}
 
 
 def _has_type(value, tp) -> bool:
@@ -226,7 +229,10 @@ def _has_type(value, tp) -> bool:
     if isinstance(value, bool):
         return tp is bool
     if tp is float:
-        return isinstance(value, (int, float))
+        # an int is stored as a float, so it must convert without overflow
+        return isinstance(value, float) or (
+            isinstance(value, int) and abs(value) <= sys.float_info.max
+        )
     return isinstance(value, tp)
 
 
@@ -249,6 +255,8 @@ def load_config(path) -> ExperimentConfig:
                 f"{p.name}: config field '{name}' must be {_CONFIG_FIELDS[name].type}, "
                 f"got {json.dumps(value)}"
             )
+        if name in _FLOAT_FIELDS and value is not None:
+            doc[name] = float(value)  # a JSON int is stored as the float a flag gives
     cfg = ExperimentConfig(**doc)
     if len(cfg.graphon_sources()) > 1:
         raise ValidationError(f"{p.name}: more than one graphon source present")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import graphonlab as gl
-from graphonlab.algebra import ceil_to_multiple, midpoints
+from graphonlab.algebra import ceil_to_multiple, cell_means, midpoints
 from graphonlab.errors import QuadratureError, ValidationError
 from conftest import brute_force_product_cell, random_step
 
@@ -190,3 +190,20 @@ def test_discretize_rejects_asymmetric_product():
     assert r.asym_values is not None
     with pytest.raises(ValidationError, match="not symmetric"):
         gl.discretize(r, 6)
+
+
+def test_every_refinement_site_names_itself_when_it_cannot_settle():
+    from graphonlab.experiments import _LimitDistance
+
+    q = gl.QuadratureSpec(base_grid=4, max_refinements=0, tol=1e-9)
+    w = gl.builtin("minmax")
+    with pytest.raises(QuadratureError, match="^integral did not settle"):
+        gl.integrate2d(w, q)
+    with pytest.raises(QuadratureError, match="^cell averages on the 3-grid did not settle"):
+        cell_means(w, 3, q)
+    with pytest.raises(QuadratureError, match=r"^z-integral of pow\[minmax,2\] did not settle"):
+        gl.power(w, 2, q).evaluate(0.3, 0.6)
+    with pytest.raises(QuadratureError, match="^limit distance at n=4 did not settle"):
+        _LimitDistance(w, 2, [4], q).distance(gl.constant(0.1).step.refine(4))
+    report = gl.run_theorem_sweep(w, 2, [3, 5], q, seed=1)
+    assert report.incomplete and report.rows == []

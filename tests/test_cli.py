@@ -232,3 +232,36 @@ def test_mc_expect_matches_golden_bytes(tmp_path, capsys):
     assert code == 0
     for name, want in MC_PRODUCT_SHA.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+
+
+def test_sweep_refuses_to_overwrite_its_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"builtin": "constant:0.5", "ns": [2, 4],
+                               "out": str(tmp_path / "cfg"), "formats": ["json"]}))
+    before = cfg.read_bytes()
+    code, _, err = run(capsys, "sweep", "theorem", "--config", str(cfg))
+    assert code == 2 and str(cfg) in err
+    assert cfg.read_bytes() == before
+
+
+def test_sweep_refuses_to_overwrite_its_step_file(tmp_path, capsys):
+    step = tmp_path / "w.csv"
+    step.write_text("0.5,0.5\n0.5,0.5\n")
+    before = step.read_bytes()
+    code, _, err = run(capsys, "sweep", "theorem", "--graphon-step", str(step), "--ns", "2",
+                       "--out", str(tmp_path / "w"), "--format", "json,csv")
+    assert code == 2 and str(step) in err
+    assert step.read_bytes() == before
+
+
+def test_config_int_tol_writes_the_same_report_as_the_flag(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": 1, "grid": 64}))
+    sweep = ("sweep", "theorem", "--graphon-builtin", "constant:0.5", "--ns", "2,4")
+    code, _, _ = run(capsys, *sweep, "--config", str(cfg), "--out", str(tmp_path / "a"))
+    assert code == 0
+    code, _, _ = run(capsys, *sweep, "--tol", "1", "--grid", "64", "--out", str(tmp_path / "b"))
+    assert code == 0
+    for ext in (".csv", ".json"):
+        a = (tmp_path / "a").with_suffix(ext).read_bytes()
+        assert a == (tmp_path / "b").with_suffix(ext).read_bytes(), ext

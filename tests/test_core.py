@@ -212,3 +212,14 @@ def test_from_step_returns_the_step():
     assert gl.from_step(s) is s
     with pytest.raises(ValidationError):
         gl.from_step(gl.StepGraphon(2, [[0.0, -0.5], [-0.5, 0.0]], -1.0, 1.0))
+
+
+def test_evaluate_and_validate_plain_callable():
+    def f(x, y):
+        return x * y
+
+    assert gl.evaluate(f, 0.3, 0.5) == pytest.approx(0.15, abs=1e-15)
+    assert gl.evaluate(lambda x, y: min(x, y), 0.3, 0.5) == 0.3
+    report = gl.validate_graphon(f, samples=100, seed=1)
+    assert report.passed and report.max_asymmetry == 0.0
+    assert not gl.validate_graphon(lambda x, y: x - y, samples=100, seed=1).passed

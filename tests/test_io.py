@@ -97,6 +97,17 @@ def test_config_accepts_every_field_type(tmp_path):
     assert all(getattr(cfg, name) == value for name, value in doc.items())
 
 
+def test_config_float_fields_hold_floats(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"tol": 1, "p": 0}))
+    cfg = glio.load_config(p)
+    assert type(cfg.tol) is float and type(cfg.p) is float
+    assert (cfg.tol, cfg.p) == (1.0, 0.0)
+    p.write_text(json.dumps({"tol": 10**400}))
+    with pytest.raises(ValidationError, match="cfg.json: config field 'tol' must be"):
+        glio.load_config(p)
+
+
 def test_range_violation(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("0,0.5\n0.5,0\n")

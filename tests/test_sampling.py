@@ -167,3 +167,19 @@ def test_bad_inputs():
         gl.mc_expected_graphon(cfg(3, 1), draws=0)
     with pytest.raises(ValidationError):
         gl.sample_graph(cfg(3, 1), gl.sample_latents(cfg(4, 1)))
+
+
+def test_lazy_product_sampling_matches_its_edge_density():
+    # a lazy power evaluated without a z-grid settles its z-integral
+    w = gl.power(gl.builtin("minmax"), 2)
+    want = gl.integrate2d(w, gl.QuadratureSpec()).value
+    n, seeds = 200, 10
+    edges = 0
+    for seed in range(seeds):
+        c = cfg(n, seed, w)
+        edges += gl.sample_graph(c, gl.sample_latents(c)).edge_count
+    assert want == pytest.approx(1 / 120, abs=1e-4)
+    assert abs(edges / (seeds * n * (n - 1) / 2) - want) <= 0.001
+
+    est = gl.mc_expected_graphon(cfg(16, 3, w), draws=20)
+    assert np.isfinite(est.step.values).all() and est.step.values.sum() > 0
