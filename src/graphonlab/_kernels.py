@@ -161,7 +161,9 @@ def enum_best_mask(values: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 #
 # Fix S, pick the sign-optimal T; fix T, pick the sign-optimal S; repeat until
-# the value stops improving. Always a valid lower bound. Subsets are boolean
+# the value stops improving, or until an improving pass ends on the rows it
+# started from: the next pass would recompute the same value and stop with
+# the same rows, so it is skipped. Always a valid lower bound. Subsets are boolean
 # row vectors (no size cap). Restart 0 starts from the full set, which is
 # optimal for nonnegative matrices; restart t draws row i from the parity of
 # the generator word at counter t * 2^32 + i (mod 2^64), so every start is a
@@ -182,6 +184,7 @@ def _altmax_from(values, vt, sel_rows):
     n = values.shape[0]
     best = -1.0
     for _ in range(4 * n * n + 8):
+        prev = sel_rows
         r = np.compress(sel_rows, values, axis=0).sum(axis=0)
         pos = r[r > 0.0].sum()
         neg = -r[r < 0.0].sum()
@@ -194,6 +197,8 @@ def _altmax_from(values, vt, sel_rows):
         if val <= best:
             break
         best = val
+        if np.array_equal(prev, sel_rows):
+            break
     return best, sel_rows
 
 

@@ -118,7 +118,8 @@ class _LimitDistance:
         def distance_at(g: int) -> float:
             s = g // n
             lim = self._limit_at(g).reshape(n, s, n, s)
-            return float(np.abs(lim - step.values[:, None, :, None]).mean())
+            diff = np.subtract(lim, step.values[:, None, :, None])
+            return float(np.abs(diff, out=diff).mean())
 
         g0 = ceil_to_multiple(self.q.base_grid, self.shared_align or n)
         return settle(self.q, g0, distance_at, f"limit distance at n={n}", self.tol).value
@@ -285,6 +286,8 @@ def _csv_cell(v: Optional[float]) -> str:
 
 def report_paths(out, formats) -> dict:
     """Report file per chosen format: `out` resolved, the format as extension."""
+    if not formats:
+        raise ValidationError("no report format chosen (choose from csv, json, svg)")
     bad = set(formats) - set(_FORMATS)
     if bad:
         raise ValidationError(f"unknown report formats {sorted(bad)}")

@@ -10,6 +10,17 @@ Grammar (whitespace insignificant, no implicit multiplication):
 
 Functions: min(a,b), max(a,b), abs(a), exp(a), sqrt(a). Unary minus binds
 tighter than '^', i.e. -x^2 is (-x)^2. Errors carry 0-based byte offsets.
+
+Evaluation allocates only the temporaries it must. A number is a read-only
+zero-stride view of one float, and x and y enter as read-only broadcast
+views, so no leaf is copied to the full shape. An array that an operator or
+function allocated is owned by the evaluator: the next operator or function
+writes its result into its first owned operand, and allocates only when no
+operand is owned. '^' always allocates, because its NaN check reads both
+operands after the power, and it takes a number operand as a full array.
+Inputs and views are never written, and every operation keeps its operands
+and their order, so the values are those of an evaluation that gives every
+node a fresh array, bit for bit.
 """
 
 from __future__ import annotations
@@ -229,53 +240,67 @@ def parse(source: str):
 # --- evaluation --------------------------------------------------------------
 
 
-def _eval(node, x, y):
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+_CALLS = {"min": np.minimum, "max": np.maximum, "abs": np.abs, "exp": np.exp, "sqrt": np.sqrt}
+
+
+def _apply(ufunc, *operands):
+    """ufunc over (array, owned) operands, written into the first owned one."""
+    arrays = [a for a, _ in operands]
+    out = next((a for a, owned in operands if owned), None)
+    if out is None:
+        out = ufunc(*arrays)
+        # 0-d operands give a NumPy scalar, which cannot be written into
+        return out, isinstance(out, np.ndarray)
+    return ufunc(*arrays, out=out), True
+
+
+def _power(node, a, b, shape):
+    """a ** b as a fresh array; the NaN check reads both operands after it."""
+    # NumPy's power picks its loop by operand layout, and a zero-stride
+    # exponent takes shortcuts (x^2 as x*x, x^0.5 as sqrt) whose bits can
+    # differ from pow's: numbers enter as full arrays, the layout of a
+    # fresh-array evaluation
+    if isinstance(node.left, Num):
+        a = np.full(shape, node.left.value)
+    if isinstance(node.right, Num):
+        b = np.full(shape, node.right.value)
+    out = a**b
+    if np.any(np.isnan(out) & ~(np.isnan(a) | np.isnan(b))):
+        raise ExprEvalError("invalid power (negative base, fractional exponent)", node)
+    return out, isinstance(out, np.ndarray)
+
+
+def _eval(node, x, y, shape):
+    """(values, owned) of a node; see the module docstring for ownership."""
     if isinstance(node, Num):
-        return np.full(np.broadcast(x, y).shape, node.value)
+        return np.broadcast_to(np.float64(node.value), shape), False
     if isinstance(node, Var):
-        base = x if node.name == "x" else y
-        return np.broadcast_to(np.asarray(base, dtype=np.float64), np.broadcast(x, y).shape)
+        return np.broadcast_to(x if node.name == "x" else y, shape), False
     if isinstance(node, Unary):
-        return -_eval(node.operand, x, y)
+        return _apply(np.negative, _eval(node.operand, x, y, shape))
     if isinstance(node, Bin):
-        a = _eval(node.left, x, y)
-        b = _eval(node.right, x, y)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if np.any(b == 0.0):
-                raise ExprEvalError("division by zero", node)
-            return a / b
-        # '^'
-        out = a**b
-        if np.any(np.isnan(out) & ~(np.isnan(a) | np.isnan(b))):
-            raise ExprEvalError("invalid power (negative base, fractional exponent)", node)
-        return out
+        left = _eval(node.left, x, y, shape)
+        right = _eval(node.right, x, y, shape)
+        if node.op == "^":
+            return _power(node, left[0], right[0], shape)
+        if node.op == "/" and np.any(right[0] == 0.0):
+            raise ExprEvalError("division by zero", node)
+        return _apply(_BINARY[node.op], left, right)
     if isinstance(node, Call):
-        args = [_eval(a, x, y) for a in node.args]
-        if node.fn == "min":
-            return np.minimum(args[0], args[1])
-        if node.fn == "max":
-            return np.maximum(args[0], args[1])
-        if node.fn == "abs":
-            return np.abs(args[0])
-        if node.fn == "exp":
-            return np.exp(args[0])
-        # sqrt
-        if np.any(args[0] < 0.0):
+        args = [_eval(a, x, y, shape) for a in node.args]
+        if node.fn == "sqrt" and np.any(args[0][0] < 0.0):
             raise ExprEvalError("sqrt of a negative value", node)
-        return np.sqrt(args[0])
+        return _apply(_CALLS[node.fn], *args)
     raise TypeError(f"not an AST node: {node!r}")
 
 
 def eval_array(ast, x, y) -> np.ndarray:
     """Evaluate on broadcastable arrays; errors instead of propagating NaN."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     with np.errstate(all="ignore"):
-        return _eval(ast, np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
+        return _eval(ast, x, y, np.broadcast_shapes(x.shape, y.shape))[0]
 
 
 def eval_ast(ast, x: float, y: float) -> float:

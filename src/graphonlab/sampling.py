@@ -89,7 +89,14 @@ def sample_latents_iid(cfg: SamplerConfig) -> np.ndarray:
 def _pair_probabilities(graphon, xs: np.ndarray) -> np.ndarray:
     kernel = as_kernel(graphon)
     p = kernel.eval_grid(xs, xs, 0)
-    if np.min(p) < -1e-12 or np.max(p) > 1.0 + 1e-12:
+    if not (np.min(p) >= -1e-12 and np.max(p) <= 1.0 + 1e-12):  # False on NaN too
+        bad = np.argwhere(~np.isfinite(p))
+        if len(bad):
+            i, j = bad[0]
+            raise ValidationError(
+                f"edge probability of pair ({i}, {j}) is {p[i, j]}, not a number in [0, 1]; "
+                "validate the graphon"
+            )
         raise ValidationError("edge probabilities escape [0, 1]; validate the graphon")
     return np.clip(p, 0.0, 1.0)
 

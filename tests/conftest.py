@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,16 @@ from graphonlab._kernels import warmup
 def _warm_kernels():
     # run each hot kernel once so timed tests measure the algorithms alone
     warmup()
+
+
+def peak_bytes(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated while fn() runs, its result included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_step(n: int, key: int, signed: bool = True) -> StepGraphon:

@@ -207,3 +207,42 @@ def test_every_refinement_site_names_itself_when_it_cannot_settle():
         _LimitDistance(w, 2, [4], q).distance(gl.constant(0.1).step.refine(4))
     report = gl.run_theorem_sweep(w, 2, [3, 5], q, seed=1)
     assert report.incomplete and report.rows == []
+
+
+class _CountingKernel:
+    """An analytic kernel that counts its grid evaluations."""
+
+    def __init__(self, label, fn):
+        self.label, self.fn, self.calls = label, fn, 0
+
+    def step_form(self):
+        return None
+
+    def eval_grid(self, xs, ys, gz=0):
+        self.calls += 1
+        return self.fn(np.asarray(xs)[:, None], np.asarray(ys)[None, :])
+
+
+def test_self_product_evaluates_its_factor_once_per_grid():
+    g = 96
+    m = midpoints(g)
+    w = _CountingKernel("w", lambda x, y: np.minimum(x, y) * (1.0 - np.maximum(x, y)))
+    got = gl.power(w, 2).eval_grid(m, m, g)
+    assert w.calls == 1
+    # the same bytes as a product of two separately evaluated factors
+    want = (w.fn(m[:, None], m[None, :]) @ w.fn(m[:, None], m[None, :])) / g
+    assert got.tobytes() == want.tobytes()
+    # off its own z-grid a self-product evaluates both factors
+    gl.power(w, 2).eval_grid(midpoints(g // 2), m, g)
+    assert w.calls == 3
+
+
+def test_product_of_distinct_kernels_evaluates_each_factor_once():
+    g = 64
+    m = midpoints(g)
+    a = _CountingKernel("a", lambda x, y: x * y)
+    b = _CountingKernel("b", lambda x, y: np.minimum(x, y))
+    got = gl.product(a, b).eval_grid(m, m, g)
+    assert (a.calls, b.calls) == (1, 1)
+    want = (a.fn(m[:, None], m[None, :]) @ b.fn(m[:, None], m[None, :])) / g
+    assert got.tobytes() == want.tobytes()

@@ -265,3 +265,41 @@ def test_config_int_tol_writes_the_same_report_as_the_flag(tmp_path, capsys):
     for ext in (".csv", ".json"):
         a = (tmp_path / "a").with_suffix(ext).read_bytes()
         assert a == (tmp_path / "b").with_suffix(ext).read_bytes(), ext
+
+
+# exp overflows to inf at the far corner, and 0 * inf is NaN
+_NAN_CORNER_EXPR = "0.5+0*exp(1000*x*y)"
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("sample", ()),
+    ("mc-expect", ("--draws", "3", "--out", "m.csv")),
+])
+def test_non_finite_edge_probability_exits_2(tmp_path, monkeypatch, capsys, command, extra):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, command, "--graphon-expr", _NAN_CORNER_EXPR, "--n", "12",
+                       "--seed", "1", *extra)
+    assert code == 2 and "edge probability of pair (" in err and "nan" in err
+    assert not (tmp_path / "m.csv").exists()
+
+
+def _refuse_to_sweep(*args, **kwargs):
+    raise AssertionError("the sweep started")
+
+
+def test_sweep_with_empty_format_flag_exits_2_before_the_sweep(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("graphonlab.cli.run_theorem_sweep", _refuse_to_sweep)
+    code, _, err = run(capsys, "sweep", "theorem", "--graphon-builtin", "minmax", "--ns", "4",
+                       "--out", str(tmp_path / "r"), "--format", "")
+    assert code == 2 and "no report format" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_with_empty_config_formats_exits_2_before_the_sweep(tmp_path, monkeypatch,
+                                                                  capsys):
+    monkeypatch.setattr("graphonlab.cli.run_counterexample_sweep", _refuse_to_sweep)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ns": [4], "out": str(tmp_path / "r"), "formats": []}))
+    code, _, err = run(capsys, "sweep", "counterexample", "--config", str(cfg))
+    assert code == 2 and "no report format" in err
+    assert list(tmp_path.iterdir()) == [cfg]

@@ -1,12 +1,10 @@
 """The hot kernels against their Python references."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from graphonlab import _kernels, rng
-from conftest import random_step
+from conftest import peak_bytes, random_step
 
 
 def test_uniforms_match_python_reference():
@@ -68,12 +66,7 @@ def test_enum_best_mask_zero_matrix_and_single_block():
 
 def test_enum_best_mask_allocates_no_full_subset_array():
     values = random_step(20, key=9).values
-    tracemalloc.start()
-    try:
-        _kernels.enum_best_mask(values)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(lambda: _kernels.enum_best_mask(values))
     assert peak < (1 << 20) * 8 // 4  # a quarter of one float per subset
 
 
@@ -125,6 +118,11 @@ def _altmax_cases():
         cases.append((f"random_step-{n}", random_step(n, key=n).values))
     cases += [("zero-1", np.zeros((1, 1))), ("zero-9", np.zeros((9, 9))),
               ("single-pos", np.array([[0.25]])), ("single-neg", np.array([[-0.25]]))]
+    for n in (2, 9, 48):
+        # restart 0 starts from the full set, a fixed point of a nonnegative matrix
+        u = g.uniform(0, 1, (n, n))
+        cases += [(f"nonnegative-{n}", np.triu(u) + np.triu(u, 1).T),
+                  (f"nonnegative-nonsymmetric-{n}", u)]
     for i, (name, values) in enumerate(cases):
         restarts = 1 + i % 12
         key = rng.derive_key(77, i) if i % 5 else _kernels.MASK64 - i
