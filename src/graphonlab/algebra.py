@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import StepGraphon
+from .core import StepGraphon, as_kernel, cell_index
 from .errors import QuadratureError, ValidationError
 
 LCM_GRID_CAP = 4096
@@ -83,18 +83,6 @@ def ceil_to_multiple(value: int, factor: int) -> int:
     return ((max(1, value) + factor - 1) // factor) * factor
 
 
-def as_kernel(obj):
-    """Coerce graphon-like objects and plain callables f(x, y) to the
-    eval_grid/step_form protocol."""
-    if hasattr(obj, "eval_grid") and hasattr(obj, "step_form"):
-        return obj
-    if isinstance(getattr(obj, "step", None), StepGraphon):
-        return obj.step
-    if callable(obj):
-        return _CallableKernel(obj)
-    raise TypeError(f"not a graphon-like object: {type(obj).__name__}")
-
-
 def grain_of(kernel) -> int:
     """Step block count whose multiples sample the kernel exactly (0 if none).
 
@@ -110,30 +98,6 @@ def grain_of(kernel) -> int:
         return 0
     s = kernel.step_form()
     return s.n if s is not None else 0
-
-
-class _CallableKernel:
-    """Adapter for plain callables f(x, y); vectorized when possible."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.label = getattr(fn, "__name__", "kernel")
-
-    def step_form(self):
-        return None
-
-    def eval_grid(self, xs, ys, gz: int = 0):
-        X = np.asarray(xs, dtype=np.float64)[:, None]
-        Y = np.asarray(ys, dtype=np.float64)[None, :]
-        try:
-            out = np.asarray(self.fn(X, Y), dtype=np.float64)
-            return np.broadcast_to(out, (X.shape[0], Y.shape[1]))
-        except (TypeError, ValueError):
-            out = np.empty((X.shape[0], Y.shape[1]))
-            for i, x in enumerate(np.ravel(X)):
-                for j, y in enumerate(np.ravel(Y)):
-                    out[i, j] = self.fn(float(x), float(y))
-            return out
 
 
 def _grid_mean(kernel, g: int) -> float:
@@ -173,11 +137,12 @@ def integrate2d(f, q: QuadratureSpec, align: int = 1) -> QuadratureResult:
 class ProductGraphon:
     """Kernel product a (.) b; materialized for step inputs, lazy otherwise.
 
-    ``symmetric`` records whether the result is a graphon (equal symmetric
-    factors, or symmetry verified on the materialized matrix); products of
-    distinct kernels are otherwise labelled kernels. Asymmetric step-by-step
-    products keep their exact matrix in ``asym_values``. ``q`` settles the
-    z-integral of a lazy product evaluated without a z-grid (gz == 0).
+    ``symmetric`` records whether the result is known to be a graphon (one
+    factor twice, equal step factors, or symmetry verified on the materialized
+    matrix); `require_symmetric` checks a lazy product of distinct factors on
+    its quadrature grid. Asymmetric step-by-step products keep their exact
+    matrix in ``asym_values``. ``q`` settles the z-integral of a lazy product
+    evaluated without a z-grid (gz == 0).
     """
 
     label: str
@@ -200,8 +165,6 @@ class ProductGraphon:
         if self.step is not None:
             return self.step.eval_grid(xs, ys)
         if self.asym_values is not None:
-            from .core import cell_index
-
             n = self.asym_values.shape[0]
             return self.asym_values[np.ix_(cell_index(xs, n), cell_index(ys, n))]
         if gz == 0:
@@ -215,7 +178,9 @@ class ProductGraphon:
             rhs = lhs  # a self-product on its own z-grid: both factors are one grid
         else:
             rhs = self.right.eval_grid(zm, ys, gz)
-        return (lhs @ rhs) / gz
+        out = lhs @ rhs
+        out /= gz  # in place: no second full-size grid
+        return out
 
     def evaluate(self, x: float, y: float) -> float:
         """Pointwise value; a lazy product settles its z-integral under ``q``."""
@@ -247,18 +212,19 @@ def _step_product(sa: StepGraphon, sb: StepGraphon, symmetric: bool, label: str)
 
 
 def _factors_equal(ka, kb) -> bool:
+    """One kernel twice, or two steps with equal matrices; equal labels prove nothing."""
     if ka is kb:
         return True
     sa, sb = ka.step_form(), kb.step_form()
-    if sa is not None and sb is not None:
-        return sa.n == sb.n and np.array_equal(sa.values, sb.values)
-    la = getattr(ka, "label", None)
-    return la is not None and la == getattr(kb, "label", None)
+    if sa is None or sb is None:
+        return False
+    return sa.n == sb.n and np.array_equal(sa.values, sb.values)
 
 
 def product(a, b, q: QuadratureSpec = QuadratureSpec()) -> ProductGraphon:
     """Kernel product (a (.) b)(x, y) = integral of a(x, z) b(z, y) dz."""
-    ka, kb = as_kernel(a), as_kernel(b)
+    ka = as_kernel(a)
+    kb = ka if b is a else as_kernel(b)
     symmetric = _factors_equal(ka, kb)
     label = f"prod[{getattr(ka, 'label', '?')},{getattr(kb, 'label', '?')}]"
     sa, sb = ka.step_form(), kb.step_form()
@@ -293,6 +259,13 @@ def power(w, k: int, q: QuadratureSpec = QuadratureSpec()):
 # ---------------------------------------------------------------------------
 
 
+def block_means(vals: np.ndarray, m: int) -> np.ndarray:
+    """Symmetrized means of the m x m blocks of a square grid whose side m divides."""
+    s = vals.shape[0] // m
+    cells = vals.reshape(m, s, m, s).mean(axis=(1, 3))
+    return 0.5 * (cells + cells.T)
+
+
 def cell_means(w, m: int, q: QuadratureSpec, zero_diagonal: bool = False) -> np.ndarray:
     """Matrix of cell averages of w over the uniform m-grid, with refinement.
 
@@ -310,10 +283,7 @@ def cell_means(w, m: int, q: QuadratureSpec, zero_diagonal: bool = False) -> np.
 
     def cells_at(g: int) -> np.ndarray:
         xs = midpoints(g)
-        vals = kernel.eval_grid(xs, xs, g)
-        s_per = g // m
-        cells = vals.reshape(m, s_per, m, s_per).mean(axis=(1, 3))
-        cells = 0.5 * (cells + cells.T)
+        cells = block_means(kernel.eval_grid(xs, xs, g), m)
         if zero_diagonal:
             upper = np.triu(cells, 1)
             cells = upper + upper.T
@@ -324,9 +294,19 @@ def cell_means(w, m: int, q: QuadratureSpec, zero_diagonal: bool = False) -> np.
 
 
 def require_symmetric(kernel) -> None:
-    """Reject a product proven asymmetric: no step graphon represents it."""
+    """Reject a product that no step graphon represents: one proven asymmetric, or a
+    lazy product of distinct factors asymmetric beyond q.tol on its base midpoint grid."""
     if getattr(kernel, "asym_values", None) is not None:
         raise ValidationError(f"{kernel.label} is not symmetric, so it has no step graphon")
+    if isinstance(kernel, ProductGraphon) and not kernel.symmetric:
+        g = kernel.q.base_grid
+        xs = midpoints(g)
+        vals = kernel.eval_grid(xs, xs, g)
+        gap = float(np.abs(vals - vals.T).max())
+        if gap > kernel.q.tol:
+            raise ValidationError(
+                f"{kernel.label} is not symmetric: max |V - V^T| = {gap:.3g} on the {g}-grid"
+            )
 
 
 def discretize(w, m: int, q: QuadratureSpec = QuadratureSpec()) -> StepGraphon:

@@ -16,9 +16,11 @@ from pathlib import Path
 
 from . import io as glio
 from .algebra import QuadratureSpec, discretize, power, product, require_symmetric
-from .core import builtin, builtin_names, from_step, validate_graphon
+from .core import StepGraphon, builtin, builtin_names, from_step, validate_graphon
 from .errors import GraphonLabError
-from .experiments import emit_report, report_paths, run_counterexample_sweep, run_theorem_sweep
+from .experiments import (
+    emit_report, report_paths, row_summary, run_counterexample_sweep, run_theorem_sweep,
+)
 from .expr import from_expression
 from .norms import (
     cut_distance_upper_via_discretization,
@@ -125,8 +127,6 @@ def _merge(args) -> glio.ExperimentConfig:
         cfg.builtin = cfg.expr = cfg.step_file = None
     for name, val in flags.items():
         setattr(cfg, name, val)
-    if len(cfg.graphon_sources()) > 1:
-        raise GraphonLabError("more than one graphon source given")
     return cfg
 
 
@@ -156,29 +156,29 @@ def _parse_builtin(text: str):
     return builtin(name)
 
 
-def _graphon_from(cfg: glio.ExperimentConfig, args, required=True):
-    if cfg.builtin:
-        return _parse_builtin(cfg.builtin)
-    if cfg.expr:
-        return from_expression(cfg.expr, clamp=getattr(args, "clamp", False),
-                               symmetrize=getattr(args, "symmetrize", False))
-    if cfg.step_file:
-        return from_step(glio.load_step_matrix(cfg.step_file))
-    if required:
+def _kernel(builtin_text, expr, step_file, clamp=False, symmetrize=False):
+    """The kernel of whichever source is given, or None; clamp and symmetrize
+    apply to an expression only."""
+    if builtin_text:
+        return _parse_builtin(builtin_text)
+    if expr:
+        return from_expression(expr, clamp=clamp, symmetrize=symmetrize)
+    if step_file:
+        return from_step(glio.load_step_matrix(step_file))
+    return None
+
+
+def _graphon_from(cfg: glio.ExperimentConfig, args):
+    w = _kernel(cfg.builtin, cfg.expr, cfg.step_file, args.clamp, args.symmetrize)
+    if w is None:
         raise GraphonLabError(
             "no graphon source: pass --graphon-builtin / --graphon-expr / --graphon-step"
         )
-    return None
+    return w
 
 
 def _with_graphon(args):
-    if getattr(args, "with_builtin", None):
-        return _parse_builtin(args.with_builtin)
-    if getattr(args, "with_expr", None):
-        return from_expression(args.with_expr)
-    if getattr(args, "with_step", None):
-        return from_step(glio.load_step_matrix(args.with_step))
-    return None
+    return _kernel(args.with_builtin, args.with_expr, args.with_step)
 
 
 def _quadrature(cfg: glio.ExperimentConfig) -> QuadratureSpec:
@@ -191,9 +191,16 @@ def _need(value, flag):
     return value
 
 
-def _save_step(step, out, what):
-    path = glio.save_step_matrix(step, out)
-    print(f"{what} written to {path}")
+def _emit_step(step, cfg, what, header=None):
+    """Write the step matrix to --out, or print it (under an optional header line)."""
+    if cfg.out:
+        path = glio.save_step_matrix(step, cfg.out)
+        print(f"{what} written to {path}")
+        return
+    if header:
+        print(header)
+    for row in step.values:
+        print(",".join(glio.fmt_float(v) for v in row))
 
 
 def _cmd_validate(args):
@@ -233,11 +240,7 @@ def _cmd_expect(args):
     w = _graphon_from(cfg, args)
     n = _need(cfg.n, "--n")
     e = expected_graphon(w, n, _quadrature(cfg))
-    if cfg.out:
-        _save_step(e.step, cfg.out, e.label)
-    else:
-        for row in e.step.values:
-            print(",".join(glio.fmt_float(v) for v in row))
+    _emit_step(e.step, cfg, e.label)
     return 0
 
 
@@ -270,15 +273,8 @@ def _cmd_product(args):
     b = _with_graphon(args)
     if b is None:
         raise GraphonLabError("product needs a second kernel (--with-builtin/expr/step)")
-    r = product(a, b, _quadrature(cfg))
-    kindname = "graphon" if r.symmetric else "kernel (not verified symmetric)"
-    step = _materialize(r, cfg, args)
-    if cfg.out:
-        _save_step(step, cfg.out, f"product ({kindname})")
-    else:
-        print(f"# product is a {kindname}")
-        for row in step.values:
-            print(",".join(glio.fmt_float(v) for v in row))
+    step = _materialize(product(a, b, _quadrature(cfg)), cfg, args)
+    _emit_step(step, cfg, "product (graphon)", header="# product is a graphon")
     return 0
 
 
@@ -286,12 +282,7 @@ def _cmd_power(args):
     cfg = _merge(args)
     w = _graphon_from(cfg, args)
     r = power(w, _need(cfg.k, "--k"), _quadrature(cfg))
-    step = _materialize(r, cfg, args)
-    if cfg.out:
-        _save_step(step, cfg.out, f"power k={cfg.k}")
-    else:
-        for row in step.values:
-            print(",".join(glio.fmt_float(v) for v in row))
+    _emit_step(_materialize(r, cfg, args), cfg, f"power k={cfg.k}")
     return 0
 
 
@@ -313,8 +304,6 @@ def _cmd_norm(args):
         if sa is None or sb is None or sa.n != sb.n:
             raise GraphonLabError("--cut with --with needs two step kernels on one grid")
         diff = sa.values - sb.values
-        from .core import StepGraphon
-
         target = StepGraphon(sa.n, diff, -1.0, 1.0)
         result = cut_norm_auto(target, restarts=args.restarts, seed=cfg.seed).to_dict()
     else:
@@ -364,14 +353,7 @@ def _cmd_sweep(args):
     flag = " (incomplete)" if report.incomplete else ""
     print(f"{report.kind} sweep '{report.label}' k={report.k}{flag}:")
     for row in report.rows:
-        cells = [f"n={row.n}"]
-        if row.l1_expected_vs_limit is not None:
-            cells.append(f"e_n={row.l1_expected_vs_limit:.6g}")
-        if row.l1_sampled_vs_limit is not None:
-            cells.append(f"sampled_l1={row.l1_sampled_vs_limit:.6g}")
-        if row.cutnorm_sampled_vs_limit is not None:
-            cells.append(f"sampled_cut={row.cutnorm_sampled_vs_limit:.6g}")
-        print("  " + "  ".join(cells))
+        print("  " + row_summary(row))
     for fmt, path in written.items():
         print(f"{fmt}: {path}")
     return 0

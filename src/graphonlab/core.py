@@ -216,6 +216,31 @@ class GraphonSpec:
         return (0.0, 1.0)
 
 
+def _arrays_or_points(fn):
+    """fn on broadcast arrays, or point by point where it takes scalars only."""
+
+    def on_arrays(x, y):
+        try:
+            shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+            return np.broadcast_to(np.asarray(fn(x, y), dtype=np.float64), shape)
+        except (TypeError, ValueError):
+            return np.vectorize(lambda a, b: fn(float(a), float(b)), otypes=[np.float64])(x, y)
+
+    return on_arrays
+
+
+def as_kernel(obj):
+    """Coerce graphon-like objects to the eval_grid/step_form protocol; a plain
+    callable f(x, y) becomes a GraphonSpec labelled with its name."""
+    if hasattr(obj, "eval_grid") and hasattr(obj, "step_form"):
+        return obj
+    if isinstance(getattr(obj, "step", None), StepGraphon):
+        return obj.step
+    if callable(obj):
+        return GraphonSpec(label=getattr(obj, "__name__", "kernel"), fn=_arrays_or_points(obj))
+    raise TypeError(f"not a graphon-like object: {type(obj).__name__}")
+
+
 def constant(p: float) -> GraphonSpec:
     if not (0.0 <= p <= 1.0):
         raise ValidationError(f"constant level {p} outside [0, 1]")
@@ -257,8 +282,6 @@ def from_step(step: StepGraphon) -> StepGraphon:
 def evaluate(w, x: float, y: float) -> float:
     """Pointwise kernel value, read off a 1x1 grid evaluation (so a lazy product
     settles its z-integral); raises DomainError outside the unit square."""
-    from .algebra import as_kernel  # algebra imports this module
-
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
         raise DomainError(f"point ({x}, {y}) outside the unit square")
     return float(as_kernel(w).eval_grid(np.array([float(x)]), np.array([float(y)]), 0)[0, 0])

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -37,9 +37,9 @@ import numpy as np
 from . import io as glio
 from . import rng
 from .algebra import (
-    QuadratureSpec, as_kernel, ceil_to_multiple, cell_means, midpoints, power, settle,
+    QuadratureSpec, block_means, ceil_to_multiple, cell_means, midpoints, power, settle,
 )
-from .core import StepGraphon, canonical_graphon, constant, validate_graphon
+from .core import StepGraphon, as_kernel, canonical_graphon, constant, validate_graphon
 from .errors import QuadratureError, ValidationError
 from .norms import cut_norm_auto, l1_distance
 from .sampling import SamplerConfig, sample_graph, sample_latents, expected_graphon
@@ -62,6 +62,10 @@ class SweepRow:
     wall_time: float = field(default=0.0, compare=False)
 
 
+# the report columns: every field a row is compared on
+_COLUMNS = tuple(f.name for f in fields(SweepRow) if f.compare)
+
+
 @dataclass
 class ConvergenceReport:
     label: str
@@ -77,9 +81,8 @@ class ConvergenceReport:
         if ns != sorted(set(ns)):
             raise ValidationError("rows must be sorted by strictly increasing n")
         for r in self.rows:
-            for v in (r.l1_expected_vs_limit, r.l1_sampled_vs_limit, r.cutnorm_sampled_vs_limit):
-                if v is not None and v < 0:
-                    raise ValidationError(f"negative distance in row n={r.n}")
+            if any(v is not None and v < 0 for v in (getattr(r, c) for c in _COLUMNS)):
+                raise ValidationError(f"negative distance in row n={r.n}")
 
 
 class _LimitDistance:
@@ -128,12 +131,8 @@ class _LimitDistance:
         """Cell averages of the limit power on the n-grid."""
         if self.limit_step is not None:
             return cell_means(self.kw, n, self.q)
-        levels = [g for g in self.cache if g % n == 0]
-        if not levels:
-            return cell_means(self.kw, n, self.q)
-        g = max(levels)
-        cells = self._limit_at(g).reshape(n, g // n, n, g // n).mean(axis=(1, 3))
-        return 0.5 * (cells + cells.T)
+        # called after distance() at this n, which cached levels that n divides
+        return block_means(self._limit_at(max(g for g in self.cache if g % n == 0)), n)
 
 
 def _sorted_ns(ns) -> list:
@@ -226,7 +225,6 @@ def run_counterexample_sweep(
 # Report emission
 # ---------------------------------------------------------------------------
 
-_CSV_HEADER = "n,l1_expected_vs_limit,l1_sampled_vs_limit,cutnorm_sampled_vs_limit"
 _FORMATS = ("csv", "json", "svg")
 
 
@@ -237,40 +235,19 @@ def report_to_dict(r: ConvergenceReport) -> dict:
         "k": r.k,
         "seed": r.seed,
         "incomplete": r.incomplete,
-        "quadrature": {
-            "base_grid": r.quadrature.base_grid,
-            "max_refinements": r.quadrature.max_refinements,
-            "tol": r.quadrature.tol,
-        },
-        "rows": [
-            {
-                "n": row.n,
-                "l1_expected_vs_limit": row.l1_expected_vs_limit,
-                "l1_sampled_vs_limit": row.l1_sampled_vs_limit,
-                "cutnorm_sampled_vs_limit": row.cutnorm_sampled_vs_limit,
-            }
-            for row in r.rows
-        ],
+        "quadrature": asdict(r.quadrature),
+        "rows": [{c: getattr(row, c) for c in _COLUMNS} for row in r.rows],
     }
 
 
 def report_from_dict(doc: dict) -> ConvergenceReport:
-    qd = doc["quadrature"]
-    rows = [
-        SweepRow(
-            n=row["n"],
-            l1_expected_vs_limit=row["l1_expected_vs_limit"],
-            l1_sampled_vs_limit=row["l1_sampled_vs_limit"],
-            cutnorm_sampled_vs_limit=row["cutnorm_sampled_vs_limit"],
-        )
-        for row in doc["rows"]
-    ]
+    rows = [SweepRow(**{c: row[c] for c in _COLUMNS}) for row in doc["rows"]]
     return ConvergenceReport(
         label=doc["label"],
         kind=doc["kind"],
         k=doc["k"],
         seed=doc["seed"],
-        quadrature=QuadratureSpec(qd["base_grid"], qd["max_refinements"], qd["tol"]),
+        quadrature=QuadratureSpec(**doc["quadrature"]),
         rows=rows,
         incomplete=doc.get("incomplete", False),
     )
@@ -301,18 +278,8 @@ def emit_report(report: ConvergenceReport, out, formats=("csv", "json")) -> dict
         raise ValidationError("empty sweep")
     written = report_paths(out, formats)
     if "csv" in written:
-        lines = [_CSV_HEADER]
-        for row in report.rows:
-            lines.append(
-                ",".join(
-                    [
-                        str(row.n),
-                        _csv_cell(row.l1_expected_vs_limit),
-                        _csv_cell(row.l1_sampled_vs_limit),
-                        _csv_cell(row.cutnorm_sampled_vs_limit),
-                    ]
-                )
-            )
+        lines = [",".join(_COLUMNS)]
+        lines += [",".join(_csv_cell(getattr(row, c)) for c in _COLUMNS) for row in report.rows]
         written["csv"].write_text("\n".join(lines) + "\n")
     if "json" in written:
         written["json"].write_text(json.dumps(report_to_dict(report), indent=2) + "\n")
@@ -328,17 +295,29 @@ def emit_report(report: ConvergenceReport, out, formats=("csv", "json")) -> dict
 _SVG_W, _SVG_H = 640, 440
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 36, 56
 
-_SERIES = (
-    ("l1_expected_vs_limit", "expected vs limit (L1)", "#1f77b4"),
-    ("l1_sampled_vs_limit", "sampled vs limit (L1)", "#d62728"),
-    ("cutnorm_sampled_vs_limit", "sampled vs limit (cut)", "#2ca02c"),
-)
+# per distance column: its short name in row summaries, its chart title and colour;
+# the first series anchors the chart's 1/n reference line
+_SERIES = {
+    "l1_expected_vs_limit": ("e_n", "expected vs limit (L1)", "#1f77b4"),
+    "l1_sampled_vs_limit": ("sampled_l1", "sampled vs limit (L1)", "#d62728"),
+    "cutnorm_sampled_vs_limit": ("sampled_cut", "sampled vs limit (cut)", "#2ca02c"),
+}
+
+
+def row_summary(row: SweepRow) -> str:
+    """n and each recorded distance of the row, by short name, to 6 digits."""
+    cells = [f"n={row.n}"]
+    for name, (short, _, _) in _SERIES.items():
+        v = getattr(row, name)
+        if v is not None:
+            cells.append(f"{short}={v:.6g}")
+    return "  ".join(cells)
 
 
 def render_svg(report: ConvergenceReport) -> str:
-    pts = {name: [] for name, _, _ in _SERIES}
+    pts = {name: [] for name in _SERIES}
     for row in report.rows:
-        for name, _, _ in _SERIES:
+        for name in _SERIES:
             v = getattr(row, name)
             if v is not None and v > 0.0:
                 pts[name].append((row.n, v))
@@ -348,8 +327,9 @@ def render_svg(report: ConvergenceReport) -> str:
         values = [1.0]
     lx0, lx1 = math.log10(min(ns)), math.log10(max(ns))
     ref = None
-    if pts["l1_expected_vs_limit"]:
-        n0, v0 = pts["l1_expected_vs_limit"][0]
+    anchor = next(iter(pts.values()))
+    if anchor:
+        n0, v0 = anchor[0]
         ref = [(n, v0 * n0 / n) for n in ns]
         values.extend(v for _, v in ref)
     ly0, ly1 = math.log10(min(values)), math.log10(max(values))
@@ -406,7 +386,7 @@ def render_svg(report: ConvergenceReport) -> str:
             'stroke-dasharray="6,4"/>'
         )
     legend_y = _MARGIN_T + 14
-    for name, title, color in _SERIES:
+    for name, (_, title, color) in _SERIES.items():
         if not pts[name]:
             continue
         parts.append(

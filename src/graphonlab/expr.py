@@ -31,6 +31,7 @@ from typing import Tuple
 
 import numpy as np
 
+from .core import GraphonSpec
 from .errors import GraphonLabError
 
 
@@ -361,8 +362,6 @@ def unparse(ast) -> str:
 def from_expression(source: str, clamp: bool = False, symmetrize: bool = False,
                     label: str | None = None):
     """GraphonSpec evaluating the expression (optionally symmetrized/clamped)."""
-    from .core import GraphonSpec
-
     ast = parse(source)
     if symmetrize:
         def fn(x, y, _ast=ast):

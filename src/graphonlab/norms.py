@@ -40,12 +40,11 @@ from . import _kernels, rng
 from .algebra import (
     LCM_GRID_CAP,
     QuadratureSpec,
-    as_kernel,
     discretize,
     grain_of,
     integrate2d,
 )
-from .core import StepGraphon
+from .core import StepGraphon, as_kernel
 from .errors import EnumerationBudgetError, ValidationError
 
 ENUMERATION_CAP = 24

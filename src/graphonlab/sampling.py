@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .algebra import QuadratureSpec, as_kernel, cell_means
-from .core import LatentPoints, SimpleGraph, StepGraphon
+from .algebra import QuadratureSpec, cell_means
+from .core import LatentPoints, SimpleGraph, StepGraphon, as_kernel
 from .errors import ValidationError
 
 _TAG_LATENTS = 1

@@ -246,3 +246,34 @@ def test_product_of_distinct_kernels_evaluates_each_factor_once():
     assert (a.calls, b.calls) == (1, 1)
     want = (a.fn(m[:, None], m[None, :]) @ b.fn(m[:, None], m[None, :])) / g
     assert got.tobytes() == want.tobytes()
+
+
+def test_scalar_only_callable_matches_its_array_version_bit_for_bit():
+    # min() cannot compare arrays, so this callable is evaluated point by point
+    q = gl.QuadratureSpec(base_grid=16, tol=1e-2)
+    scalar, vector = (lambda x, y: min(x, y)), (lambda x, y: np.minimum(x, y))
+    assert gl.integrate2d(scalar, q) == gl.integrate2d(vector, q)
+    assert cell_means(scalar, 4, q).tobytes() == cell_means(vector, 4, q).tobytes()
+
+
+def test_equal_labels_do_not_make_equal_factors():
+    a = gl.from_expression("2*x*y", clamp=True)
+    b = gl.from_expression("2*x*y")
+    assert a.label == b.label
+    assert not gl.product(a, b).symmetric
+    assert gl.product(a, a).symmetric
+
+
+def test_discretize_rejects_a_lazy_product_asymmetric_on_its_grid():
+    r = gl.product(gl.builtin("minmax"), gl.builtin("product"))
+    assert r.step_form() is None and r.asym_values is None
+    with pytest.raises(ValidationError, match="not symmetric.*0.06"):
+        gl.discretize(r, 4)
+
+
+def test_distinct_but_symmetric_lazy_product_discretizes():
+    r = gl.product(gl.builtin("product"), gl.from_expression("x*y"))
+    assert not r.symmetric
+    got = gl.discretize(r, 2).values
+    want = gl.discretize(gl.power(gl.builtin("product"), 2), 2).values
+    assert np.allclose(got, want, atol=1e-12)

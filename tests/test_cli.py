@@ -303,3 +303,62 @@ def test_sweep_with_empty_config_formats_exits_2_before_the_sweep(tmp_path, monk
     code, _, err = run(capsys, "sweep", "counterexample", "--config", str(cfg))
     assert code == 2 and "no report format" in err
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+# sha256 digests of the stdout of commands whose printing paths share one step
+# emitter and one sweep-row schema; the bytes must not move when those paths do
+_S3 = "0.1,0.2,0.9\n0.2,0.4,0.5\n0.9,0.5,0.7\n"
+STDOUT_SHA = {
+    "expect": "f00d061276044a11ddf2ad5f0148b1e2ebbf4296703324d18806b7a380436e2c",
+    "product": "349d842001312b7344df236aa2012c734ba3fdf946870bad453b27804661e0b9",
+    "power_step": "3473b445ab3d8c6c184cdc7ba6707b6d4a2df57279737732b8b0237e02e1025d",
+    "power_expr": "4504bfafa622a937165ffe97ab11e3d10f1eb642eab2288b7f07a1c267f46b50",
+}
+SWEEP_ROWS_SHA = {
+    "theorem": "b736167413c0b916be5bdcae7f2f3ebea806fcdf0c4fe4edbf2f8912ddbaa8e1",
+    "counterexample": "f4820f2fdb1c3272f2c32cbe81b12fdfb9c510d1084b837c0a318d5f978428da",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_SHA))
+def test_step_printing_commands_match_golden_bytes(tmp_path, capsys, name):
+    step = tmp_path / "s3.csv"
+    step.write_text(_S3)
+    argv = {
+        "expect": ("expect", "--graphon-builtin", "product", "--n", "5"),
+        "product": ("product", "--graphon-step", str(step), "--with-step", str(step)),
+        "power_step": ("power", "--graphon-step", str(step), "--k", "3"),
+        "power_expr": ("power", "--graphon-expr", "x*y", "--k", "3", "--discretize", "5"),
+    }[name]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA[name]
+
+
+@pytest.mark.parametrize("mode", sorted(SWEEP_ROWS_SHA))
+def test_sweep_row_printout_matches_golden_bytes(tmp_path, capsys, mode):
+    args = {
+        "theorem": ("--graphon-builtin", "minmax", "--k", "2", "--grid", "64", "--seed", "3"),
+        "counterexample": ("--p", "0.3", "--draws", "3", "--seed", "2"),
+    }[mode]
+    code, out, _ = run(capsys, "sweep", mode, *args, "--ns", "4,8",
+                       "--out", str(tmp_path / "r"))
+    assert code == 0
+    rows = "".join(line for line in out.splitlines(True) if line.startswith("  "))
+    assert rows.count("\n") == 2
+    assert hashlib.sha256(rows.encode()).hexdigest() == SWEEP_ROWS_SHA[mode]
+
+
+def test_product_asymmetric_on_its_grid_exits_2(capsys):
+    code, out, err = run(capsys, "product", "--graphon-builtin", "minmax",
+                         "--with-builtin", "product", "--discretize", "4")
+    assert code == 2 and out == ""
+    assert "not symmetric" in err and "0.0637" in err
+
+
+def test_product_of_distinct_symmetric_kernels_prints_graphon(capsys):
+    code, out, _ = run(capsys, "product", "--graphon-builtin", "product",
+                       "--with-expr", "x*y", "--discretize", "3")
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header == "# product is a graphon" and len(rows) == 3
