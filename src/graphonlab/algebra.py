@@ -30,6 +30,7 @@ from .core import StepGraphon, as_kernel, cell_index
 from .errors import QuadratureError, ValidationError
 
 LCM_GRID_CAP = 4096
+_BLOCK_ROWS = 128  # grid rows per kernel evaluation in cell_means
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,8 @@ def settle(q: QuadratureSpec, g0: int, estimate, what: str, tol: Optional[float]
         g = g0 << r
         prev, cur = cur, estimate(g)
         if prev is not None:
-            change = float(np.abs(cur - prev).max(initial=0.0))
+            d = np.asarray(cur - prev)  # 0-d for a scalar estimate
+            change = float(np.abs(d, out=d).max(initial=0.0))
             if change <= tol:
                 return QuadratureResult(cur, change, g, r)
     raise QuadratureError(
@@ -83,19 +85,25 @@ def ceil_to_multiple(value: int, factor: int) -> int:
     return ((max(1, value) + factor - 1) // factor) * factor
 
 
+def _is_lazy(kernel) -> bool:
+    """A product evaluated by z-quadrature: neither a step nor an exact asymmetric matrix."""
+    return isinstance(kernel, ProductGraphon) and kernel.step is None and kernel.asym_values is None
+
+
 def grain_of(kernel) -> int:
     """Step block count whose multiples sample the kernel exactly (0 if none).
 
     Lazy products of step factors are exact on any grid aligned to the lcm of
     the factor grains, so the hint is propagated through the product tree.
     """
-    if isinstance(kernel, ProductGraphon) and kernel.step is None:
-        if kernel.asym_values is not None:
-            return kernel.asym_values.shape[0]
+    if _is_lazy(kernel):
         ga, gb = grain_of(kernel.left), grain_of(kernel.right)
         if ga and gb:
             return math.lcm(ga, gb)
         return 0
+    asym = getattr(kernel, "asym_values", None)
+    if asym is not None:
+        return asym.shape[0]
     s = kernel.step_form()
     return s.n if s is not None else 0
 
@@ -259,11 +267,21 @@ def power(w, k: int, q: QuadratureSpec = QuadratureSpec()):
 # ---------------------------------------------------------------------------
 
 
+def _row_means(vals: np.ndarray, m: int) -> np.ndarray:
+    """Means of the s x s blocks of a grid of whole cell rows, s = vals.shape[1] / m."""
+    s = vals.shape[1] // m
+    return vals.reshape(vals.shape[0] // s, s, m, s).mean(axis=(1, 3))
+
+
+def _symmetrized(cells: np.ndarray) -> np.ndarray:
+    t = cells + cells.T
+    t *= 0.5
+    return t
+
+
 def block_means(vals: np.ndarray, m: int) -> np.ndarray:
     """Symmetrized means of the m x m blocks of a square grid whose side m divides."""
-    s = vals.shape[0] // m
-    cells = vals.reshape(m, s, m, s).mean(axis=(1, 3))
-    return 0.5 * (cells + cells.T)
+    return _symmetrized(_row_means(vals, m))
 
 
 def cell_means(w, m: int, q: QuadratureSpec, zero_diagonal: bool = False) -> np.ndarray:
@@ -271,6 +289,10 @@ def cell_means(w, m: int, q: QuadratureSpec, zero_diagonal: bool = False) -> np.
 
     Convergence is measured as the max absolute change of any cell entry
     between successive grid doublings (a zeroed diagonal never changes).
+    The kernel is evaluated on blocks of whole cell rows, about _BLOCK_ROWS
+    grid rows each, so no full grid is held. A lazy product is evaluated in
+    one block: its matmul needs the whole right factor anyway, and a gemm on
+    row blocks can round differently.
     """
     kernel = as_kernel(w)
     s = kernel.step_form()
@@ -281,9 +303,17 @@ def cell_means(w, m: int, q: QuadratureSpec, zero_diagonal: bool = False) -> np.
     if align > LCM_GRID_CAP:
         align = m
 
+    lazy = _is_lazy(kernel)
+
     def cells_at(g: int) -> np.ndarray:
         xs = midpoints(g)
-        cells = block_means(kernel.eval_grid(xs, xs, g), m)
+        side = g // m  # grid rows per cell row
+        rows = m if lazy else max(1, _BLOCK_ROWS // side)
+        cells = np.empty((m, m))
+        for lo in range(0, m, rows):
+            hi = min(lo + rows, m)
+            cells[lo:hi] = _row_means(kernel.eval_grid(xs[lo * side : hi * side], xs, g), m)
+        cells = _symmetrized(cells)
         if zero_diagonal:
             upper = np.triu(cells, 1)
             cells = upper + upper.T

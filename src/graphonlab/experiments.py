@@ -75,6 +75,8 @@ class ConvergenceReport:
     quadrature: QuadratureSpec
     rows: list
     incomplete: bool = False
+    # the QuadratureError message that stopped an incomplete sweep; not in the report files
+    error: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self):
         ns = [r.n for r in self.rows]
@@ -154,32 +156,42 @@ def run_theorem_sweep(
     validate_graphon(w, samples=512, seed=seed).raise_if_failed()
     dist = _LimitDistance(w, k, ns, q)
     rows = []
-    incomplete = False
+    error = None
     for n in ns:
-        t0 = time.perf_counter()
         try:
-            expected = expected_graphon(w, n, q)
-            e_n = dist.distance(power(expected.step, k, q).step_form())
-
-            cfg = SamplerConfig(n, rng.derive_key(seed, _TAG_SWEEP_GRAPH, n), w)
-            adj = canonical_graphon(sample_graph(cfg, sample_latents(cfg)))
-            ak = power(adj, k, q).step_form()
-            l1_sampled = dist.distance(ak)
-
-            diff = np.clip(ak.values - dist.limit_cells(n), -1.0, 1.0)
-            signed = StepGraphon(n, 0.5 * (diff + diff.T), -1.0, 1.0)
-            cut = cut_norm_auto(
-                signed, restarts=_SWEEP_RESTARTS, seed=rng.derive_key(seed, _TAG_SWEEP_CUT, n)
-            ).value
-        except QuadratureError:
-            incomplete = True
+            rows.append(_theorem_row(w, k, n, q, dist, seed))
+        except QuadratureError as exc:
+            error = str(exc)
             break
-        rows.append(SweepRow(n, e_n, l1_sampled, cut, time.perf_counter() - t0))
     label = getattr(w, "label", "graphon")
     return ConvergenceReport(
         label=label, kind="theorem", k=k, seed=seed, quadrature=q, rows=rows,
-        incomplete=incomplete,
+        incomplete=error is not None, error=error,
     )
+
+
+def _theorem_row(w, k: int, n: int, q: QuadratureSpec, dist: _LimitDistance,
+                 seed: int) -> SweepRow:
+    """The sweep row at n. Each n x n array (8 MiB at n = 1024) lives only inside the
+    call that uses it, so none is held through a later stage."""
+    t0 = time.perf_counter()
+    e_n = dist.distance(power(expected_graphon(w, n, q).step, k, q).step_form())
+    l1_sampled, signed = _sampled_vs_limit(w, k, n, q, dist, seed)
+    cut = cut_norm_auto(
+        signed, restarts=_SWEEP_RESTARTS, seed=rng.derive_key(seed, _TAG_SWEEP_CUT, n)
+    ).value
+    return SweepRow(n, e_n, l1_sampled, cut, time.perf_counter() - t0)
+
+
+def _sampled_vs_limit(w, k: int, n: int, q: QuadratureSpec, dist: _LimitDistance,
+                      seed: int) -> tuple[float, StepGraphon]:
+    """L1 distance of one sampled graph's k-th power to the limit, and the signed
+    difference of that power to the limit's cell averages."""
+    cfg = SamplerConfig(n, rng.derive_key(seed, _TAG_SWEEP_GRAPH, n), w)
+    ak = power(canonical_graphon(sample_graph(cfg, sample_latents(cfg))), k, q).step_form()
+    l1_sampled = dist.distance(ak)
+    diff = np.clip(ak.values - dist.limit_cells(n), -1.0, 1.0)
+    return l1_sampled, StepGraphon(n, 0.5 * (diff + diff.T), -1.0, 1.0)
 
 
 def run_counterexample_sweep(
@@ -275,7 +287,8 @@ def report_paths(out, formats) -> dict:
 def emit_report(report: ConvergenceReport, out, formats=("csv", "json")) -> dict:
     """Write the report next to `out` (base path, extension per format)."""
     if not report.rows:
-        raise ValidationError("empty sweep")
+        # a sweep stopped at its first n names what did not settle
+        raise QuadratureError(report.error) if report.error else ValidationError("empty sweep")
     written = report_paths(out, formats)
     if "csv" in written:
         lines = [",".join(_COLUMNS)]

@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 import graphonlab as gl
-from graphonlab.algebra import ceil_to_multiple, cell_means, midpoints
+from graphonlab.algebra import (
+    LCM_GRID_CAP, ceil_to_multiple, cell_means, grain_of, midpoints, settle,
+)
+from graphonlab.core import as_kernel
 from graphonlab.errors import QuadratureError, ValidationError
-from conftest import brute_force_product_cell, random_step
+from conftest import brute_force_product_cell, peak_bytes, random_step
 
 
 def test_quadrature_spec_validation():
@@ -277,3 +282,86 @@ def test_distinct_but_symmetric_lazy_product_discretizes():
     got = gl.discretize(r, 2).values
     want = gl.discretize(gl.power(gl.builtin("product"), 2), 2).values
     assert np.allclose(got, want, atol=1e-12)
+
+
+def _full_grid_block_means(vals: np.ndarray, m: int) -> np.ndarray:
+    s = vals.shape[0] // m
+    cells = vals.reshape(m, s, m, s).mean(axis=(1, 3))
+    return 0.5 * (cells + cells.T)
+
+
+def _full_grid_cell_means(w, m, q, zero_diagonal=False):
+    """cell_means as it was when it evaluated the whole g x g grid at once (the oracle)."""
+    kernel = as_kernel(w)
+    s = kernel.step_form()
+    if s is not None and m % s.n == 0 and not zero_diagonal:
+        return s.refine(m // s.n).values.copy()
+    grain = grain_of(kernel)
+    align = math.lcm(m, grain) if grain else m
+    if align > LCM_GRID_CAP:
+        align = m
+
+    def cells_at(g: int) -> np.ndarray:
+        xs = midpoints(g)
+        cells = _full_grid_block_means(kernel.eval_grid(xs, xs, g), m)
+        if zero_diagonal:
+            upper = np.triu(cells, 1)
+            cells = upper + upper.T
+        return cells
+
+    g0 = ceil_to_multiple(q.base_grid, align)
+    return settle(q, g0, cells_at, f"cell averages on the {m}-grid").value
+
+
+_STEP3 = [[0.1, 0.2, 0.9], [0.2, 0.4, 0.5], [0.9, 0.5, 0.7]]
+_CELL_KERNELS = {
+    "expr": lambda: gl.from_expression("min(x,y)*(1-max(x,y))"),
+    "minmax": lambda: gl.builtin("minmax"),
+    "product": lambda: gl.builtin("product"),
+    "attachment": lambda: gl.builtin("attachment"),
+    "constant": lambda: gl.builtin("constant", p=0.3),
+    "scalar_only": lambda: (lambda x, y: min(x, y) * (1.0 - max(x, y))),
+    "step": lambda: gl.StepGraphon(3, _STEP3),
+    "asym_step_product": lambda: gl.product(
+        gl.StepGraphon(3, _STEP3), gl.StepGraphon(2, [[0.5, 0.25], [0.25, 1.0]])
+    ),
+}
+
+
+# m = 1 and 2 make one cell row larger than a row block; m = 100 leaves a short last block
+@pytest.mark.parametrize("zero_diagonal", [False, True])
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 64, 100])
+@pytest.mark.parametrize("name", sorted(_CELL_KERNELS))
+def test_row_block_cell_means_match_the_full_grid_oracle(name, m, zero_diagonal):
+    kernel = _CELL_KERNELS[name]()
+    # a point-by-point callable is slow, so it gets coarser grids
+    q = gl.QuadratureSpec(base_grid=16, tol=1e-2) if name == "scalar_only" else gl.QuadratureSpec()
+    got = cell_means(kernel, m, q, zero_diagonal=zero_diagonal)
+    want = _full_grid_cell_means(kernel, m, q, zero_diagonal=zero_diagonal)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_cell_means_holds_no_full_grid():
+    w = gl.from_expression("min(x,y)*(1-max(x,y))")
+    q = gl.QuadratureSpec()
+    # the full-grid version peaks at 72 MiB here: W and one temporary on the 2048-grid
+    assert peak_bytes(lambda: cell_means(w, 1024, q, zero_diagonal=True)) < 40 * 2**20
+
+
+class _ShapeRecordingKernel(_CountingKernel):
+    def __init__(self, label, fn):
+        super().__init__(label, fn)
+        self.shapes = []
+
+    def eval_grid(self, xs, ys, gz=0):
+        self.shapes.append((len(xs), len(ys), gz))
+        return super().eval_grid(xs, ys, gz)
+
+
+def test_cell_means_of_a_lazy_power_evaluates_its_factor_once_per_grid_level():
+    w = _ShapeRecordingKernel("w", lambda x, y: np.minimum(x, y) * (1.0 - np.maximum(x, y)))
+    q = gl.QuadratureSpec(base_grid=512, max_refinements=1, tol=1e-3)
+    cells = cell_means(gl.power(w, 2, q), 4, q)
+    # two levels (512 and 1024); each evaluates the whole factor grid once
+    assert w.shapes == [(512, 512, 512), (1024, 1024, 1024)]
+    assert cells.tobytes() == _full_grid_cell_means(gl.power(w, 2, q), 4, q).tobytes()

@@ -362,3 +362,22 @@ def test_product_of_distinct_symmetric_kernels_prints_graphon(capsys):
     assert code == 0
     header, *rows = out.splitlines()
     assert header == "# product is a graphon" and len(rows) == 3
+
+
+def test_sweep_stopped_at_its_first_n_names_what_did_not_settle(tmp_path, capsys):
+    code, out, err = run(capsys, "sweep", "theorem", "--graphon-builtin", "minmax",
+                         "--ns", "4,8,16", "--grid", "8", "--max-refinements", "1",
+                         "--tol", "1e-5", "--out", str(tmp_path / "inc"))
+    assert code == 2 and out == ""
+    assert err == "error: limit distance at n=4 did not settle within tol=1e-05 at grid 32\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_stopped_at_a_later_n_is_reported_incomplete(tmp_path, capsys):
+    code, out, err = run(capsys, "sweep", "theorem", "--graphon-builtin", "minmax", "--k", "1",
+                         "--ns", "2,4,8,16", "--grid", "8", "--max-refinements", "1",
+                         "--tol", "1e-3", "--out", str(tmp_path / "inc"))
+    assert code == 0 and err == ""
+    assert out.startswith("theorem sweep 'minmax' k=1 (incomplete):\n")
+    report = gl.load_report(tmp_path / "inc.json")
+    assert report.incomplete and [r.n for r in report.rows] == [2, 4, 8]

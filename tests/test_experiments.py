@@ -230,3 +230,13 @@ def test_midpoint_grid_cells_are_contiguous_runs():
             if g % n == 0:
                 want = np.repeat(np.arange(n), g // n)
                 assert np.array_equal(cell_index(mids, n), want), (g, n)
+
+
+def test_incomplete_sweep_keeps_what_stopped_it():
+    q = gl.QuadratureSpec(base_grid=8, max_refinements=1, tol=1e-3)
+    r = gl.run_theorem_sweep(gl.builtin("minmax"), 1, [2, 4, 8, 16], q, seed=1)
+    assert r.incomplete and [row.n for row in r.rows] == [2, 4, 8]
+    assert r.error == "limit distance at n=16 did not settle within tol=0.001 at grid 32"
+    assert "error" not in report_to_dict(r)
+    assert gl.run_theorem_sweep(gl.builtin("minmax"), 1, [2, 4], seed=1).error is None
+
