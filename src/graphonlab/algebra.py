@@ -8,7 +8,10 @@ why grids are always rounded up to a multiple of the relevant block counts.
 That one doubling rule is `settle`, used by `integrate2d`, `cell_means`, lazy
 products and the sweep's limit distance: matrix estimates agree when no entry
 moves by more than the tolerance, and after QuadratureSpec.max_refinements
-doublings QuadratureError names the quantity that did not settle.
+doublings QuadratureError names the quantity that did not settle. Integrals,
+L1 distances and cell averages read kernels through one evaluator, `_row_blocks`,
+a few grid rows at a time; a lazy product is evaluated whole, once per grid
+level, and sliced. `_first_grid` is the one grid-alignment rule.
 
 Products of analytic kernels are kept lazy: (a (.) b)(x, y) is evaluated by
 midpoint quadrature in z on demand, and grid evaluation contracts the factor
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -108,32 +112,44 @@ def grain_of(kernel) -> int:
     return s.n if s is not None else 0
 
 
-def _grid_mean(kernel, g: int) -> float:
+def _first_grid(q: QuadratureSpec, need: int, *kernels) -> int:
+    """q.base_grid rounded up to a multiple of ``need`` and, while their lcm stays
+    within LCM_GRID_CAP, of the kernels' step grains, so steps are sampled exactly."""
+    align = math.lcm(need, *(max(1, grain_of(k)) for k in kernels))
+    return ceil_to_multiple(q.base_grid, align if align <= LCM_GRID_CAP else need)
+
+
+def _row_blocks(kernel, g: int, rows: int):
+    """The kernel on the g-midpoint grid (z-grid g), ``rows`` grid rows at a time. A lazy
+    product is evaluated whole and sliced: its matmul needs the whole right factor."""
     xs = midpoints(g)
+    whole = kernel.eval_grid(xs, xs, g) if _is_lazy(kernel) else None
+    for lo in range(0, g, rows):
+        hi = lo + rows
+        yield kernel.eval_grid(xs[lo:hi], xs, g) if whole is None else whole[lo:hi]
+
+
+def _grid_mean(blocks, g: int) -> float:
+    """Mean of the g-grid that ``blocks(g, rows)`` yields: one sum up to g = 1024, then
+    sequential sums of 512-row blocks. That order fixes the bytes of every integral."""
     if g <= 1024:
-        return float(np.mean(kernel.eval_grid(xs, xs, g)))
-    # row blocks keep peak memory flat on fine grids
+        return float(np.mean(next(blocks(g, g))))
     total = 0.0
-    block = 512
-    for lo in range(0, g, block):
-        total += float(np.sum(kernel.eval_grid(xs[lo : lo + block], xs, g)))
+    for block in blocks(g, 512):
+        total += float(np.sum(block))
     return total / (g * g)
 
 
-def integrate2d(f, q: QuadratureSpec, align: int = 1) -> QuadratureResult:
+def integrate2d(f, q: QuadratureSpec) -> QuadratureResult:
     """Midpoint integral of f over [0,1]^2 with doubling refinement.
 
-    ``align`` forces every grid to be a multiple of the given block count so
-    step integrands are sampled exactly. Raises QuadratureError when the
-    estimates have not settled within q.tol after q.max_refinements doublings.
+    Every grid is a multiple of f's step grain, so step integrands are sampled
+    exactly. Raises QuadratureError when the estimates have not settled within
+    q.tol after q.max_refinements doublings.
     """
     kernel = as_kernel(f)
-    grain = grain_of(kernel)
-    if grain:
-        aligned = math.lcm(align, grain)
-        align = aligned if aligned <= LCM_GRID_CAP else align
-    g0 = ceil_to_multiple(q.base_grid, align)
-    return settle(q, g0, lambda g: _grid_mean(kernel, g), "integral")
+    blocks = partial(_row_blocks, kernel)
+    return settle(q, _first_grid(q, 1, kernel), lambda g: _grid_mean(blocks, g), "integral")
 
 
 # ---------------------------------------------------------------------------
@@ -289,37 +305,27 @@ def cell_means(w, m: int, q: QuadratureSpec, zero_diagonal: bool = False) -> np.
 
     Convergence is measured as the max absolute change of any cell entry
     between successive grid doublings (a zeroed diagonal never changes).
-    The kernel is evaluated on blocks of whole cell rows, about _BLOCK_ROWS
-    grid rows each, so no full grid is held. A lazy product is evaluated in
-    one block: its matmul needs the whole right factor anyway, and a gemm on
-    row blocks can round differently.
+    The kernel is read through `_row_blocks` in whole cell rows, about
+    _BLOCK_ROWS grid rows at a time (a lazy product whole, once per grid level).
     """
     kernel = as_kernel(w)
     s = kernel.step_form()
     if s is not None and m % s.n == 0 and not zero_diagonal:
         return s.refine(m // s.n).values.copy()
-    grain = grain_of(kernel)
-    align = math.lcm(m, grain) if grain else m
-    if align > LCM_GRID_CAP:
-        align = m
-
-    lazy = _is_lazy(kernel)
 
     def cells_at(g: int) -> np.ndarray:
-        xs = midpoints(g)
         side = g // m  # grid rows per cell row
-        rows = m if lazy else max(1, _BLOCK_ROWS // side)
+        rows = max(1, _BLOCK_ROWS // side)  # cell rows per block
         cells = np.empty((m, m))
-        for lo in range(0, m, rows):
-            hi = min(lo + rows, m)
-            cells[lo:hi] = _row_means(kernel.eval_grid(xs[lo * side : hi * side], xs, g), m)
+        for lo, block in zip(range(0, m, rows), _row_blocks(kernel, g, rows * side)):
+            cells[lo : lo + rows] = _row_means(block, m)
         cells = _symmetrized(cells)
         if zero_diagonal:
             upper = np.triu(cells, 1)
             cells = upper + upper.T
         return cells
 
-    g0 = ceil_to_multiple(q.base_grid, align)
+    g0 = _first_grid(q, m, kernel)
     return settle(q, g0, cells_at, f"cell averages on the {m}-grid").value
 
 

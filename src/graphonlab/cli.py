@@ -150,7 +150,11 @@ def _parse_builtin(text: str):
     if name == "constant":
         if not param:
             raise GraphonLabError("builtin constant needs a level, e.g. constant:0.5")
-        return builtin("constant", p=float(param))
+        try:
+            level = float(param)
+        except ValueError:
+            raise GraphonLabError(f"builtin '{text}': level '{param}' is not a number") from None
+        return builtin("constant", p=level)
     if param:
         raise GraphonLabError(f"builtin '{name}' takes no parameter")
     return builtin(name)
@@ -258,9 +262,8 @@ def _cmd_mc_expect(args):
 
 def _materialize(result, cfg, args):
     require_symmetric(result)
-    m = getattr(args, "discretize", None)
-    if m:
-        return discretize(result, m, _quadrature(cfg))
+    if args.discretize is not None:
+        return discretize(result, args.discretize, _quadrature(cfg))
     step = result.step_form() if hasattr(result, "step_form") else None
     if step is None:
         raise GraphonLabError("analytic result: pass --discretize M to materialize it")
@@ -311,12 +314,11 @@ def _cmd_norm(args):
         if step is not None:
             result = cut_norm_auto(step, restarts=args.restarts, seed=cfg.seed).to_dict()
         else:
-            m = getattr(args, "discretize", None)
-            if not m:
+            if args.discretize is None:
                 raise GraphonLabError("analytic kernel: pass --discretize M to bracket "
                                       "its cut norm")
-            iv = cut_distance_upper_via_discretization(a, m, q, restarts=args.restarts,
-                                                       seed=cfg.seed)
+            iv = cut_distance_upper_via_discretization(a, args.discretize, q,
+                                                       restarts=args.restarts, seed=cfg.seed)
             result = {
                 "low": iv.low,
                 "high": iv.high,

@@ -37,7 +37,7 @@ import numpy as np
 from . import io as glio
 from . import rng
 from .algebra import (
-    QuadratureSpec, block_means, ceil_to_multiple, cell_means, midpoints, power, settle,
+    QuadratureSpec, _first_grid, block_means, cell_means, midpoints, power, settle,
 )
 from .core import StepGraphon, as_kernel, canonical_graphon, constant, validate_graphon
 from .errors import QuadratureError, ValidationError
@@ -126,7 +126,7 @@ class _LimitDistance:
             diff = np.subtract(lim, step.values[:, None, :, None])
             return float(np.abs(diff, out=diff).mean())
 
-        g0 = ceil_to_multiple(self.q.base_grid, self.shared_align or n)
+        g0 = _first_grid(self.q, self.shared_align or n)
         return settle(self.q, g0, distance_at, f"limit distance at n={n}", self.tol).value
 
     def limit_cells(self, n: int) -> np.ndarray:

@@ -99,6 +99,7 @@ FUNCTIONS = {"min": 2, "max": 2, "abs": 1, "exp": 1, "sqrt": 1}
 # --- tokenizer ---------------------------------------------------------------
 
 _SYMBOLS = ("+", "-", "*", "/", "^", "(", ")", ",")
+_DIGITS = "0123456789"  # ASCII only: str.isdigit() also accepts "²" and "٣"
 
 
 def _tokenize(source: str):
@@ -114,21 +115,21 @@ def _tokenize(source: str):
             tokens.append((c, c, i))
             i += 1
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in _DIGITS:
                 j += 1
             if j < n and source[j] == ".":
                 j += 1
-                while j < n and source[j].isdigit():
+                while j < n and source[j] in _DIGITS:
                     j += 1
             if j < n and source[j] in "eE":
                 k = j + 1
                 if k < n and source[k] in "+-":
                     k += 1
-                if k < n and source[k].isdigit():
+                if k < n and source[k] in _DIGITS:
                     j = k
-                    while j < n and source[j].isdigit():
+                    while j < n and source[j] in _DIGITS:
                         j += 1
             tokens.append(("num", source[i:j], i))
             i = j

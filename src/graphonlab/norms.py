@@ -38,11 +38,7 @@ import numpy as np
 
 from . import _kernels, rng
 from .algebra import (
-    LCM_GRID_CAP,
-    QuadratureSpec,
-    discretize,
-    grain_of,
-    integrate2d,
+    LCM_GRID_CAP, QuadratureSpec, _first_grid, _grid_mean, _row_blocks, discretize, settle,
 )
 from .core import StepGraphon, as_kernel
 from .errors import EnumerationBudgetError, ValidationError
@@ -137,18 +133,6 @@ def cut_norm_auto(s: StepGraphon, restarts: int = 50, seed: int = 0) -> CutNormR
 # ---------------------------------------------------------------------------
 
 
-class _AbsDiff:
-    def __init__(self, ka, kb):
-        self.ka = ka
-        self.kb = kb
-
-    def step_form(self):
-        return None
-
-    def eval_grid(self, xs, ys, gz):
-        return np.abs(self.ka.eval_grid(xs, ys, gz) - self.kb.eval_grid(xs, ys, gz))
-
-
 def l1_distance(a, b, q: QuadratureSpec = QuadratureSpec()) -> float:
     """Integral of |a - b|: exact on a common step grid, quadrature otherwise."""
     ka, kb = as_kernel(a), as_kernel(b)
@@ -159,10 +143,13 @@ def l1_distance(a, b, q: QuadratureSpec = QuadratureSpec()) -> float:
             av = sa.refine(m // sa.n).values
             bv = sb.refine(m // sb.n).values
             return float(np.abs(av - bv).mean())
-    align = math.lcm(max(1, grain_of(ka)), max(1, grain_of(kb)))
-    if align > LCM_GRID_CAP:
-        align = 1
-    return integrate2d(_AbsDiff(ka, kb), q, align=align).value
+
+    def abs_diff(g: int, rows: int):
+        pairs = zip(_row_blocks(ka, g, rows), _row_blocks(kb, g, rows))
+        return (np.abs(x - y) for x, y in pairs)
+
+    g0 = _first_grid(q, 1, ka, kb)
+    return settle(q, g0, lambda g: _grid_mean(abs_diff, g), "integral").value
 
 
 @dataclass(frozen=True)

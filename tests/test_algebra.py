@@ -365,3 +365,88 @@ def test_cell_means_of_a_lazy_power_evaluates_its_factor_once_per_grid_level():
     # two levels (512 and 1024); each evaluates the whole factor grid once
     assert w.shapes == [(512, 512, 512), (1024, 1024, 1024)]
     assert cells.tobytes() == _full_grid_cell_means(gl.power(w, 2, q), 4, q).tobytes()
+
+
+def test_integrals_and_l1_distances_of_a_lazy_power_evaluate_its_factor_once_per_grid_level():
+    q = gl.QuadratureSpec(base_grid=1024, max_refinements=1, tol=1e-3)
+    step = gl.StepGraphon(2, [[0.5, 0.25], [0.25, 1.0]])
+    for measure in (lambda k: gl.integrate2d(k, q), lambda k: gl.l1_distance(k, step, q)):
+        w = _ShapeRecordingKernel("w", lambda x, y: np.minimum(x, y) * (1.0 - np.maximum(x, y)))
+        measure(gl.power(w, 2, q))
+        # one factor grid per level; reading the product in 512-row blocks takes 8 at 2048
+        assert w.shapes == [(1024, 1024, 1024), (2048, 2048, 2048)]
+
+
+# The whole-grid reductions as they were before one row-block evaluator served
+# integrals, L1 distances and cell averages (the oracle): a lazy product was read
+# in 512-row blocks past g = 1024, and |a - b| through a duck-typed kernel.
+def _old_grid_mean(kernel, g: int) -> float:
+    xs = midpoints(g)
+    if g <= 1024:
+        return float(np.mean(kernel.eval_grid(xs, xs, g)))
+    # row blocks keep peak memory flat on fine grids
+    total = 0.0
+    block = 512
+    for lo in range(0, g, block):
+        total += float(np.sum(kernel.eval_grid(xs[lo : lo + block], xs, g)))
+    return total / (g * g)
+
+
+def _old_integrate2d(f, q, align: int = 1):
+    kernel = as_kernel(f)
+    grain = grain_of(kernel)
+    if grain:
+        aligned = math.lcm(align, grain)
+        align = aligned if aligned <= LCM_GRID_CAP else align
+    g0 = ceil_to_multiple(q.base_grid, align)
+    return settle(q, g0, lambda g: _old_grid_mean(kernel, g), "integral")
+
+
+class _OldAbsDiff:
+    def __init__(self, ka, kb):
+        self.ka = ka
+        self.kb = kb
+
+    def step_form(self):
+        return None
+
+    def eval_grid(self, xs, ys, gz):
+        return np.abs(self.ka.eval_grid(xs, ys, gz) - self.kb.eval_grid(xs, ys, gz))
+
+
+def _old_l1_distance(a, b, q):
+    """The quadrature branch of l1_distance."""
+    ka, kb = as_kernel(a), as_kernel(b)
+    align = math.lcm(max(1, grain_of(ka)), max(1, grain_of(kb)))
+    if align > LCM_GRID_CAP:
+        align = 1
+    return _old_integrate2d(_OldAbsDiff(ka, kb), q, align=align).value
+
+
+def _outcome(fn) -> bytes:
+    """The bytes of a settled value, or of the last two estimates and the message."""
+    try:
+        return np.float64(fn()).tobytes()
+    except QuadratureError as exc:
+        return np.array(exc.last_estimates).tobytes() + str(exc).encode()
+
+
+_LAZY = {
+    "power": lambda q: gl.power(gl.from_expression("min(x,y)*(1-max(x,y))"), 2, q),
+    "distinct": lambda q: gl.product(gl.builtin("product"), gl.from_expression("x*y"), q),
+}
+
+
+# tol 1e-12 never settles, so the last estimates on the 1024- and 2048-grids are
+# compared; the 3-block step aligns the L1 grids to 258 << r (2064 is not a power of 2)
+@pytest.mark.parametrize("name", sorted(_LAZY))
+def test_lazy_product_integrals_and_l1_distances_match_the_block_oracle(name):
+    q = gl.QuadratureSpec(tol=1e-12, max_refinements=3)
+    lazy = _LAZY[name](q)
+    assert _outcome(lambda: gl.integrate2d(lazy, q).value) == _outcome(
+        lambda: _old_integrate2d(lazy, q).value
+    )
+    for other in (gl.builtin("minmax"), gl.StepGraphon(3, _STEP3)):
+        assert _outcome(lambda: gl.l1_distance(lazy, other, q)) == _outcome(
+            lambda: _old_l1_distance(lazy, other, q)
+        )

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphonlab as gl
 import graphonlab.io as glio
@@ -349,6 +351,31 @@ def test_sweep_row_printout_matches_golden_bytes(tmp_path, capsys, mode):
     assert hashlib.sha256(rows.encode()).hexdigest() == SWEEP_ROWS_SHA[mode]
 
 
+# sha256 digests of `norm --l1` stdout: a 3-block step against an analytic kernel
+# settles on the 516-grid, at tol 1e-7 on the 2064-grid (summed in 512-row blocks),
+# and two analytic kernels at tol 1e-7 on the 4096-grid
+NORM_L1_SHA = {
+    "step_516": "2b565755b1679cc1db4bbc51541f28a8f15d76e7ed6d146c8b1da45928838c6b",
+    "step_2064": "16f077f34a4e1d21ba796356a4ccc285cf6a37fa6c55c327dae152f493008338",
+    "analytic_4096": "19742a2ed75f43f4c46b49c71d7d2017cdfbd185bb9081c57d2dbd3e1437be38",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORM_L1_SHA))
+def test_norm_l1_stdout_matches_golden_bytes(tmp_path, capsys, name):
+    step = tmp_path / "s3.csv"
+    step.write_text(_S3)
+    argv = {
+        "step_516": ("--graphon-step", str(step), "--with-builtin", "minmax"),
+        "step_2064": ("--graphon-step", str(step), "--with-builtin", "minmax", "--tol", "1e-7"),
+        "analytic_4096": ("--graphon-builtin", "attachment", "--with-builtin", "product",
+                          "--tol", "1e-7"),
+    }[name]
+    code, out, _ = run(capsys, "norm", "--l1", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == NORM_L1_SHA[name]
+
+
 def test_product_asymmetric_on_its_grid_exits_2(capsys):
     code, out, err = run(capsys, "product", "--graphon-builtin", "minmax",
                          "--with-builtin", "product", "--discretize", "4")
@@ -381,3 +408,70 @@ def test_sweep_stopped_at_a_later_n_is_reported_incomplete(tmp_path, capsys):
     assert out.startswith("theorem sweep 'minmax' k=1 (incomplete):\n")
     report = gl.load_report(tmp_path / "inc.json")
     assert report.incomplete and [r.n for r in report.rows] == [2, 4, 8]
+
+
+@pytest.mark.parametrize("level", ["abc", ":", "x"])
+def test_constant_level_that_is_not_a_number_exits_2(capsys, level):
+    code, out, err = run(capsys, "sample", "--graphon-builtin", f"constant:{level}", "--n", "4")
+    assert code == 2 and out == ""
+    assert err == f"error: builtin 'constant:{level}': level '{level}' is not a number\n"
+
+
+def test_config_constant_level_that_is_not_a_number_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"builtin": "constant:x", "n": 4}))
+    code, out, err = run(capsys, "sample", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == "error: builtin 'constant:x': level 'x' is not a number\n"
+
+
+@pytest.mark.parametrize("expr", ["x+\u00b2", "x*\u0663"])  # superscript two, Arabic-Indic three
+def test_expression_with_a_non_ascii_digit_exits_2(capsys, expr):
+    code, out, err = run(capsys, "validate", "--graphon-expr", expr)
+    assert code == 2 and out == ""
+    assert err == f"error: unexpected character {expr[2]!r} at offset 2\n"
+
+
+@pytest.mark.parametrize("command", ["power", "product", "norm_cut"])
+def test_discretize_zero_exits_2(tmp_path, capsys, command):
+    step = tmp_path / "s3.csv"
+    step.write_text(_S3)
+    argv = {
+        "power": ("power", "--graphon-step", str(step), "--k", "2"),
+        "product": ("product", "--graphon-step", str(step), "--with-step", str(step)),
+        "norm_cut": ("norm", "--cut", "--graphon-builtin", "minmax"),
+    }[command]
+    code, out, err = run(capsys, *argv, "--discretize", "0")
+    assert code == 2 and out == ""
+    assert err == "error: discretization block count must be >= 1\n"
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        return exc.code
+
+
+# any text, steered toward builtin names and toward expression tokens and
+# digit-like characters (Unicode categories Nd and No: "٣", "²")
+_KERNEL_TEXT = {
+    "--graphon-builtin": st.builds(
+        str.__add__, st.sampled_from(["", "constant:", "minmax", "product:"]), st.text(max_size=12)
+    ),
+    "--graphon-expr": st.text(st.one_of(
+        st.sampled_from(list("xy019+-*/^(), .e")), st.characters(categories=["Nd"]),
+        st.characters(categories=["No"]), st.characters(),
+    ), max_size=24),
+}
+
+
+# Kernel text from the command line may pass (0), fail validation (1) or be
+# refused with a message (2), never raise. Size flags are not fuzzed: a fuzzed
+# size can ask for more memory than the machine has.
+@pytest.mark.parametrize("flag", sorted(_KERNEL_TEXT))
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_validate_exits_0_1_or_2_on_any_kernel_text(flag, data):
+    text = data.draw(_KERNEL_TEXT[flag], label="text")
+    assert _exit_code(["validate", f"{flag}={text}", "--samples", "4"]) in (0, 1, 2)

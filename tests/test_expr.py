@@ -72,6 +72,18 @@ def test_syntax_errors_carry_offsets(bad, offset):
     assert err.value.offset == offset
 
 
+@pytest.mark.parametrize("bad, offset", [
+    ("x+\u00b2", 2),  # superscript two
+    ("x*\u0663", 2),  # Arabic-Indic three
+    ("1\u0663", 1),
+    ("2.5e\u0663", 3),
+])
+def test_only_ascii_digits_make_numbers(bad, offset):
+    with pytest.raises(ex.ExprSyntaxError) as err:
+        ex.parse(bad)
+    assert err.value.offset == offset
+
+
 def test_unexpected_character():
     with pytest.raises(ex.ExprSyntaxError) as err:
         ex.parse("x ? y")
