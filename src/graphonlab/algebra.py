@@ -17,8 +17,11 @@ Products of analytic kernels are kept lazy: (a (.) b)(x, y) is evaluated by
 midpoint quadrature in z on demand, and grid evaluation contracts the factor
 matrices with a matrix product, so no grid is committed before the final norm
 computation chooses one; evaluated without a z-grid (gz == 0), a lazy product
-settles its z-integral under the QuadratureSpec it was built with. Step-by-step
-products always use the exact matrix formula (1/n) A B on the common (lcm) grid.
+settles its z-integral under the QuadratureSpec it was built with. A product or
+power of steps is the exact matrix formula (1/n) A B on the common (lcm) grid: a
+StepGraphon when symmetric, or else a ProductGraphon holding the asymmetric matrix.
+The kernel protocol is `eval_grid` plus `step_form`; `require_symmetric` is the one
+graphon check, and reads any kernel without a step form on its midpoint grid.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.base_grid < 2:
             raise ValidationError("base_grid must be >= 2")
-        if self.tol <= 0:
-            raise ValidationError("tol must be positive")
+        if not (0.0 < self.tol < math.inf):  # NaN fails every comparison
+            raise ValidationError(f"tol must be a positive finite number, got {self.tol}")
         if self.max_refinements < 0:
             raise ValidationError("max_refinements must be >= 0")
 
@@ -90,8 +93,8 @@ def ceil_to_multiple(value: int, factor: int) -> int:
 
 
 def _is_lazy(kernel) -> bool:
-    """A product evaluated by z-quadrature: neither a step nor an exact asymmetric matrix."""
-    return isinstance(kernel, ProductGraphon) and kernel.step is None and kernel.asym_values is None
+    """A product evaluated by z-quadrature, not an exact asymmetric matrix."""
+    return isinstance(kernel, ProductGraphon) and kernel.asym_values is None
 
 
 def grain_of(kernel) -> int:
@@ -159,35 +162,24 @@ def integrate2d(f, q: QuadratureSpec) -> QuadratureResult:
 
 @dataclass(frozen=True, eq=False)
 class ProductGraphon:
-    """Kernel product a (.) b; materialized for step inputs, lazy otherwise.
-
-    ``symmetric`` records whether the result is known to be a graphon (one
-    factor twice, equal step factors, or symmetry verified on the materialized
-    matrix); `require_symmetric` checks a lazy product of distinct factors on
-    its quadrature grid. Asymmetric step-by-step products keep their exact
-    matrix in ``asym_values``. ``q`` settles the z-integral of a lazy product
+    """Kernel product a (.) b that no step graphon holds: an exact asymmetric
+    step-by-step product (its matrix in ``asym_values``), or a lazy product of
+    ``left`` and ``right``. ``q`` settles the z-integral of a lazy product
     evaluated without a z-grid (gz == 0).
     """
 
     label: str
-    symmetric: bool
-    step: Optional[StepGraphon] = None
     left: object = None
     right: object = None
     asym_values: Optional[np.ndarray] = None
     q: QuadratureSpec = QuadratureSpec()
+    # not a field: the benchmark tracer perfbench/pb_trace._count_product reads it
+    step = None
 
-    def step_form(self) -> Optional[StepGraphon]:
-        return self.step
-
-    def bounds(self) -> tuple[float, float]:
-        if self.step is not None:
-            return self.step.bounds()
-        return (0.0, 1.0)
+    def step_form(self) -> None:
+        return None
 
     def eval_grid(self, xs, ys, gz: int) -> np.ndarray:
-        if self.step is not None:
-            return self.step.eval_grid(xs, ys)
         if self.asym_values is not None:
             n = self.asym_values.shape[0]
             return self.asym_values[np.ix_(cell_index(xs, n), cell_index(ys, n))]
@@ -218,63 +210,59 @@ def _clip_to(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.clip(values, lo, hi)
 
 
-def _step_product(sa: StepGraphon, sb: StepGraphon, symmetric: bool, label: str) -> ProductGraphon:
+def _asymmetry(vals: np.ndarray) -> float:
+    """max |V - V^T|, with one temporary."""
+    d = vals - vals.T
+    return float(np.abs(d, out=d).max())
+
+
+def _step_range(*steps: StepGraphon) -> tuple[float, float]:
+    return (0.0, 1.0) if all(s.lo >= 0.0 for s in steps) else (-1.0, 1.0)
+
+
+def _step_product(sa: StepGraphon, sb: StepGraphon, label: str):
+    """(1/m) A B on the lcm grid m: a step when symmetric within 1e-12, otherwise
+    the exact asymmetric matrix."""
     m = math.lcm(sa.n, sb.n)
     a = sa.refine(m // sa.n).values
     b = sb.refine(m // sb.n).values
-    vals = (a @ b) / m
-    proper = sa.lo >= 0.0 and sb.lo >= 0.0
-    lo, hi = (0.0, 1.0) if proper else (-1.0, 1.0)
-    vals = _clip_to(vals, lo, hi)
-    if not symmetric:
-        symmetric = float(np.max(np.abs(vals - vals.T))) <= 1e-12
-    if not symmetric:
-        # genuinely asymmetric kernel: exact matrix, but not a StepGraphon
-        return ProductGraphon(label=label, symmetric=False, asym_values=vals)
-    vals = 0.5 * (vals + vals.T)
-    return ProductGraphon(label=label, symmetric=True, step=StepGraphon(m, vals, lo, hi))
+    lo, hi = _step_range(sa, sb)
+    vals = _clip_to((a @ b) / m, lo, hi)
+    if _asymmetry(vals) > 1e-12:
+        return ProductGraphon(label=label, asym_values=vals)
+    vals = 0.5 * (vals + vals.T)  # reassigned: the unsymmetrized matrix dies before the copy
+    return StepGraphon(m, vals, lo, hi)
 
 
-def _factors_equal(ka, kb) -> bool:
-    """One kernel twice, or two steps with equal matrices; equal labels prove nothing."""
-    if ka is kb:
-        return True
-    sa, sb = ka.step_form(), kb.step_form()
-    if sa is None or sb is None:
-        return False
-    return sa.n == sb.n and np.array_equal(sa.values, sb.values)
-
-
-def product(a, b, q: QuadratureSpec = QuadratureSpec()) -> ProductGraphon:
+def product(a, b, q: QuadratureSpec = QuadratureSpec()):
     """Kernel product (a (.) b)(x, y) = integral of a(x, z) b(z, y) dz."""
     ka = as_kernel(a)
     kb = ka if b is a else as_kernel(b)
-    symmetric = _factors_equal(ka, kb)
     label = f"prod[{getattr(ka, 'label', '?')},{getattr(kb, 'label', '?')}]"
     sa, sb = ka.step_form(), kb.step_form()
     if sa is not None and sb is not None:
-        return _step_product(sa, sb, symmetric, label)
-    return ProductGraphon(label=label, symmetric=symmetric, left=ka, right=kb, q=q)
+        return _step_product(sa, sb, label)
+    return ProductGraphon(label=label, left=ka, right=kb, q=q)
 
 
 def power(w, k: int, q: QuadratureSpec = QuadratureSpec()):
-    """k-fold self-product; exact matrix algebra (1/n)^(k-1) A^k for steps."""
+    """k-fold self-product; the step (1/n)^(k-1) A^k for a step."""
     if k < 1:
         raise ValidationError("power exponent must be >= 1")
     if k == 1:
         return w
     kw = as_kernel(w)
     s = kw.step_form()
-    label = f"pow[{getattr(kw, 'label', '?')},{k}]"
     if s is not None:
         vals = np.linalg.matrix_power(s.values, k) / float(s.n) ** (k - 1)
-        vals = 0.5 * (vals + vals.T)
-        lo, hi = (0.0, 1.0) if s.lo >= 0.0 else (-1.0, 1.0)
+        vals = 0.5 * (vals + vals.T)  # reassigned so that at most two n x n arrays live
+        lo, hi = _step_range(s)
         vals = _clip_to(vals, lo, hi)
-        return ProductGraphon(label=label, symmetric=True, step=StepGraphon(s.n, vals, lo, hi))
+        return StepGraphon(s.n, vals, lo, hi)
+    label = f"pow[{getattr(kw, 'label', '?')},{k}]"
     node = kw
     for _ in range(k - 1):
-        node = ProductGraphon(label=label, symmetric=True, left=node, right=kw, q=q)
+        node = ProductGraphon(label=label, left=node, right=kw, q=q)
     return node
 
 
@@ -329,28 +317,30 @@ def cell_means(w, m: int, q: QuadratureSpec, zero_diagonal: bool = False) -> np.
     return settle(q, g0, cells_at, f"cell averages on the {m}-grid").value
 
 
-def require_symmetric(kernel) -> None:
-    """Reject a product that no step graphon represents: one proven asymmetric, or a
-    lazy product of distinct factors asymmetric beyond q.tol on its base midpoint grid."""
+def require_symmetric(kernel, q: QuadratureSpec) -> None:
+    """Reject a kernel that is not a graphon: an exact asymmetric product, or a kernel
+    without a step form that is asymmetric beyond q.tol on the q.base_grid midpoint grid."""
+    label = getattr(kernel, "label", "kernel")
     if getattr(kernel, "asym_values", None) is not None:
-        raise ValidationError(f"{kernel.label} is not symmetric, so it has no step graphon")
-    if isinstance(kernel, ProductGraphon) and not kernel.symmetric:
-        g = kernel.q.base_grid
+        raise ValidationError(f"{label} is not symmetric, so it has no step graphon")
+    if kernel.step_form() is None:
+        g = q.base_grid
         xs = midpoints(g)
-        vals = kernel.eval_grid(xs, xs, g)
-        gap = float(np.abs(vals - vals.T).max())
-        if gap > kernel.q.tol:
+        gap = _asymmetry(kernel.eval_grid(xs, xs, g))
+        if gap > q.tol:
             raise ValidationError(
-                f"{kernel.label} is not symmetric: max |V - V^T| = {gap:.3g} on the {g}-grid"
+                f"{label} is not symmetric: max |V - V^T| = {gap:.3g} on the {g}-grid"
             )
 
 
 def discretize(w, m: int, q: QuadratureSpec = QuadratureSpec()) -> StepGraphon:
-    """Step graphon of cell averages over the m-grid (diagonal included)."""
+    """Step graphon of cell averages over the m-grid (diagonal included), in the
+    range of w's step form, or [0, 1] without one."""
     if m < 1:
         raise ValidationError("discretization block count must be >= 1")
     kernel = as_kernel(w)
-    require_symmetric(kernel)
-    lo, hi = kernel.bounds() if hasattr(kernel, "bounds") else (0.0, 1.0)
+    require_symmetric(kernel, q)
+    s = kernel.step_form()
+    lo, hi = (s.lo, s.hi) if s is not None else (0.0, 1.0)
     cells = cell_means(kernel, m, q, zero_diagonal=False)
     return StepGraphon(m, _clip_to(cells, lo, hi), lo, hi)

@@ -261,10 +261,11 @@ def _cmd_mc_expect(args):
 
 
 def _materialize(result, cfg, args):
-    require_symmetric(result)
+    q = _quadrature(cfg)
     if args.discretize is not None:
-        return discretize(result, args.discretize, _quadrature(cfg))
-    step = result.step_form() if hasattr(result, "step_form") else None
+        return discretize(result, args.discretize, q)  # checks symmetry itself
+    require_symmetric(result, q)
+    step = result.step_form()
     if step is None:
         raise GraphonLabError("analytic result: pass --discretize M to materialize it")
     return step

@@ -79,9 +79,6 @@ class StepGraphon:
     def step_form(self) -> "StepGraphon":
         return self
 
-    def bounds(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
-
     def refine(self, factor: int) -> "StepGraphon":
         """Exact representation on the (n*factor)-grid."""
         if factor < 1:
@@ -211,9 +208,6 @@ class GraphonSpec:
 
     def step_form(self) -> Optional[StepGraphon]:
         return self.step
-
-    def bounds(self) -> tuple[float, float]:
-        return (0.0, 1.0)
 
 
 def _arrays_or_points(fn):

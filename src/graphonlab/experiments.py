@@ -175,7 +175,7 @@ def _theorem_row(w, k: int, n: int, q: QuadratureSpec, dist: _LimitDistance,
     """The sweep row at n. Each n x n array (8 MiB at n = 1024) lives only inside the
     call that uses it, so none is held through a later stage."""
     t0 = time.perf_counter()
-    e_n = dist.distance(power(expected_graphon(w, n, q).step, k, q).step_form())
+    e_n = dist.distance(power(expected_graphon(w, n, q).step, k, q))
     l1_sampled, signed = _sampled_vs_limit(w, k, n, q, dist, seed)
     cut = cut_norm_auto(
         signed, restarts=_SWEEP_RESTARTS, seed=rng.derive_key(seed, _TAG_SWEEP_CUT, n)
@@ -188,10 +188,10 @@ def _sampled_vs_limit(w, k: int, n: int, q: QuadratureSpec, dist: _LimitDistance
     """L1 distance of one sampled graph's k-th power to the limit, and the signed
     difference of that power to the limit's cell averages."""
     cfg = SamplerConfig(n, rng.derive_key(seed, _TAG_SWEEP_GRAPH, n), w)
-    ak = power(canonical_graphon(sample_graph(cfg, sample_latents(cfg))), k, q).step_form()
+    ak = power(canonical_graphon(sample_graph(cfg, sample_latents(cfg))), k, q)
     l1_sampled = dist.distance(ak)
     diff = np.clip(ak.values - dist.limit_cells(n), -1.0, 1.0)
-    return l1_sampled, StepGraphon(n, 0.5 * (diff + diff.T), -1.0, 1.0)
+    return l1_sampled, StepGraphon(n, diff, -1.0, 1.0)  # both terms are symmetric
 
 
 def run_counterexample_sweep(

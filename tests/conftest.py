@@ -7,6 +7,27 @@ from graphonlab import StepGraphon, rng
 from graphonlab._kernels import warmup
 
 
+_SKIPPED = []
+
+
+def pytest_runtest_logreport(report):
+    # called for the tests under this directory only
+    if report.skipped and not hasattr(report, "wasxfail"):
+        _SKIPPED.append(report.nodeid)
+
+
+def pytest_terminal_summary(terminalreporter):
+    if _SKIPPED:
+        terminalreporter.write_line(
+            f"error: {len(_SKIPPED)} test(s) skipped, and no test may be: " + ", ".join(_SKIPPED)
+        )
+
+
+def pytest_sessionfinish(session):
+    if _SKIPPED and session.exitstatus == pytest.ExitCode.OK:
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _warm_kernels():
     # run each hot kernel once so timed tests measure the algorithms alone

@@ -5,7 +5,8 @@ import pytest
 
 import graphonlab as gl
 from graphonlab.algebra import (
-    LCM_GRID_CAP, ceil_to_multiple, cell_means, grain_of, midpoints, settle,
+    LCM_GRID_CAP, _clip_to, ceil_to_multiple, cell_means, grain_of, midpoints,
+    require_symmetric, settle,
 )
 from graphonlab.core import as_kernel
 from graphonlab.errors import QuadratureError, ValidationError
@@ -70,13 +71,14 @@ def test_product_of_constants():
     step = r.step_form()
     assert step is not None and step.n == 1
     assert step.values[0, 0] == pytest.approx(0.3, abs=1e-15)
-    assert r.symmetric
+    assert isinstance(r, gl.StepGraphon)
 
 
 def test_product_of_product_kernel_pointwise():
     w = gl.builtin("product")
     r = gl.product(w, w)
-    assert r.step_form() is None and r.symmetric
+    assert r.step_form() is None
+    require_symmetric(r, gl.QuadratureSpec())  # a self-product of a graphon passes
     for x, y in [(0.5, 0.5), (0.2, 0.9), (1.0, 1.0)]:
         assert r.evaluate(x, y) == pytest.approx(x * y / 3.0, abs=1e-6)
 
@@ -150,7 +152,8 @@ def test_asymmetric_product_is_flagged_kernel():
     a = gl.StepGraphon(2, [[0.0, 1.0], [1.0, 0.0]])
     b = gl.StepGraphon(2, [[1.0, 0.0], [0.0, 0.0]])
     r = gl.product(a, b)
-    assert not r.symmetric
+    with pytest.raises(ValidationError, match="not symmetric, so it has no step graphon"):
+        require_symmetric(r, gl.QuadratureSpec())
     assert r.step_form() is None
     want = (a.values @ b.values) / 2.0
     assert np.allclose(r.asym_values, want, atol=1e-15)
@@ -265,8 +268,9 @@ def test_equal_labels_do_not_make_equal_factors():
     a = gl.from_expression("2*x*y", clamp=True)
     b = gl.from_expression("2*x*y")
     assert a.label == b.label
-    assert not gl.product(a, b).symmetric
-    assert gl.product(a, a).symmetric
+    with pytest.raises(ValidationError, match="not symmetric.*0.22"):
+        gl.discretize(gl.product(a, b), 4)
+    gl.discretize(gl.product(a, a), 4)
 
 
 def test_discretize_rejects_a_lazy_product_asymmetric_on_its_grid():
@@ -278,7 +282,7 @@ def test_discretize_rejects_a_lazy_product_asymmetric_on_its_grid():
 
 def test_distinct_but_symmetric_lazy_product_discretizes():
     r = gl.product(gl.builtin("product"), gl.from_expression("x*y"))
-    assert not r.symmetric
+    assert r.left is not r.right
     got = gl.discretize(r, 2).values
     want = gl.discretize(gl.power(gl.builtin("product"), 2), 2).values
     assert np.allclose(got, want, atol=1e-12)
@@ -450,3 +454,93 @@ def test_lazy_product_integrals_and_l1_distances_match_the_block_oracle(name):
         assert _outcome(lambda: gl.l1_distance(lazy, other, q)) == _outcome(
             lambda: _old_l1_distance(lazy, other, q)
         )
+
+
+# The step product and step power as they were when a ProductGraphon wrapped
+# their step (the oracle), returning the values and whether they were symmetric.
+def _old_factors_equal(ka, kb) -> bool:
+    if ka is kb:
+        return True
+    sa, sb = ka.step_form(), kb.step_form()
+    if sa is None or sb is None:
+        return False
+    return sa.n == sb.n and np.array_equal(sa.values, sb.values)
+
+
+def _old_step_product(sa, sb, symmetric):
+    m = math.lcm(sa.n, sb.n)
+    a = sa.refine(m // sa.n).values
+    b = sb.refine(m // sb.n).values
+    vals = (a @ b) / m
+    proper = sa.lo >= 0.0 and sb.lo >= 0.0
+    lo, hi = (0.0, 1.0) if proper else (-1.0, 1.0)
+    vals = _clip_to(vals, lo, hi)
+    if not symmetric:
+        symmetric = float(np.max(np.abs(vals - vals.T))) <= 1e-12
+    if not symmetric:
+        return vals, False
+    vals = 0.5 * (vals + vals.T)
+    return vals, True
+
+
+def _old_step_power(s, k):
+    vals = np.linalg.matrix_power(s.values, k) / float(s.n) ** (k - 1)
+    vals = 0.5 * (vals + vals.T)
+    lo, hi = (0.0, 1.0) if s.lo >= 0.0 else (-1.0, 1.0)
+    vals = _clip_to(vals, lo, hi)
+    return vals
+
+
+def _step_pairs():
+    for n in (3, 64, 512):
+        for signed in (False, True):
+            s = random_step(n, key=7, signed=signed)
+            yield f"self{n}{'s' * signed}", s, s
+            yield f"equal{n}{'s' * signed}", s, random_step(n, key=7, signed=signed)
+    a = random_step(2, key=11, signed=False)
+    yield "unequal_symmetric", a.refine(2), a.refine(3)
+    yield "unequal_symmetric_signed", *(random_step(2, key=12).refine(f) for f in (3, 5))
+    yield "unequal_asymmetric", a, random_step(3, key=13, signed=False)
+    yield "unequal_asymmetric_signed", random_step(3, key=14), random_step(4, key=15)
+
+
+_STEP_PAIRS = {name: (sa, sb) for name, sa, sb in _step_pairs()}
+
+
+@pytest.mark.parametrize("name", sorted(_STEP_PAIRS))
+def test_step_products_and_powers_match_the_wrapped_step_oracle(name):
+    sa, sb = _STEP_PAIRS[name]
+    want, symmetric = _old_step_product(sa, sb, _old_factors_equal(sa, sb))
+    assert symmetric == ("asymmetric" not in name)
+    r = gl.product(sa, sb)
+    assert isinstance(r, gl.StepGraphon) == symmetric
+    got = r.values if symmetric else r.asym_values
+    assert got.tobytes() == want.tobytes()
+    for k in (2, 3):
+        p = gl.power(sa, k)
+        assert isinstance(p, gl.StepGraphon)
+        assert p.values.tobytes() == _old_step_power(sa, k).tobytes()
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_quadrature_spec_refuses_a_tolerance_that_is_not_positive_and_finite(tol):
+    with pytest.raises(ValidationError, match=f"positive finite number, got {tol}"):
+        gl.QuadratureSpec(tol=tol)
+
+
+def test_lazy_power_of_an_exact_asymmetric_product_integrates_on_its_lcm_grain():
+    a = random_step(2, key=21, signed=False)
+    b = random_step(3, key=22, signed=False)
+    ab = gl.product(a, b)
+    p = ab.asym_values
+    w = gl.power(ab, 2)
+    assert w.left is ab and w.right is ab and grain_of(w) == 6
+    res = gl.integrate2d(w, gl.QuadratureSpec())
+    assert res.grid % 6 == 0
+    assert abs(res.value - float(np.mean(p @ p / 6))) <= 1e-15
+
+
+def test_step_products_and_powers_hold_at_most_two_matrices_at_once():
+    s = random_step(512, key=3, signed=False)  # one 512 x 512 matrix is 2 MiB
+    for make in (lambda: gl.product(s, s), lambda: gl.power(s, 2)):
+        assert peak_bytes(make) < 5 * 2**20

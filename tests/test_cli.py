@@ -376,6 +376,36 @@ def test_norm_l1_stdout_matches_golden_bytes(tmp_path, capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == NORM_L1_SHA[name]
 
 
+# sha256 digests of step-kernel paths: `power --discretize` of a step (the one CLI
+# path where `discretize` reads a step's own range) and the two `norm --cut`
+# branches of a step kernel, against a second step and written to a file
+_H3 = "0.5,0.5,0.5\n0.5,0.5,0.5\n0.5,0.5,0.5\n"
+STEP_PATH_SHA = {
+    "power_discretize": "5527adbbeeb7280c1ab7d2e445e6410dd53a61f86a0980aab3ea8712b10bf8e9",
+    "cut_with_step": "db51f7ecf317a2333c94a510d48598979df09a61311401772e598f6c7b0eaed1",
+    "cut_out": "aecd7d85f8f33c7caabf2bb45adebb81336d7bb2abc71784873039e17eb740f2",
+}
+CUT_FILE_SHA = "9b4f1be64e89ca6c53c3a1061a0f8f374b466f3d7131616d636014aa9275950e"
+
+
+@pytest.mark.parametrize("name", sorted(STEP_PATH_SHA))
+def test_step_kernel_paths_match_golden_bytes(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GRAPHON_LAB_OUT", raising=False)
+    (tmp_path / "s3.csv").write_text(_S3)
+    (tmp_path / "h3.csv").write_text(_H3)
+    argv = {
+        "power_discretize": ("power", "--graphon-step", "s3.csv", "--k", "2", "--discretize", "2"),
+        "cut_with_step": ("norm", "--cut", "--graphon-step", "s3.csv", "--with-step", "h3.csv"),
+        "cut_out": ("norm", "--cut", "--graphon-step", "s3.csv", "--out", "cut.json"),
+    }[name]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STEP_PATH_SHA[name]
+    if name == "cut_out":
+        assert hashlib.sha256((tmp_path / "cut.json").read_bytes()).hexdigest() == CUT_FILE_SHA
+
+
 def test_product_asymmetric_on_its_grid_exits_2(capsys):
     code, out, err = run(capsys, "product", "--graphon-builtin", "minmax",
                          "--with-builtin", "product", "--discretize", "4")
@@ -475,3 +505,47 @@ _KERNEL_TEXT = {
 def test_validate_exits_0_1_or_2_on_any_kernel_text(flag, data):
     text = data.draw(_KERNEL_TEXT[flag], label="text")
     assert _exit_code(["validate", f"{flag}={text}", "--samples", "4"]) in (0, 1, 2)
+
+
+# each printed the symmetrized cells of an asymmetric kernel before every kernel
+# without a step form was checked on its midpoint grid
+@pytest.mark.parametrize("argv", [
+    ("power", "--graphon-expr", "x", "--k", "2", "--discretize", "2"),
+    ("power", "--graphon-expr", "x", "--k", "1", "--discretize", "2"),
+    ("norm", "--cut", "--graphon-expr", "x", "--discretize", "4"),
+], ids=["power_k2", "power_k1", "norm_cut"])
+def test_asymmetric_analytic_kernel_is_not_discretized(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "is not symmetric: max |V - V^T|" in err and "on the 256-grid" in err
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("no grid may be evaluated")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+@pytest.mark.parametrize("target, argv", [
+    ("graphonlab.sampling.cell_means", ("expect", "--graphon-builtin", "minmax", "--n", "2")),
+    ("graphonlab.cli.l1_distance",
+     ("norm", "--l1", "--graphon-builtin", "minmax", "--with-builtin", "product")),
+    ("graphonlab.cli.run_theorem_sweep",
+     ("sweep", "theorem", "--graphon-builtin", "minmax", "--ns", "4", "--out", "r")),
+], ids=["expect", "norm_l1", "sweep_theorem"])
+def test_tolerance_that_is_not_a_positive_finite_number_exits_2_before_any_grid(
+    tmp_path, monkeypatch, capsys, target, argv, tol
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(target, _refuse)
+    code, out, err = run(capsys, *argv, f"--tol={tol}")
+    assert code == 2 and out == ""
+    assert err == f"error: tol must be a positive finite number, got {tol}\n"
+
+
+def test_config_tolerance_nan_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("graphonlab.sampling.cell_means", _refuse)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"builtin": "minmax", "n": 2, "tol": NaN}')  # json reads NaN
+    code, out, err = run(capsys, "expect", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == "error: tol must be a positive finite number, got nan\n"

@@ -10,7 +10,8 @@ from graphonlab.algebra import midpoints
 from graphonlab.cli import main
 from graphonlab.core import cell_index
 from graphonlab.errors import ValidationError
-from graphonlab.experiments import render_svg, report_from_dict, report_to_dict
+from graphonlab.experiments import _LimitDistance, render_svg, report_from_dict, report_to_dict
+from conftest import random_step
 
 
 def test_theorem_constant_closed_form():
@@ -240,3 +241,14 @@ def test_incomplete_sweep_keeps_what_stopped_it():
     assert "error" not in report_to_dict(r)
     assert gl.run_theorem_sweep(gl.builtin("minmax"), 1, [2, 4], seed=1).error is None
 
+
+
+@pytest.mark.parametrize("limit", ["analytic", "step"])
+def test_limit_cells_are_bitwise_symmetric(limit):
+    # the sweep's signed difference A^k - limit cells is a step without symmetrizing
+    w = gl.builtin("minmax") if limit == "analytic" else random_step(3, key=5, signed=False)
+    dist = _LimitDistance(w, 2, [4, 6], gl.QuadratureSpec(base_grid=32, tol=1e-3))
+    for n in (4, 6):
+        dist.distance(gl.constant(0.1).step.refine(n))  # caches the levels n divides
+        cells = dist.limit_cells(n)
+        assert np.array_equal(cells, cells.T)

@@ -44,9 +44,17 @@ def test_product_counter_reads_lazy_and_step_products():
     s = gl.StepGraphon(3, [[0.1, 0.2, 0.9], [0.2, 0.4, 0.5], [0.9, 0.5, 0.7]])
     step = gl.product(s, s)
     asym = gl.product(s, gl.StepGraphon(2, [[0.5, 0.25], [0.25, 1.0]]))
-    assert step.step is not None and asym.asym_values is not None
-    for kernel in (step, asym):
-        assert _product_counts(kernel, xs, ys, gz) == (0, 8 * 8 * 4)
+    assert isinstance(step, gl.StepGraphon) and asym.asym_values is not None
+    assert _product_counts(asym, xs, ys, gz) == (0, 8 * 8 * 4)
+    # a step product is a step, so its grids reach the tracer through _count_grid
+    assert (gl.StepGraphon, "eval_grid", pb_trace._count_grid) in {
+        (owner, attr, before) for owner, attr, _, _, before, _ in pb_trace._targets()
+    }
+    tr = pb_trace.Tracer()
+    count = tr.wrap(lambda: pb_trace._count_grid(tr, (step, xs, ys, gz), {}),
+                    "algebra.cell_means", "algebra")
+    count()
+    assert tr.counts["algebra.product_eval.flops"] == 0 and tr.grid_bytes_max == 8 * 8 * 4
 
 
 def test_grid_counter_counts_grids_under_cell_means_only():
