@@ -49,7 +49,6 @@ from .norms import (
     l1_distance,
 )
 from .sampling import (
-    ExpectedGraphon,
     McEstimate,
     SamplerConfig,
     draw_seed,

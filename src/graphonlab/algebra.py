@@ -20,8 +20,9 @@ computation chooses one; evaluated without a z-grid (gz == 0), a lazy product
 settles its z-integral under the QuadratureSpec it was built with. A product or
 power of steps is the exact matrix formula (1/n) A B on the common (lcm) grid: a
 StepGraphon when symmetric, or else a ProductGraphon holding the asymmetric matrix.
-The kernel protocol is `eval_grid` plus `step_form`; `require_symmetric` is the one
-graphon check, and reads any kernel without a step form on its midpoint grid.
+Every matrix product is `_matmul`, whose bytes do not depend on the BLAS thread count.
+The kernel protocol is `eval_grid` plus `step_form`, `core.evaluate` is the one point
+read, and `require_symmetric` is the one graphon check.
 """
 
 from __future__ import annotations
@@ -160,6 +161,35 @@ def integrate2d(f, q: QuadratureSpec) -> QuadratureResult:
 # ---------------------------------------------------------------------------
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, rounded alike at every BLAS thread count: a thread split inside an unaligned
+    edge rounds differently. So only an inner dimension that is a multiple of 256 with a
+    column count that is a multiple of 64 takes the plain product; any other pads b with
+    zero columns to a multiple of 64 and adds 256-row inner panels in ascending order."""
+    inner, cols = b.shape
+    if inner % 256 == 0 and cols % 64 == 0:
+        return a @ b
+    b = np.pad(b, ((0, 0), (0, -cols % 64)))
+    out = a[:, :256] @ b[:256]
+    for lo in range(256, inner, 256):
+        out += a[:, lo : lo + 256] @ b[lo : lo + 256]
+    return np.ascontiguousarray(out[:, :cols])
+
+
+def _matrix_power(a: np.ndarray, k: int) -> np.ndarray:
+    """a^k, k >= 2, in np.linalg.matrix_power's order with every product by _matmul:
+    (a a) a at k = 3, else squarings multiplied in from the lowest bit (a a at k = 2)."""
+    if k == 3:
+        return _matmul(_matmul(a, a), a)
+    z = result = None
+    while k:
+        z = a if z is None else _matmul(z, z)
+        k, bit = divmod(k, 2)
+        if bit:
+            result = z if result is None else _matmul(result, z)
+    return result
+
+
 @dataclass(frozen=True, eq=False)
 class ProductGraphon:
     """Kernel product a (.) b that no step graphon holds: an exact asymmetric
@@ -194,13 +224,9 @@ class ProductGraphon:
             rhs = lhs  # a self-product on its own z-grid: both factors are one grid
         else:
             rhs = self.right.eval_grid(zm, ys, gz)
-        out = lhs @ rhs
+        out = _matmul(lhs, rhs)
         out /= gz  # in place: no second full-size grid
         return out
-
-    def evaluate(self, x: float, y: float) -> float:
-        """Pointwise value; a lazy product settles its z-integral under ``q``."""
-        return float(self.eval_grid(np.array([x]), np.array([y]), 0)[0, 0])
 
 
 def _clip_to(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -227,7 +253,7 @@ def _step_product(sa: StepGraphon, sb: StepGraphon, label: str):
     a = sa.refine(m // sa.n).values
     b = sb.refine(m // sb.n).values
     lo, hi = _step_range(sa, sb)
-    vals = _clip_to((a @ b) / m, lo, hi)
+    vals = _clip_to(_matmul(a, b) / m, lo, hi)
     if _asymmetry(vals) > 1e-12:
         return ProductGraphon(label=label, asym_values=vals)
     vals = 0.5 * (vals + vals.T)  # reassigned: the unsymmetrized matrix dies before the copy
@@ -254,7 +280,7 @@ def power(w, k: int, q: QuadratureSpec = QuadratureSpec()):
     kw = as_kernel(w)
     s = kw.step_form()
     if s is not None:
-        vals = np.linalg.matrix_power(s.values, k) / float(s.n) ** (k - 1)
+        vals = _matrix_power(s.values, k) / float(s.n) ** (k - 1)
         vals = 0.5 * (vals + vals.T)  # reassigned so that at most two n x n arrays live
         lo, hi = _step_range(s)
         vals = _clip_to(vals, lo, hi)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import io as glio
 from .algebra import QuadratureSpec, discretize, power, product, require_symmetric
-from .core import StepGraphon, builtin, builtin_names, from_step, validate_graphon
+from .core import StepGraphon, builtin, builtin_names, validate_graphon
 from .errors import GraphonLabError
 from .experiments import (
     emit_report, report_paths, row_summary, run_counterexample_sweep, run_theorem_sweep,
@@ -41,6 +41,10 @@ def _add_graphon_flags(p, prefix="graphon"):
                    help="expression in x and y")
     g.add_argument(f"--{prefix}-step", dest=dests[2], metavar="FILE",
                    help="step matrix file (csv/json)")
+    if prefix == "graphon":
+        p.add_argument("--clamp", action="store_true", help="clamp expression values to [0,1]")
+        p.add_argument("--symmetrize", action="store_true",
+                       help="average the expression with its transpose")
 
 
 def _add_common(p):
@@ -50,9 +54,6 @@ def _add_common(p):
     p.add_argument("--tol", type=float, default=None, help="quadrature tolerance")
     p.add_argument("--max-refinements", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--clamp", action="store_true", help="clamp expression values to [0,1]")
-    p.add_argument("--symmetrize", action="store_true",
-                   help="average the expression with its transpose")
 
 
 def _build_parser():
@@ -106,17 +107,20 @@ def _build_parser():
                    help="bracket an analytic cut norm via an M-block discretization")
     p.add_argument("--restarts", type=int, default=50)
 
-    p = sub.add_parser("sweep", help="convergence sweeps")
-    p.add_argument("mode", choices=("theorem", "counterexample"))
-    _add_graphon_flags(p)
-    _add_common(p)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--ns", type=_parse_ns, default=None,
-                   help="comma-separated block counts, e.g. 4,8,16")
-    p.add_argument("--draws", type=int, default=None)
-    p.add_argument("--p", type=float, default=None, help="ER edge density (counterexample)")
-    p.add_argument("--format", dest="formats", type=_comma_list, default=None,
-                   help="comma-separated: csv,json,svg")
+    modes = sub.add_parser("sweep", help="convergence sweeps").add_subparsers(
+        dest="mode", required=True)
+    t = modes.add_parser("theorem", help="expected graphons of a kernel against its limit")
+    _add_graphon_flags(t)
+    t.add_argument("--k", type=int, default=None)
+    c = modes.add_parser("counterexample", help="sampled ER graphs against constant(p)")
+    c.add_argument("--draws", type=int, default=None)
+    c.add_argument("--p", type=float, default=None, help="ER edge density")
+    for p in (t, c):
+        _add_common(p)
+        p.add_argument("--ns", type=_parse_ns, default=None,
+                       help="comma-separated block counts, e.g. 4,8,16")
+        p.add_argument("--format", dest="formats", type=_comma_list, default=None,
+                       help="comma-separated: csv,json,svg")
     return ap
 
 
@@ -168,7 +172,7 @@ def _kernel(builtin_text, expr, step_file, clamp=False, symmetrize=False):
     if expr:
         return from_expression(expr, clamp=clamp, symmetrize=symmetrize)
     if step_file:
-        return from_step(glio.load_step_matrix(step_file))
+        return glio.load_step_matrix(step_file)  # loaded in [0, 1], so a graphon
     return None
 
 
@@ -225,6 +229,7 @@ def _cmd_validate(args):
 def _cmd_sample(args):
     cfg = _merge(args)
     w = _graphon_from(cfg, args)
+    require_symmetric(w, _quadrature(cfg))  # before any cell or draw
     n = _need(cfg.n, "--n")
     sampler = SamplerConfig(n, cfg.seed, w)
     latents = sample_latents_iid(sampler) if args.iid else sample_latents(sampler)
@@ -242,15 +247,17 @@ def _cmd_sample(args):
 def _cmd_expect(args):
     cfg = _merge(args)
     w = _graphon_from(cfg, args)
+    require_symmetric(w, _quadrature(cfg))  # before any cell or draw
     n = _need(cfg.n, "--n")
     e = expected_graphon(w, n, _quadrature(cfg))
-    _emit_step(e.step, cfg, e.label)
+    _emit_step(e, cfg, f"expected[{w.label},n={n}]")
     return 0
 
 
 def _cmd_mc_expect(args):
     cfg = _merge(args)
     w = _graphon_from(cfg, args)
+    require_symmetric(w, _quadrature(cfg))  # before any cell or draw
     n = _need(cfg.n, "--n")
     est = mc_expected_graphon(SamplerConfig(n, cfg.seed, w), cfg.draws)
     out = _need(cfg.out, "--out")

@@ -68,9 +68,6 @@ class StepGraphon:
     def label(self) -> str:
         return f"step(n={self.n})"
 
-    def evaluate(self, x: float, y: float) -> float:
-        return float(self.values[int(cell_index(x, self.n)), int(cell_index(y, self.n))])
-
     def eval_grid(self, xs, ys, gz: int = 0) -> np.ndarray:
         ix = cell_index(xs, self.n)
         iy = cell_index(ys, self.n)
@@ -193,7 +190,6 @@ class GraphonSpec:
     label: str
     fn: Callable
     step: Optional[StepGraphon] = None
-    clamp: bool = False
     sup_bound: float = 1.0
     lipschitz: Optional[float] = None
 
@@ -201,10 +197,7 @@ class GraphonSpec:
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
         out = np.asarray(self.fn(xs[:, None], ys[None, :]), dtype=np.float64)
-        out = np.broadcast_to(out, (xs.shape[0], ys.shape[0]))
-        if self.clamp:
-            out = np.clip(out, 0.0, 1.0)
-        return out
+        return np.broadcast_to(out, (xs.shape[0], ys.shape[0]))
 
     def step_form(self) -> Optional[StepGraphon]:
         return self.step
@@ -224,12 +217,10 @@ def _arrays_or_points(fn):
 
 
 def as_kernel(obj):
-    """Coerce graphon-like objects to the eval_grid/step_form protocol; a plain
-    callable f(x, y) becomes a GraphonSpec labelled with its name."""
+    """An object with ``eval_grid`` and ``step_form`` as it is, or a plain callable f(x, y)
+    as a GraphonSpec labelled with its name; nothing else (a McEstimate) is a kernel."""
     if hasattr(obj, "eval_grid") and hasattr(obj, "step_form"):
         return obj
-    if isinstance(getattr(obj, "step", None), StepGraphon):
-        return obj.step
     if callable(obj):
         return GraphonSpec(label=getattr(obj, "__name__", "kernel"), fn=_arrays_or_points(obj))
     raise TypeError(f"not a graphon-like object: {type(obj).__name__}")
@@ -274,8 +265,8 @@ def from_step(step: StepGraphon) -> StepGraphon:
 
 
 def evaluate(w, x: float, y: float) -> float:
-    """Pointwise kernel value, read off a 1x1 grid evaluation (so a lazy product
-    settles its z-integral); raises DomainError outside the unit square."""
+    """The one point read of a kernel: its 1x1 grid evaluation without a z-grid (so a
+    lazy product settles its z-integral); raises DomainError outside the unit square."""
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
         raise DomainError(f"point ({x}, {y}) outside the unit square")
     return float(as_kernel(w).eval_grid(np.array([float(x)]), np.array([float(y)]), 0)[0, 0])

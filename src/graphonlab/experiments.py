@@ -175,7 +175,7 @@ def _theorem_row(w, k: int, n: int, q: QuadratureSpec, dist: _LimitDistance,
     """The sweep row at n. Each n x n array (8 MiB at n = 1024) lives only inside the
     call that uses it, so none is held through a later stage."""
     t0 = time.perf_counter()
-    e_n = dist.distance(power(expected_graphon(w, n, q).step, k, q))
+    e_n = dist.distance(power(expected_graphon(w, n, q), k, q))
     l1_sampled, signed = _sampled_vs_limit(w, k, n, q, dist, seed)
     cut = cut_norm_auto(
         signed, restarts=_SWEEP_RESTARTS, seed=rng.derive_key(seed, _TAG_SWEEP_CUT, n)

@@ -362,21 +362,17 @@ def unparse(ast) -> str:
 
 def from_expression(source: str, clamp: bool = False, symmetrize: bool = False,
                     label: str | None = None):
-    """GraphonSpec evaluating the expression (optionally symmetrized/clamped)."""
+    """GraphonSpec of the expression, optionally symmetrized and then clamped to [0, 1]."""
     ast = parse(source)
     if symmetrize:
-        def fn(x, y, _ast=ast):
+        def raw(x, y, _ast=ast):
             return 0.5 * (eval_array(_ast, x, y) + eval_array(_ast, y, x))
     else:
-        def fn(x, y, _ast=ast):
+        def raw(x, y, _ast=ast):
             return eval_array(_ast, x, y)
 
-    return GraphonSpec(
-        label=label or ("sym:" + source if symmetrize else source),
-        fn=fn,
-        clamp=clamp,
-        sup_bound=1.0,
-    )
+    fn = (lambda x, y: np.clip(raw(x, y), 0.0, 1.0)) if clamp else raw
+    return GraphonSpec(label=label or ("sym:" + source if symmetrize else source), fn=fn)
 
 
 def symmetrize(ast, clamp: bool = False):

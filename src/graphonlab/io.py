@@ -54,38 +54,32 @@ def resolve_out(path) -> Path:
     return p
 
 
-def _detect_format(path: Path, fmt: Optional[str]) -> str:
-    if fmt:
-        return fmt
+def _detect_format(path: Path) -> str:
     suffix = path.suffix.lower().lstrip(".")
     if suffix in ("csv", "json"):
         return suffix
     raise ValidationError(f"cannot infer matrix format from '{path.name}'; pass csv or json")
 
 
-def save_step_matrix(step: StepGraphon, path, fmt: Optional[str] = None) -> Path:
+def save_step_matrix(step: StepGraphon, path) -> Path:
+    """Write the step's matrix as CSV or JSON, by the file suffix."""
+    if _detect_format(Path(path)) == "csv":
+        return save_matrix(step.values, path)
     p = resolve_out(path)
-    fmt = _detect_format(p, fmt)
-    if fmt == "csv":
-        lines = [",".join(fmt_float(v) for v in row) for row in step.values]
-        p.write_text("\n".join(lines) + "\n")
-    elif fmt == "json":
-        doc = {"n": step.n, "values": [[float(v) for v in row] for row in step.values]}
-        p.write_text(json.dumps(doc, indent=2) + "\n")
-    else:
-        raise ValidationError(f"unknown matrix format '{fmt}'")
+    doc = {"n": step.n, "values": [[float(v) for v in row] for row in step.values]}
+    p.write_text(json.dumps(doc, indent=2) + "\n")
     return p
 
 
 def save_matrix(values: np.ndarray, path) -> Path:
-    """Plain CSV dump for auxiliary matrices (e.g. standard errors)."""
+    """Plain CSV of a matrix: a step's values, or standard errors."""
     p = resolve_out(path)
     lines = [",".join(fmt_float(v) for v in row) for row in np.asarray(values)]
     p.write_text("\n".join(lines) + "\n")
     return p
 
 
-def _matrix_from_rows(rows, lo: float, hi: float, name: str) -> StepGraphon:
+def _matrix_from_rows(rows, name: str) -> StepGraphon:
     n = len(rows)
     for i, row in enumerate(rows):
         if len(row) != n:
@@ -100,17 +94,17 @@ def _matrix_from_rows(rows, lo: float, hi: float, name: str) -> StepGraphon:
     if not np.array_equal(m, m.T):
         i, j = np.argwhere(m != m.T)[0]
         raise ValidationError(f"matrix not symmetric at ({i + 1},{j + 1})/({j + 1},{i + 1})")
-    if m.min() < lo or m.max() > hi:
-        raise ValidationError(f"matrix entries outside [{lo}, {hi}]")
-    return StepGraphon(n, m, lo, hi)
+    if m.min() < 0.0 or m.max() > 1.0:
+        raise ValidationError("matrix entries outside [0.0, 1.0]")
+    return StepGraphon(n, m, 0.0, 1.0)
 
 
-def load_step_matrix(path, fmt: Optional[str] = None, lo: float = 0.0, hi: float = 1.0) -> StepGraphon:
+def load_step_matrix(path) -> StepGraphon:
+    """A graphon step read from CSV or JSON, by the file suffix, with entries in [0, 1]."""
     p = Path(path)
     if not p.exists():
         raise ValidationError(f"matrix file not found: {p}")
-    fmt = _detect_format(p, fmt)
-    if fmt == "csv":
+    if _detect_format(p) == "csv":
         rows = []
         for lineno, line in enumerate(p.read_text().splitlines(), start=1):
             if not line.strip():
@@ -121,7 +115,7 @@ def load_step_matrix(path, fmt: Optional[str] = None, lo: float = 0.0, hi: float
                 raise ValidationError(f"{p.name}:{lineno}: {exc}") from None
         if not rows:
             raise ValidationError(f"{p.name}: empty matrix file")
-        return _matrix_from_rows(rows, lo, hi, p.name)
+        return _matrix_from_rows(rows, p.name)
     try:
         doc = json.loads(p.read_text())
     except ValueError as exc:
@@ -133,7 +127,7 @@ def load_step_matrix(path, fmt: Optional[str] = None, lo: float = 0.0, hi: float
         raise ValidationError(f"{p.name}: 'values' must be a non-empty list of rows")
     if "n" in doc and doc["n"] != len(rows):
         raise ValidationError(f"{p.name}: declared n={doc['n']} but {len(rows)} rows present")
-    return _matrix_from_rows(rows, lo, hi, p.name)
+    return _matrix_from_rows(rows, p.name)
 
 
 # ---------------------------------------------------------------------------

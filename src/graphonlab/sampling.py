@@ -2,10 +2,11 @@
 
 The construction: split [0,1] into n equal strata, draw one uniform latent
 point per stratum, and connect distinct vertices i != j independently with
-probability W(x_i, x_j). The associated expected graphon is the step function
+probability W(x_i, x_j). The associated expected graphon is the StepGraphon
 whose off-diagonal block (i, j) carries the average of W over the cell
 I_ij = [i/n,(i+1)/n) x [j/n,(j+1)/n) and whose diagonal blocks are zero
-(no self-loops).
+(no self-loops). A Monte-Carlo estimate is a result record, not a kernel: its
+mean is the StepGraphon ``est.step``.
 
 Randomness is fully deterministic: all variates come from the counter-based
 generator in :mod:`graphonlab.rng`. Latents for a config use the stream
@@ -39,19 +40,6 @@ class SamplerConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError("sampler needs n >= 1")
-
-
-@dataclass(frozen=True, eq=False)
-class ExpectedGraphon:
-    """Cell averages of the source kernel with zero diagonal blocks."""
-
-    step: StepGraphon
-    source: str
-    quadrature: QuadratureSpec
-
-    @property
-    def label(self) -> str:
-        return f"expected[{self.source},n={self.step.n}]"
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +108,7 @@ def sample_graph(cfg: SamplerConfig, latents) -> SimpleGraph:
     return SimpleGraph(cfg.n, np.stack(_edge_draw(cfg, xs), axis=1))
 
 
-def expected_graphon(w, n: int, q: QuadratureSpec = QuadratureSpec()) -> ExpectedGraphon:
+def expected_graphon(w, n: int, q: QuadratureSpec = QuadratureSpec()) -> StepGraphon:
     """Exact-in-expectation step graphon of the sampling construction.
 
     Off-diagonal entry (i, j) is the average of W over the cell I_ij,
@@ -130,9 +118,7 @@ def expected_graphon(w, n: int, q: QuadratureSpec = QuadratureSpec()) -> Expecte
     """
     if n < 1:
         raise ValidationError("expected graphon needs n >= 1")
-    cells = cell_means(w, n, q, zero_diagonal=True)
-    label = getattr(w, "label", "graphon")
-    return ExpectedGraphon(step=StepGraphon(n, cells, 0.0, 1.0), source=label, quadrature=q)
+    return StepGraphon(n, cell_means(w, n, q, zero_diagonal=True), 0.0, 1.0)
 
 
 def mc_expected_graphon(cfg: SamplerConfig, draws: int) -> McEstimate:

@@ -8,6 +8,7 @@ from graphonlab.algebra import (
     LCM_GRID_CAP, _clip_to, ceil_to_multiple, cell_means, grain_of, midpoints,
     require_symmetric, settle,
 )
+from graphonlab.algebra import _matmul, _matrix_power
 from graphonlab.core import as_kernel
 from graphonlab.errors import QuadratureError, ValidationError
 from conftest import brute_force_product_cell, peak_bytes, random_step
@@ -80,7 +81,7 @@ def test_product_of_product_kernel_pointwise():
     assert r.step_form() is None
     require_symmetric(r, gl.QuadratureSpec())  # a self-product of a graphon passes
     for x, y in [(0.5, 0.5), (0.2, 0.9), (1.0, 1.0)]:
-        assert r.evaluate(x, y) == pytest.approx(x * y / 3.0, abs=1e-6)
+        assert gl.evaluate(r, x, y) == pytest.approx(x * y / 3.0, abs=1e-6)
 
 
 def test_step_product_example():
@@ -116,7 +117,7 @@ def test_power_of_product_kernel():
     for k in (2, 3):
         pk = gl.power(w, k)
         for x, y in [(0.3, 0.8), (0.9, 0.9)]:
-            assert pk.evaluate(x, y) == pytest.approx(x * y / 3.0 ** (k - 1), abs=1e-5)
+            assert gl.evaluate(pk, x, y) == pytest.approx(x * y / 3.0 ** (k - 1), abs=1e-5)
 
 
 def test_power_of_step_is_exact_matrix_formula():
@@ -124,6 +125,25 @@ def test_power_of_step_is_exact_matrix_formula():
     p = gl.power(gl.from_step(s), 3).step_form()
     want = np.linalg.matrix_power(s.values, 3) / 16.0
     assert np.allclose(p.values, want, atol=1e-12)
+
+
+# the plain product on aligned shapes, 256-row panels of the inner dimension otherwise
+@pytest.mark.parametrize("m, k, n", [(1, 260, 1), (7, 300, 5), (40, 517, 70), (64, 512, 128)])
+def test_matmul_is_the_product_within_rounding(m, k, n):
+    rng = np.random.default_rng(m * k * n)
+    a, b = rng.random((m, k)), rng.random((k, n))
+    got = _matmul(a, b)
+    assert got.shape == (m, n) and got.flags.c_contiguous
+    if k % 256 == 0 and n % 64 == 0:
+        assert got.tobytes() == (a @ b).tobytes()
+    np.testing.assert_allclose(got, a @ b, rtol=k * np.finfo(float).eps, atol=0)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_step_matrix_power_keeps_the_order_of_numpy_matrix_power(n):
+    a = random_step(n, key=n, signed=False).values
+    for k in range(2, 8):
+        assert _matrix_power(a, k).tobytes() == np.linalg.matrix_power(a, k).tobytes(), k
 
 
 def test_discretize_examples():
@@ -210,7 +230,7 @@ def test_every_refinement_site_names_itself_when_it_cannot_settle():
     with pytest.raises(QuadratureError, match="^cell averages on the 3-grid did not settle"):
         cell_means(w, 3, q)
     with pytest.raises(QuadratureError, match=r"^z-integral of pow\[minmax,2\] did not settle"):
-        gl.power(w, 2, q).evaluate(0.3, 0.6)
+        gl.evaluate(gl.power(w, 2, q), 0.3, 0.6)
     with pytest.raises(QuadratureError, match="^limit distance at n=4 did not settle"):
         _LimitDistance(w, 2, [4], q).distance(gl.constant(0.1).step.refine(4))
     report = gl.run_theorem_sweep(w, 2, [3, 5], q, seed=1)

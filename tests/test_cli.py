@@ -314,7 +314,7 @@ STDOUT_SHA = {
     "expect": "f00d061276044a11ddf2ad5f0148b1e2ebbf4296703324d18806b7a380436e2c",
     "product": "349d842001312b7344df236aa2012c734ba3fdf946870bad453b27804661e0b9",
     "power_step": "3473b445ab3d8c6c184cdc7ba6707b6d4a2df57279737732b8b0237e02e1025d",
-    "power_expr": "4504bfafa622a937165ffe97ab11e3d10f1eb642eab2288b7f07a1c267f46b50",
+    "power_expr": "bf321f5bd076a7df8cc4fbb60313dcf23bd454b219743c7aae862e70c3444815",
 }
 SWEEP_ROWS_SHA = {
     "theorem": "b736167413c0b916be5bdcae7f2f3ebea806fcdf0c4fe4edbf2f8912ddbaa8e1",
@@ -549,3 +549,48 @@ def test_config_tolerance_nan_exits_2(tmp_path, monkeypatch, capsys):
     code, out, err = run(capsys, "expect", "--config", str(cfg))
     assert code == 2 and out == ""
     assert err == "error: tol must be a positive finite number, got nan\n"
+
+
+def _refuse_to_draw(*args, **kwargs):
+    raise AssertionError("no cell or draw may be computed")
+
+
+# each sampled or averaged the asymmetric kernel x (expect printed 0,0.5 / 0.5,0)
+@pytest.mark.parametrize("argv", [
+    ("expect", "--n", "2"),
+    ("mc-expect", "--n", "4", "--draws", "2", "--out", "m.csv"),
+    ("sample", "--n", "4"),
+    ("sample", "--n", "4", "--iid"),
+], ids=["expect", "mc_expect", "sample", "sample_iid"])
+def test_sampling_commands_refuse_an_asymmetric_kernel(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GRAPHON_LAB_OUT", raising=False)
+    for target in ("graphonlab.sampling.cell_means", "graphonlab.sampling._edge_draw"):
+        monkeypatch.setattr(target, _refuse_to_draw)
+    code, out, err = run(capsys, *argv, "--graphon-expr", "x", "--seed", "1")
+    assert code == 2 and out == ""
+    assert "x is not symmetric: max |V - V^T|" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+# each ran before the sweep modes took only the flags they read: a counterexample
+# sweep ignored the kernel and k, a theorem sweep ignored draws and p
+@pytest.mark.parametrize("mode, flag", [
+    ("counterexample", ("--graphon-builtin", "minmax")),
+    ("counterexample", ("--graphon-expr", "x*y")),
+    ("counterexample", ("--graphon-step", "s.csv")),
+    ("counterexample", ("--clamp",)),
+    ("counterexample", ("--symmetrize",)),
+    ("counterexample", ("--k", "3")),
+    ("theorem", ("--draws", "1")),
+    ("theorem", ("--p", "0.5")),
+], ids=lambda v: v if isinstance(v, str) else v[0].lstrip("-"))
+def test_sweep_modes_refuse_flags_they_do_not_read(tmp_path, monkeypatch, capsys, mode, flag):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("graphonlab.cli.run_theorem_sweep", _refuse_to_draw)
+    monkeypatch.setattr("graphonlab.cli.run_counterexample_sweep", _refuse_to_draw)
+    source = ("--graphon-builtin", "minmax") if mode == "theorem" else ()
+    argv = ["sweep", mode, *source, "--ns", "4", "--out", "r", *flag]
+    assert _exit_code(argv) == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

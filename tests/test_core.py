@@ -199,12 +199,12 @@ def test_evaluate_dispatches_through_products_and_estimates():
     assert gl.validate_graphon(p2, samples=100, seed=1).passed
 
     e = gl.expected_graphon(gl.builtin("minmax"), 4)
-    assert gl.evaluate(e, 0.1, 0.6) == e.step.values[0, 2]
+    assert gl.evaluate(e, 0.1, 0.6) == e.values[0, 2]
     assert gl.validate_graphon(e, samples=100, seed=1).passed
 
     mc = gl.mc_expected_graphon(gl.SamplerConfig(3, 5, gl.constant(1.0)), 2)
-    assert gl.evaluate(mc, 0.1, 0.9) == 1.0
-    assert gl.evaluate(mc, 0.1, 0.2) == 0.0
+    assert gl.evaluate(mc.step, 0.1, 0.9) == 1.0
+    assert gl.evaluate(mc.step, 0.1, 0.2) == 0.0
 
 
 def test_from_step_returns_the_step():

@@ -20,7 +20,7 @@ def test_l1_unit_separation():
 def test_l1_expected_vs_constant_closed_form():
     for n in (2, 3, 6, 10):
         e = gl.expected_graphon(gl.constant(0.5), n)
-        assert gl.l1_distance(e.step, gl.constant(0.5)) == pytest.approx(0.5 / n, abs=1e-14)
+        assert gl.l1_distance(e, gl.constant(0.5)) == pytest.approx(0.5 / n, abs=1e-14)
 
 
 def test_l1_mixed_step_analytic_aligned():

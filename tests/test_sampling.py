@@ -76,21 +76,21 @@ def test_er_edge_count_within_clt_band():
 
 def test_expected_constant_zero_diagonal():
     e = gl.expected_graphon(gl.constant(0.5), 2)
-    assert e.step.values.tolist() == [[0.0, 0.5], [0.5, 0.0]]
+    assert e.values.tolist() == [[0.0, 0.5], [0.5, 0.0]]
 
 
 def test_expected_product_cell_is_product_of_means():
     e = gl.expected_graphon(gl.builtin("product"), 2)
-    assert e.step.values[0, 1] == pytest.approx(0.25 * 0.75, abs=1e-12)
-    assert e.step.values[0, 0] == 0.0
+    assert e.values[0, 1] == pytest.approx(0.25 * 0.75, abs=1e-12)
+    assert e.values[0, 0] == 0.0
 
 
 def test_expected_step_same_grid_is_identity_off_diagonal():
     s = gl.StepGraphon(3, np.array([[0.2, 0.4, 0.6], [0.4, 0.8, 0.5], [0.6, 0.5, 0.3]]))
     e = gl.expected_graphon(gl.from_step(s), 3)
     off = ~np.eye(3, dtype=bool)
-    assert np.allclose(e.step.values[off], s.values[off], atol=1e-15)
-    assert np.all(np.diag(e.step.values) == 0.0)
+    assert np.allclose(e.values[off], s.values[off], atol=1e-15)
+    assert np.all(np.diag(e.values) == 0.0)
 
 
 def _cell_bounds(w, n, i, j):
@@ -107,7 +107,7 @@ def _cell_bounds(w, n, i, j):
 @pytest.mark.parametrize("n", [3, 5])
 def test_expected_entries_sandwiched_by_cell_bounds(name, n):
     w = gl.builtin(name)
-    e = gl.expected_graphon(w, n).step.values
+    e = gl.expected_graphon(w, n).values
     slack = 0.0 if name in ("product", "attachment") else math.sqrt(2) / (32 * n)
     for i in range(n):
         for j in range(n):
@@ -137,7 +137,7 @@ def test_mc_single_draw_is_one_canonical_sample():
 def test_mc_consistency_with_exact_expectation():
     draws = 2000
     est = gl.mc_expected_graphon(cfg(4, 20240801), draws=draws)
-    exact = gl.expected_graphon(gl.constant(0.5), 4).step.values
+    exact = gl.expected_graphon(gl.constant(0.5), 4).values
     off = ~np.eye(4, dtype=bool)
     assert np.all(np.abs(est.step.values - exact)[off] <= 5.0 * est.stderr[off])
     assert np.all(est.stderr[off] > 0.0)
@@ -148,7 +148,7 @@ def test_mc_within_five_sigma_for_every_builtin(name):
     w = gl.constant(0.5) if name == "constant" else gl.builtin(name)
     n, draws = 8, 10_000
     est = gl.mc_expected_graphon(gl.SamplerConfig(n, 20240801, w), draws)
-    exact = gl.expected_graphon(w, n).step.values
+    exact = gl.expected_graphon(w, n).values
     off = ~np.eye(n, dtype=bool)
     assert np.all(np.abs(est.step.values - exact)[off] <= 5.0 * est.stderr[off])
 
