@@ -20,7 +20,7 @@ computation chooses one; evaluated without a z-grid (gz == 0), a lazy product
 settles its z-integral under the QuadratureSpec it was built with. A product or
 power of steps is the exact matrix formula (1/n) A B on the common (lcm) grid: a
 StepGraphon when symmetric, or else a ProductGraphon holding the asymmetric matrix.
-Every matrix product is `_matmul`, whose bytes do not depend on the BLAS thread count.
+Every kernel matrix product is `_matmul`, whose bytes do not depend on the thread count.
 The kernel protocol is `eval_grid` plus `step_form`, `core.evaluate` is the one point
 read, and `require_symmetric` is the one graphon check.
 """
