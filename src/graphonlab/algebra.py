@@ -21,8 +21,12 @@ settles its z-integral under the QuadratureSpec it was built with. A product or
 power of steps is the exact matrix formula (1/n) A B on the common (lcm) grid: a
 StepGraphon when symmetric, or else a ProductGraphon holding the asymmetric matrix.
 Every kernel matrix product is `_matmul`, whose bytes do not depend on the thread count.
-The kernel protocol is `eval_grid` plus `step_form`, `core.evaluate` is the one point
-read, and `require_symmetric` is the one graphon check.
+The kernel protocol is `eval_grid` plus `step_form`, and `core.evaluate` is the one point
+read. A kernel is checked for being a graphon in two ways: `require_symmetric` bounds
+max |V - V^T| by q.tol on the base grid (it gates `expect`, `sample`, `mc-expect`,
+`product`, `power` and `discretize`), and `core.validate_graphon` checks symmetry within
+1e-12 and the range [0, 1] at quasi-random points (it gates `sweep theorem` and
+`graphon validate`).
 """
 
 from __future__ import annotations

@@ -48,6 +48,8 @@ def _add_graphon_flags(p, prefix="graphon"):
 
 
 def _add_common(p):
+    # every leaf parser calls this; main refuses a stray flag with that parser's usage
+    p.set_defaults(_parser=p)
     p.add_argument("--config", help="JSON config file; explicit flags override it")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--grid", type=int, default=None, help="quadrature base grid")
@@ -211,8 +213,7 @@ def _emit_step(step, cfg, what, header=None):
         print(",".join(glio.fmt_float(v) for v in row))
 
 
-def _cmd_validate(args):
-    cfg = _merge(args)
+def _cmd_validate(args, cfg):
     w = _graphon_from(cfg, args)
     report = validate_graphon(w, samples=args.samples, seed=cfg.seed)
     status = "PASS" if report.passed else "FAIL"
@@ -226,8 +227,7 @@ def _cmd_validate(args):
     return 0 if report.passed else 1
 
 
-def _cmd_sample(args):
-    cfg = _merge(args)
+def _cmd_sample(args, cfg):
     w = _graphon_from(cfg, args)
     require_symmetric(w, _quadrature(cfg))  # before any cell or draw
     n = _need(cfg.n, "--n")
@@ -244,8 +244,7 @@ def _cmd_sample(args):
     return 0
 
 
-def _cmd_expect(args):
-    cfg = _merge(args)
+def _cmd_expect(args, cfg):
     w = _graphon_from(cfg, args)
     require_symmetric(w, _quadrature(cfg))  # before any cell or draw
     n = _need(cfg.n, "--n")
@@ -254,8 +253,7 @@ def _cmd_expect(args):
     return 0
 
 
-def _cmd_mc_expect(args):
-    cfg = _merge(args)
+def _cmd_mc_expect(args, cfg):
     w = _graphon_from(cfg, args)
     require_symmetric(w, _quadrature(cfg))  # before any cell or draw
     n = _need(cfg.n, "--n")
@@ -278,8 +276,7 @@ def _materialize(result, cfg, args):
     return step
 
 
-def _cmd_product(args):
-    cfg = _merge(args)
+def _cmd_product(args, cfg):
     a = _graphon_from(cfg, args)
     b = _with_graphon(args)
     if b is None:
@@ -289,16 +286,14 @@ def _cmd_product(args):
     return 0
 
 
-def _cmd_power(args):
-    cfg = _merge(args)
+def _cmd_power(args, cfg):
     w = _graphon_from(cfg, args)
     r = power(w, _need(cfg.k, "--k"), _quadrature(cfg))
     _emit_step(_materialize(r, cfg, args), cfg, f"power k={cfg.k}")
     return 0
 
 
-def _cmd_norm(args):
-    cfg = _merge(args)
+def _cmd_norm(args, cfg):
     if args.l1 == args.cut:
         raise GraphonLabError("pass exactly one of --l1 / --cut")
     a = _graphon_from(cfg, args)
@@ -309,31 +304,27 @@ def _cmd_norm(args):
             raise GraphonLabError("--l1 needs a second kernel (--with-builtin/expr/step)")
         print(glio.fmt_float(l1_distance(a, b, q)))
         return 0
-    # cut norm
+    # cut norm: of the step, of the difference of two steps, or else bracketed
+    step = a.step_form()
     if b is not None:
-        sa, sb = a.step_form(), b.step_form()
-        if sa is None or sb is None or sa.n != sb.n:
+        sb = b.step_form()
+        if step is None or sb is None or step.n != sb.n:
             raise GraphonLabError("--cut with --with needs two step kernels on one grid")
-        diff = sa.values - sb.values
-        target = StepGraphon(sa.n, diff, -1.0, 1.0)
-        result = cut_norm_auto(target, restarts=args.restarts, seed=cfg.seed).to_dict()
+        step = StepGraphon(step.n, step.values - sb.values, -1.0, 1.0)
+    if step is not None:
+        result = cut_norm_auto(step, restarts=args.restarts, seed=cfg.seed).to_dict()
+    elif args.discretize is None:
+        raise GraphonLabError("analytic kernel: pass --discretize M to bracket its cut norm")
     else:
-        step = a.step_form()
-        if step is not None:
-            result = cut_norm_auto(step, restarts=args.restarts, seed=cfg.seed).to_dict()
-        else:
-            if args.discretize is None:
-                raise GraphonLabError("analytic kernel: pass --discretize M to bracket "
-                                      "its cut norm")
-            iv = cut_distance_upper_via_discretization(a, args.discretize, q,
-                                                       restarts=args.restarts, seed=cfg.seed)
-            result = {
-                "low": iv.low,
-                "high": iv.high,
-                "l1_gap": iv.l1_gap,
-                "m": iv.m,
-                "discretized": iv.discretized.to_dict(),
-            }
+        iv = cut_distance_upper_via_discretization(a, args.discretize, q,
+                                                   restarts=args.restarts, seed=cfg.seed)
+        result = {
+            "low": iv.low,
+            "high": iv.high,
+            "l1_gap": iv.l1_gap,
+            "m": iv.m,
+            "discretized": iv.discretized.to_dict(),
+        }
     text = json.dumps(result, indent=2)
     if cfg.out:
         path = glio.resolve_out(cfg.out)
@@ -344,8 +335,7 @@ def _cmd_norm(args):
     return 0
 
 
-def _cmd_sweep(args):
-    cfg = _merge(args)
+def _cmd_sweep(args, cfg):
     q = _quadrature(cfg)
     w = _graphon_from(cfg, args) if args.mode == "theorem" else None
     if not cfg.ns:
@@ -383,8 +373,10 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)  # a bad --ns value raises here
-        return _COMMANDS[args.command](args)
+        args, extra = _build_parser().parse_known_args(argv)  # a bad --ns value raises here
+        if extra:
+            args._parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        return _COMMANDS[args.command](args, _merge(args))
     except GraphonLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

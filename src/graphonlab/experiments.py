@@ -9,25 +9,22 @@ computed with exact matrix algebra whenever the k-th power of the limit is a
 step function (constants, step inputs), and by aligned midpoint quadrature
 otherwise. Each row also records, for one seeded sample graph per n, the L1
 distance of the sampled power to the limit and the cut norm of its signed
-difference to the discretized limit; sampled L1 distances do not decay, which
-is the contrast the counterexample sweep makes exact at W = constant(p).
+difference to the discretized limit; sampled L1 distances do not decay. The
+counterexample sweep makes that contrast exact: its sampled columns are the
+same two numbers at W = constant(p), k = 1, averaged over several draws.
 
 Quadrature tolerances for analytic limits are tightened to one tenth of the
 smallest expected e_n in the sweep, (sqrt(2) L + sup W) / (10 max(ns)), so
 measurement error cannot mask convergence. The rate constant L is taken from
 the builtin catalog and defaults to 1; the O(1/n) target itself is derived
 for Lipschitz kernels and is not asserted for merely integrable inputs.
-
-Wall-clock timings are kept on rows in memory but excluded from emitted
-files and equality, which keeps reports byte-reproducible for a given
-(config, seed).
+Reports are byte-reproducible for a given (config, seed).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
@@ -59,11 +56,9 @@ class SweepRow:
     l1_expected_vs_limit: Optional[float]
     l1_sampled_vs_limit: Optional[float]
     cutnorm_sampled_vs_limit: Optional[float]
-    wall_time: float = field(default=0.0, compare=False)
 
 
-# the report columns: every field a row is compared on
-_COLUMNS = tuple(f.name for f in fields(SweepRow) if f.compare)
+_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 @dataclass
@@ -159,7 +154,10 @@ def run_theorem_sweep(
     error = None
     for n in ns:
         try:
-            rows.append(_theorem_row(w, k, n, q, dist, seed))
+            e_n = dist.distance(power(expected_graphon(w, n, q), k, q))
+            graph_key = rng.derive_key(seed, _TAG_SWEEP_GRAPH, n)
+            cut_key = rng.derive_key(seed, _TAG_SWEEP_CUT, n)
+            rows.append(SweepRow(n, e_n, *_sampled(w, k, n, q, dist, graph_key, cut_key)))
         except QuadratureError as exc:
             error = str(exc)
             break
@@ -170,28 +168,19 @@ def run_theorem_sweep(
     )
 
 
-def _theorem_row(w, k: int, n: int, q: QuadratureSpec, dist: _LimitDistance,
-                 seed: int) -> SweepRow:
-    """The sweep row at n. Each n x n array (8 MiB at n = 1024) lives only inside the
-    call that uses it, so none is held through a later stage."""
-    t0 = time.perf_counter()
-    e_n = dist.distance(power(expected_graphon(w, n, q), k, q))
-    l1_sampled, signed = _sampled_vs_limit(w, k, n, q, dist, seed)
-    cut = cut_norm_auto(
-        signed, restarts=_SWEEP_RESTARTS, seed=rng.derive_key(seed, _TAG_SWEEP_CUT, n)
-    ).value
-    return SweepRow(n, e_n, l1_sampled, cut, time.perf_counter() - t0)
-
-
-def _sampled_vs_limit(w, k: int, n: int, q: QuadratureSpec, dist: _LimitDistance,
-                      seed: int) -> tuple[float, StepGraphon]:
-    """L1 distance of one sampled graph's k-th power to the limit, and the signed
-    difference of that power to the limit's cell averages."""
-    cfg = SamplerConfig(n, rng.derive_key(seed, _TAG_SWEEP_GRAPH, n), w)
+def _sampled(w, k: int, n: int, q: QuadratureSpec, dist: _LimitDistance,
+             graph_key: int, cut_key: int) -> tuple[float, float]:
+    """The sampled columns at n: the L1 distance of the k-th power of the graph drawn
+    under graph_key to the limit, and the cut norm of its signed difference to the
+    limit's cell averages. Each n x n array (8 MiB at n = 1024) lives only inside the
+    stage that uses it: the power is dead before the cut norm runs."""
+    cfg = SamplerConfig(n, graph_key, w)
     ak = power(canonical_graphon(sample_graph(cfg, sample_latents(cfg))), k, q)
-    l1_sampled = dist.distance(ak)
-    diff = np.clip(ak.values - dist.limit_cells(n), -1.0, 1.0)
-    return l1_sampled, StepGraphon(n, diff, -1.0, 1.0)  # both terms are symmetric
+    l1 = dist.distance(ak)
+    # both terms are symmetric; StepGraphon copies, so the clipped difference dies here
+    signed = StepGraphon(n, np.clip(ak.values - dist.limit_cells(n), -1.0, 1.0), -1.0, 1.0)
+    del ak
+    return l1, cut_norm_auto(signed, restarts=_SWEEP_RESTARTS, seed=cut_key).value
 
 
 def run_counterexample_sweep(
@@ -199,10 +188,12 @@ def run_counterexample_sweep(
 ) -> ConvergenceReport:
     """Sampled ER graphons: L1 distance stays put while the cut norm decays.
 
-    Per draw, the L1 distance of the canonical graphon to constant(p) is the
-    exact cell sum; the cut norm of the signed difference is exact within the
-    enumeration budget. The expected-graphon column carries its closed form
-    p/n (only the zeroed diagonal differs from the constant limit).
+    The sampled columns are the theorem sweep's at W = constant(p), k = 1,
+    averaged over draws_per_n graphs per n: the exact L1 distance of each
+    canonical graphon to the constant, and the cut norm of the signed
+    difference, exact within the enumeration budget. The expected-graphon
+    column carries its closed form p/n (only the zeroed diagonal differs from
+    the constant limit).
     """
     if not (0.0 < p < 1.0):
         raise ValidationError("counterexample level p must lie in (0, 1)")
@@ -210,24 +201,15 @@ def run_counterexample_sweep(
         raise ValidationError("draws_per_n must be >= 1")
     ns = _sorted_ns(ns)
     w = constant(p)
+    dist = _LimitDistance(w, 1, ns, q)
     rows = []
     for n in ns:
-        t0 = time.perf_counter()
-        l1s = np.empty(draws_per_n)
-        cuts = np.empty(draws_per_n)
+        draws = []
         for d in range(draws_per_n):
             sub = rng.derive_key(seed, _TAG_CE_DRAW, n, d)
-            cfg = SamplerConfig(n, sub, w)
-            adj = canonical_graphon(sample_graph(cfg, sample_latents(cfg))).values
-            l1s[d] = float(np.abs(adj - p).mean())
-            signed = StepGraphon(n, adj - p, -1.0, 1.0)
-            cuts[d] = cut_norm_auto(
-                signed, restarts=_SWEEP_RESTARTS, seed=rng.derive_key(sub, _TAG_CE_CUT)
-            ).value
-        rows.append(
-            SweepRow(n, p / n, float(np.mean(l1s)), float(np.mean(cuts)),
-                     time.perf_counter() - t0)
-        )
+            draws.append(_sampled(w, 1, n, q, dist, sub, rng.derive_key(sub, _TAG_CE_CUT)))
+        l1s, cuts = zip(*draws)
+        rows.append(SweepRow(n, p / n, float(np.mean(l1s)), float(np.mean(cuts))))
     return ConvergenceReport(
         label=f"er(p={p:g})", kind="counterexample", k=1, seed=seed, quadrature=q, rows=rows
     )

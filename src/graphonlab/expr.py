@@ -360,9 +360,9 @@ def unparse(ast) -> str:
 # --- graphon construction -----------------------------------------------------
 
 
-def from_expression(source: str, clamp: bool = False, symmetrize: bool = False,
-                    label: str | None = None):
-    """GraphonSpec of the expression, optionally symmetrized and then clamped to [0, 1]."""
+def from_expression(source: str, clamp: bool = False, symmetrize: bool = False):
+    """GraphonSpec of the expression, optionally symmetrized and then clamped to [0, 1],
+    labelled with its source (``sym:`` plus the source when symmetrized)."""
     ast = parse(source)
     if symmetrize:
         def raw(x, y, _ast=ast):
@@ -372,7 +372,7 @@ def from_expression(source: str, clamp: bool = False, symmetrize: bool = False,
             return eval_array(_ast, x, y)
 
     fn = (lambda x, y: np.clip(raw(x, y), 0.0, 1.0)) if clamp else raw
-    return GraphonSpec(label=label or ("sym:" + source if symmetrize else source), fn=fn)
+    return GraphonSpec(label=("sym:" + source if symmetrize else source), fn=fn)
 
 
 def symmetrize(ast, clamp: bool = False):

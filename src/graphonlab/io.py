@@ -58,7 +58,7 @@ def _detect_format(path: Path) -> str:
     suffix = path.suffix.lower().lstrip(".")
     if suffix in ("csv", "json"):
         return suffix
-    raise ValidationError(f"cannot infer matrix format from '{path.name}'; pass csv or json")
+    raise ValidationError(f"cannot infer matrix format from '{path.name}'; use a .csv or .json suffix")
 
 
 def save_step_matrix(step: StepGraphon, path) -> Path:

@@ -177,11 +177,7 @@ def cut_distance_upper_via_discretization(
     """
     d = discretize(a, m, q)
     cut = cut_norm_auto(d, restarts=restarts, seed=seed)
-    ka = as_kernel(a)
-    if ka.step_form() is not None and m % ka.step_form().n == 0:
-        gap = 0.0
-    else:
-        gap = l1_distance(ka, d, q)
+    gap = l1_distance(a, d, q)  # exactly 0.0 for a step whose n divides m
     return CutNormInterval(
         low=cut.value - gap, high=cut.value + gap, discretized=cut, l1_gap=gap, m=m
     )

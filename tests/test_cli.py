@@ -378,14 +378,22 @@ def test_norm_l1_stdout_matches_golden_bytes(tmp_path, capsys, name):
 
 # sha256 digests of step-kernel paths: `power --discretize` of a step (the one CLI
 # path where `discretize` reads a step's own range) and the two `norm --cut`
-# branches of a step kernel, against a second step and written to a file
+# branches of a step kernel, against a second step and written to a file; and of
+# the analytic `norm --cut` bracket, exact at m = 4, heuristic at m = 30, and
+# written to a file
 _H3 = "0.5,0.5,0.5\n0.5,0.5,0.5\n0.5,0.5,0.5\n"
 STEP_PATH_SHA = {
     "power_discretize": "5527adbbeeb7280c1ab7d2e445e6410dd53a61f86a0980aab3ea8712b10bf8e9",
     "cut_with_step": "db51f7ecf317a2333c94a510d48598979df09a61311401772e598f6c7b0eaed1",
     "cut_out": "aecd7d85f8f33c7caabf2bb45adebb81336d7bb2abc71784873039e17eb740f2",
+    "bracket_exact_4": "33593e3ebec564f97c0da0c17c6baee63d2929babb68b426a090b3c1a655f5ac",
+    "bracket_heuristic_30": "3c1073e17cc08083c56b4238dbe7bcbaa1e44fbd092c7871746ff7dfa22f144f",
+    "bracket_out": "aecd7d85f8f33c7caabf2bb45adebb81336d7bb2abc71784873039e17eb740f2",
 }
-CUT_FILE_SHA = "9b4f1be64e89ca6c53c3a1061a0f8f374b466f3d7131616d636014aa9275950e"
+CUT_FILE_SHA = {
+    "cut_out": "9b4f1be64e89ca6c53c3a1061a0f8f374b466f3d7131616d636014aa9275950e",
+    "bracket_out": "c2c49c6e1e04633c23e411c8bdaaabd2b6fdfbd252a949e7559d02c85a684e16",
+}
 
 
 @pytest.mark.parametrize("name", sorted(STEP_PATH_SHA))
@@ -394,16 +402,22 @@ def test_step_kernel_paths_match_golden_bytes(tmp_path, monkeypatch, capsys, nam
     monkeypatch.delenv("GRAPHON_LAB_OUT", raising=False)
     (tmp_path / "s3.csv").write_text(_S3)
     (tmp_path / "h3.csv").write_text(_H3)
+    bracket = ("norm", "--cut", "--graphon-builtin", "minmax", "--discretize")
     argv = {
         "power_discretize": ("power", "--graphon-step", "s3.csv", "--k", "2", "--discretize", "2"),
         "cut_with_step": ("norm", "--cut", "--graphon-step", "s3.csv", "--with-step", "h3.csv"),
         "cut_out": ("norm", "--cut", "--graphon-step", "s3.csv", "--out", "cut.json"),
+        "bracket_exact_4": (*bracket, "4"),
+        "bracket_heuristic_30": (*bracket, "30", "--grid", "64"),
+        "bracket_out": ("norm", "--cut", "--graphon-expr", "x*y", "--discretize", "6",
+                        "--out", "cut.json"),
     }[name]
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == STEP_PATH_SHA[name]
-    if name == "cut_out":
-        assert hashlib.sha256((tmp_path / "cut.json").read_bytes()).hexdigest() == CUT_FILE_SHA
+    if name in CUT_FILE_SHA:
+        got = hashlib.sha256((tmp_path / "cut.json").read_bytes()).hexdigest()
+        assert got == CUT_FILE_SHA[name]
 
 
 def test_product_asymmetric_on_its_grid_exits_2(capsys):
@@ -592,5 +606,16 @@ def test_sweep_modes_refuse_flags_they_do_not_read(tmp_path, monkeypatch, capsys
     source = ("--graphon-builtin", "minmax") if mode == "theorem" else ()
     argv = ["sweep", mode, *source, "--ns", "4", "--out", "r", *flag]
     assert _exit_code(argv) == 2
-    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the mode's own usage, which lists the flags it does take
+    assert err.startswith(f"usage: graphon sweep {mode} [-h]")
+    assert f"graphon sweep {mode}: error: unrecognized arguments: {' '.join(flag)}" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_step_file_without_a_known_suffix_names_the_suffixes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.txt").write_text(_S3)
+    code, out, err = run(capsys, "expect", "--graphon-step", "m.txt", "--n", "2")
+    assert code == 2 and out == ""
+    assert err == "error: cannot infer matrix format from 'm.txt'; use a .csv or .json suffix\n"

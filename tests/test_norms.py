@@ -137,12 +137,13 @@ def test_norm_axioms_on_random_triples():
 
 def test_discretization_interval_step_input_zero_width():
     s = random_step(8, key=700)
-    # signed steps are valid kernels for the bracket
-    iv = gl.cut_distance_upper_via_discretization(s, 8)
     exact = gl.cut_norm_exact(s).value
-    assert iv.l1_gap == 0.0
-    assert iv.low == pytest.approx(exact, abs=1e-12)
-    assert iv.high == pytest.approx(exact, abs=1e-12)
+    # signed steps are valid kernels for the bracket; m = 2n and 3n refine the step
+    for m in (8, 16, 24):
+        iv = gl.cut_distance_upper_via_discretization(s, m)
+        assert iv.l1_gap == 0.0, m
+        assert iv.low == pytest.approx(exact, abs=1e-12), m
+        assert iv.high == pytest.approx(exact, abs=1e-12), m
 
 
 def test_discretization_interval_constant():
