@@ -8,6 +8,7 @@ from .algebra import (
     integrate2d,
     power,
     product,
+    validate_graphon,
 )
 from .core import (
     GraphonSpec,
@@ -21,7 +22,6 @@ from .core import (
     evaluate,
     from_step,
     graph_from_step,
-    validate_graphon,
 )
 from .errors import (
     DomainError,

@@ -22,11 +22,8 @@ power of steps is the exact matrix formula (1/n) A B on the common (lcm) grid: a
 StepGraphon when symmetric, or else a ProductGraphon holding the asymmetric matrix.
 Every kernel matrix product is `_matmul`, whose bytes do not depend on the thread count.
 The kernel protocol is `eval_grid` plus `step_form`, and `core.evaluate` is the one point
-read. A kernel is checked for being a graphon in two ways: `require_symmetric` bounds
-max |V - V^T| by q.tol on the base grid (it gates `expect`, `sample`, `mc-expect`,
-`product`, `power` and `discretize`), and `core.validate_graphon` checks symmetry within
-1e-12 and the range [0, 1] at quasi-random points (it gates `sweep theorem` and
-`graphon validate`).
+read. `validate_graphon` is the one rule for being a graphon (symmetric, finite, in
+[0, 1]); every command and the theorem sweep that needs a graphon calls it.
 """
 
 from __future__ import annotations
@@ -38,10 +35,11 @@ from typing import Optional
 
 import numpy as np
 
-from .core import StepGraphon, as_kernel, cell_index
+from .core import RANGE_TOL, StepGraphon, as_kernel, cell_index
 from .errors import QuadratureError, ValidationError
 
 LCM_GRID_CAP = 4096
+SYMMETRY_TOL = 1e-12
 _BLOCK_ROWS = 128  # grid rows per kernel evaluation in cell_means
 
 
@@ -251,14 +249,14 @@ def _step_range(*steps: StepGraphon) -> tuple[float, float]:
 
 
 def _step_product(sa: StepGraphon, sb: StepGraphon, label: str):
-    """(1/m) A B on the lcm grid m: a step when symmetric within 1e-12, otherwise
-    the exact asymmetric matrix."""
+    """(1/m) A B on the lcm grid m: a step when symmetric within SYMMETRY_TOL,
+    otherwise the exact asymmetric matrix."""
     m = math.lcm(sa.n, sb.n)
     a = sa.refine(m // sa.n).values
     b = sb.refine(m // sb.n).values
     lo, hi = _step_range(sa, sb)
     vals = _clip_to(_matmul(a, b) / m, lo, hi)
-    if _asymmetry(vals) > 1e-12:
+    if _asymmetry(vals) > SYMMETRY_TOL:
         return ProductGraphon(label=label, asym_values=vals)
     vals = 0.5 * (vals + vals.T)  # reassigned: the unsymmetrized matrix dies before the copy
     return StepGraphon(m, vals, lo, hi)
@@ -347,20 +345,38 @@ def cell_means(w, m: int, q: QuadratureSpec, zero_diagonal: bool = False) -> np.
     return settle(q, g0, cells_at, f"cell averages on the {m}-grid").value
 
 
-def require_symmetric(kernel, q: QuadratureSpec) -> None:
-    """Reject a kernel that is not a graphon: an exact asymmetric product, or a kernel
-    without a step form that is asymmetric beyond q.tol on the q.base_grid midpoint grid."""
+def validate_graphon(w, q: QuadratureSpec = QuadratureSpec()) -> None:
+    """Refuse, with ValidationError, a kernel that is not a graphon: an exact asymmetric
+    product, or values that are not finite, not symmetric within SYMMETRY_TOL or not in
+    [0, 1] within RANGE_TOL. A step form is checked on its own values (symmetric by
+    construction); any other kernel once on the q.base_grid midpoint grid. The grid holds
+    no boundary line, so a violation within half a cell of the edge goes unseen here; the
+    sampler's [0, 1] check and StepGraphon's range check still refuse it downstream."""
+    kernel = as_kernel(w)
     label = getattr(kernel, "label", "kernel")
     if getattr(kernel, "asym_values", None) is not None:
         raise ValidationError(f"{label} is not symmetric, so it has no step graphon")
-    if kernel.step_form() is None:
-        g = q.base_grid
-        xs = midpoints(g)
-        gap = _asymmetry(kernel.eval_grid(xs, xs, g))
-        if gap > q.tol:
+    s = kernel.step_form()
+    g = q.base_grid if s is None else s.n
+    xs = midpoints(g)
+    vals = kernel.eval_grid(xs, xs, g) if s is None else s.values
+
+    def point(i, j) -> str:  # a grid point and its value, in full
+        return f"W({float(xs[i])!r}, {float(xs[j])!r}) = {float(vals[i, j])!r}"
+
+    bad = np.argwhere(~np.isfinite(vals))
+    if len(bad):
+        raise ValidationError(f"{label} is not finite: {point(*bad[0])}")
+    if s is None:
+        gap = _asymmetry(vals)
+        if gap > SYMMETRY_TOL:
             raise ValidationError(
                 f"{label} is not symmetric: max |V - V^T| = {gap:.3g} on the {g}-grid"
             )
+    excess = np.maximum(-vals, vals - 1.0)
+    worst = np.unravel_index(np.argmax(excess), excess.shape)
+    if excess[worst] > RANGE_TOL:
+        raise ValidationError(f"{label} is not in [0, 1]: {point(*worst)}")
 
 
 def discretize(w, m: int, q: QuadratureSpec = QuadratureSpec()) -> StepGraphon:
@@ -369,8 +385,9 @@ def discretize(w, m: int, q: QuadratureSpec = QuadratureSpec()) -> StepGraphon:
     if m < 1:
         raise ValidationError("discretization block count must be >= 1")
     kernel = as_kernel(w)
-    require_symmetric(kernel, q)
     s = kernel.step_form()
+    if s is None:  # a signed step is valid input: it brackets a cut norm
+        validate_graphon(kernel, q)
     lo, hi = (s.lo, s.hi) if s is not None else (0.0, 1.0)
     cells = cell_means(kernel, m, q, zero_diagonal=False)
     return StepGraphon(m, _clip_to(cells, lo, hi), lo, hi)

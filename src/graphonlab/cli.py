@@ -15,9 +15,11 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import io as glio
-from .algebra import QuadratureSpec, discretize, power, product, require_symmetric
-from .core import StepGraphon, builtin, builtin_names, validate_graphon
-from .errors import GraphonLabError
+from .algebra import (
+    SYMMETRY_TOL, QuadratureSpec, discretize, power, product, validate_graphon,
+)
+from .core import StepGraphon, builtin, builtin_names
+from .errors import GraphonLabError, ValidationError
 from .experiments import (
     emit_report, report_paths, row_summary, run_counterexample_sweep, run_theorem_sweep,
 )
@@ -65,7 +67,6 @@ def _build_parser():
     p = sub.add_parser("validate", help="check range and symmetry of a kernel")
     _add_graphon_flags(p)
     _add_common(p)
-    p.add_argument("--samples", type=int, default=1000)
 
     p = sub.add_parser("sample", help="draw a random graph from a kernel")
     _add_graphon_flags(p)
@@ -215,21 +216,20 @@ def _emit_step(step, cfg, what, header=None):
 
 def _cmd_validate(args, cfg):
     w = _graphon_from(cfg, args)
-    report = validate_graphon(w, samples=args.samples, seed=cfg.seed)
-    status = "PASS" if report.passed else "FAIL"
-    print(f"{status} {report.label}: {report.samples} points, "
-          f"max asymmetry {report.max_asymmetry:.3g}, "
-          f"{len(report.range_violations)} range violation(s)")
-    for x, y, v in report.range_violations[:10]:
-        print(f"  range: W({x:.6g},{y:.6g}) = {v:.6g}")
-    for x, y, d in report.asymmetry_violations[:10]:
-        print(f"  asymmetry {d:.3g} at ({x:.6g},{y:.6g})")
-    return 0 if report.passed else 1
+    q = _quadrature(cfg)
+    try:
+        validate_graphon(w, q)
+    except ValidationError as exc:
+        print(f"FAIL {exc}")
+        return 1
+    where = "" if w.step_form() is not None else f" on the {q.base_grid}-grid"
+    print(f"PASS {w.label}: symmetric within {SYMMETRY_TOL:g} and in [0, 1]{where}")
+    return 0
 
 
 def _cmd_sample(args, cfg):
     w = _graphon_from(cfg, args)
-    require_symmetric(w, _quadrature(cfg))  # before any cell or draw
+    validate_graphon(w, _quadrature(cfg))  # before any cell or draw
     n = _need(cfg.n, "--n")
     sampler = SamplerConfig(n, cfg.seed, w)
     latents = sample_latents_iid(sampler) if args.iid else sample_latents(sampler)
@@ -246,7 +246,7 @@ def _cmd_sample(args, cfg):
 
 def _cmd_expect(args, cfg):
     w = _graphon_from(cfg, args)
-    require_symmetric(w, _quadrature(cfg))  # before any cell or draw
+    validate_graphon(w, _quadrature(cfg))  # before any cell or draw
     n = _need(cfg.n, "--n")
     e = expected_graphon(w, n, _quadrature(cfg))
     _emit_step(e, cfg, f"expected[{w.label},n={n}]")
@@ -255,7 +255,7 @@ def _cmd_expect(args, cfg):
 
 def _cmd_mc_expect(args, cfg):
     w = _graphon_from(cfg, args)
-    require_symmetric(w, _quadrature(cfg))  # before any cell or draw
+    validate_graphon(w, _quadrature(cfg))  # before any cell or draw
     n = _need(cfg.n, "--n")
     est = mc_expected_graphon(SamplerConfig(n, cfg.seed, w), cfg.draws)
     out = _need(cfg.out, "--out")
@@ -268,8 +268,8 @@ def _cmd_mc_expect(args, cfg):
 def _materialize(result, cfg, args):
     q = _quadrature(cfg)
     if args.discretize is not None:
-        return discretize(result, args.discretize, q)  # checks symmetry itself
-    require_symmetric(result, q)
+        return discretize(result, args.discretize, q)  # validates a kernel without a step form
+    validate_graphon(result, q)
     step = result.step_form()
     if step is None:
         raise GraphonLabError("analytic result: pass --discretize M to materialize it")

@@ -7,16 +7,13 @@ the whole unit square without measure-zero ambiguity.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import rng
 from .errors import DomainError, ValidationError
 
-SYMMETRY_TOL = 1e-12
 RANGE_TOL = 1e-12
 
 
@@ -285,73 +282,3 @@ def graph_from_step(s: StepGraphon) -> SimpleGraph:
     if np.any(np.diag(v) != 0.0):
         raise ValidationError("nonzero diagonal block; not a simple-graph graphon")
     return SimpleGraph(s.n, np.argwhere(np.triu(v, 1)))
-
-
-# ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ValidationReport:
-    label: str
-    samples: int
-    passed: bool
-    max_asymmetry: float
-    range_violations: list = field(default_factory=list)
-    asymmetry_violations: list = field(default_factory=list)
-
-    def raise_if_failed(self):
-        if not self.passed:
-            details = []
-            for x, y, v in self.range_violations[:5]:
-                details.append(f"range: W({x:.6g},{y:.6g})={v:.6g}")
-            for x, y, d in self.asymmetry_violations[:5]:
-                details.append(f"asymmetry {d:.3g} at ({x:.6g},{y:.6g})")
-            raise ValidationError(f"{self.label}: " + "; ".join(details))
-
-
-_CORNERS = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.5, 0.5)]
-
-# additive low-discrepancy recurrence (R2 sequence, plastic-constant steps)
-_R2_A1 = 0.7548776662466927
-_R2_A2 = 0.5698402909980532
-
-
-def validation_points(samples: int, seed: int):
-    """Corner points plus a seeded quasi-random filling of the square."""
-    key = rng.derive_key(seed, 11)
-    ox = rng.uniform01(key, 0)
-    oy = rng.uniform01(key, 1)
-    k = np.arange(1, samples + 1)
-    xs = np.mod(ox + _R2_A1 * k, 1.0)
-    ys = np.mod(oy + _R2_A2 * k, 1.0)
-    pts = list(_CORNERS)
-    pts.extend(zip(xs.tolist(), ys.tolist()))
-    return pts
-
-def validate_graphon(w, samples: int = 1000, seed: int = 0) -> ValidationReport:
-    """Check range and symmetry at quasi-random points (corners included)."""
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
-    label = getattr(w, "label", "graphon")
-    max_asym = 0.0
-    range_bad = []
-    asym_bad = []
-    for x, y in validation_points(samples, seed):
-        v = evaluate(w, x, y)
-        vt = evaluate(w, y, x)
-        d = abs(v - vt)
-        max_asym = max(max_asym, d)
-        if d > SYMMETRY_TOL:
-            asym_bad.append((x, y, d))
-        if not (math.isfinite(v)) or v < -RANGE_TOL or v > 1.0 + RANGE_TOL:
-            range_bad.append((x, y, v))
-    return ValidationReport(
-        label=label,
-        samples=samples,
-        passed=not range_bad and not asym_bad,
-        max_asymmetry=max_asym,
-        range_violations=range_bad,
-        asymmetry_violations=asym_bad,
-    )

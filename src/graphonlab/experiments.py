@@ -35,8 +35,9 @@ from . import io as glio
 from . import rng
 from .algebra import (
     QuadratureSpec, _first_grid, block_means, cell_means, midpoints, power, settle,
+    validate_graphon,
 )
-from .core import StepGraphon, as_kernel, canonical_graphon, constant, validate_graphon
+from .core import StepGraphon, as_kernel, canonical_graphon, constant
 from .errors import QuadratureError, ValidationError
 from .norms import cut_norm_auto, l1_distance
 from .sampling import SamplerConfig, sample_graph, sample_latents, expected_graphon
@@ -148,7 +149,7 @@ def run_theorem_sweep(
         raise ValidationError("theorem sweep needs every n >= 2")
     if k < 1:
         raise ValidationError("power k must be >= 1")
-    validate_graphon(w, samples=512, seed=seed).raise_if_failed()
+    validate_graphon(w, q)
     dist = _LimitDistance(w, k, ns, q)
     rows = []
     error = None

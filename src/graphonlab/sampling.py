@@ -23,7 +23,7 @@ import numpy as np
 
 from . import rng
 from .algebra import QuadratureSpec, cell_means
-from .core import LatentPoints, SimpleGraph, StepGraphon, as_kernel
+from .core import RANGE_TOL, LatentPoints, SimpleGraph, StepGraphon, as_kernel
 from .errors import ValidationError
 
 _TAG_LATENTS = 1
@@ -77,7 +77,7 @@ def sample_latents_iid(cfg: SamplerConfig) -> np.ndarray:
 def _pair_probabilities(graphon, xs: np.ndarray) -> np.ndarray:
     kernel = as_kernel(graphon)
     p = kernel.eval_grid(xs, xs, 0)
-    if not (np.min(p) >= -1e-12 and np.max(p) <= 1.0 + 1e-12):  # False on NaN too
+    if not (np.min(p) >= -RANGE_TOL and np.max(p) <= 1.0 + RANGE_TOL):  # False on NaN too
         bad = np.argwhere(~np.isfinite(p))
         if len(bad):
             i, j = bad[0]

@@ -6,7 +6,7 @@ import pytest
 import graphonlab as gl
 from graphonlab.algebra import (
     LCM_GRID_CAP, _clip_to, ceil_to_multiple, cell_means, grain_of, midpoints,
-    require_symmetric, settle,
+    settle, validate_graphon,
 )
 from graphonlab.algebra import _matmul, _matrix_power
 from graphonlab.core import as_kernel
@@ -79,7 +79,7 @@ def test_product_of_product_kernel_pointwise():
     w = gl.builtin("product")
     r = gl.product(w, w)
     assert r.step_form() is None
-    require_symmetric(r, gl.QuadratureSpec())  # a self-product of a graphon passes
+    validate_graphon(r, gl.QuadratureSpec())  # a self-product of a graphon passes
     for x, y in [(0.5, 0.5), (0.2, 0.9), (1.0, 1.0)]:
         assert gl.evaluate(r, x, y) == pytest.approx(x * y / 3.0, abs=1e-6)
 
@@ -173,7 +173,7 @@ def test_asymmetric_product_is_flagged_kernel():
     b = gl.StepGraphon(2, [[1.0, 0.0], [0.0, 0.0]])
     r = gl.product(a, b)
     with pytest.raises(ValidationError, match="not symmetric, so it has no step graphon"):
-        require_symmetric(r, gl.QuadratureSpec())
+        validate_graphon(r, gl.QuadratureSpec())
     assert r.step_form() is None
     want = (a.values @ b.values) / 2.0
     assert np.allclose(r.asym_values, want, atol=1e-15)

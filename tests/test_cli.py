@@ -281,7 +281,7 @@ def test_non_finite_edge_probability_exits_2(tmp_path, monkeypatch, capsys, comm
     monkeypatch.chdir(tmp_path)
     code, _, err = run(capsys, command, "--graphon-expr", _NAN_CORNER_EXPR, "--n", "12",
                        "--seed", "1", *extra)
-    assert code == 2 and "edge probability of pair (" in err and "nan" in err
+    assert code == 2 and "is not finite: W(" in err and "nan" in err
     assert not (tmp_path / "m.csv").exists()
 
 
@@ -518,7 +518,7 @@ _KERNEL_TEXT = {
 @settings(max_examples=200, deadline=None)
 def test_validate_exits_0_1_or_2_on_any_kernel_text(flag, data):
     text = data.draw(_KERNEL_TEXT[flag], label="text")
-    assert _exit_code(["validate", f"{flag}={text}", "--samples", "4"]) in (0, 1, 2)
+    assert _exit_code(["validate", f"{flag}={text}", "--grid", "4"]) in (0, 1, 2)
 
 
 # each printed the symmetrized cells of an asymmetric kernel before every kernel
@@ -585,6 +585,55 @@ def test_sampling_commands_refuse_an_asymmetric_kernel(tmp_path, monkeypatch, ca
     assert code == 2 and out == ""
     assert "x is not symmetric: max |V - V^T|" in err
     assert list(tmp_path.iterdir()) == []
+
+
+# every command that needs a graphon asks one rule; before it, expect, sample and
+# mc-expect accepted x*y+1e-6*x and power accepted 1+1e-9*x*y, which the sweep refused
+_GRAPHON_COMMANDS = {
+    "validate": ("validate",),
+    "expect": ("expect", "--n", "2"),
+    "sample": ("sample", "--n", "4"),
+    "mc_expect": ("mc-expect", "--n", "4", "--draws", "2", "--out", "m.csv"),
+    "power": ("power", "--k", "1", "--discretize", "2"),
+    "sweep": ("sweep", "theorem", "--ns", "4", "--out", "r"),
+}
+
+
+@pytest.mark.parametrize("source, graphon", [
+    (("--graphon-expr", "x"), False),
+    (("--graphon-expr", "x*y+1e-6*x"), False),
+    (("--graphon-expr", "1+1e-9*x*y"), False),
+    (("--graphon-expr", "0.5+0.6*x*y"), False),
+    (("--graphon-expr", "2*x*y"), False),
+    (("--graphon-builtin", "minmax"), True),
+], ids=["x", "x*y+1e-6*x", "1+1e-9*x*y", "0.5+0.6*x*y", "2*x*y", "minmax"])
+def test_every_command_gives_one_verdict_on_a_kernel(tmp_path, monkeypatch, capsys,
+                                                     source, graphon):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GRAPHON_LAB_OUT", raising=False)
+    if not graphon:  # refused before any cell or draw
+        for target in ("graphonlab.sampling.cell_means", "graphonlab.sampling._edge_draw",
+                       "graphonlab.algebra.cell_means"):
+            monkeypatch.setattr(target, _refuse_to_draw)
+    codes = {name: _exit_code([*argv, *source]) for name, argv in _GRAPHON_COMMANDS.items()}
+    capsys.readouterr()
+    refused = {name: 1 if name == "validate" else 2 for name in _GRAPHON_COMMANDS}
+    assert codes == ({name: 0 for name in _GRAPHON_COMMANDS} if graphon else refused)
+    if not graphon:
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_power_of_a_kernel_above_1_is_refused(capsys):
+    code, out, err = run(capsys, "power", "--graphon-expr", "2*x*y", "--k", "2",
+                         "--discretize", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: pow[2*x*y,2] is not in [0, 1]: W(")
+
+
+def test_validate_prints_a_value_above_1_in_full(capsys):
+    code, out, _ = run(capsys, "validate", "--graphon-expr", "1+1e-9*x*y")
+    assert code == 1 and out.startswith("FAIL 1+1e-9*x*y is not in [0, 1]: W(")
+    assert float(out.rsplit("= ", 1)[1]) > 1.0
 
 
 # each ran before the sweep modes took only the flags they read: a counterexample

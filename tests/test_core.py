@@ -153,26 +153,24 @@ def test_latent_points_invariants():
 
 
 def test_validate_constant_passes():
-    report = gl.validate_graphon(gl.constant(0.5), samples=1000, seed=3)
-    assert report.passed
-    assert report.max_asymmetry == 0.0
+    assert gl.validate_graphon(gl.constant(0.5)) is None
 
 
 def test_validate_rejects_asymmetric_expression():
-    report = gl.validate_graphon(gl.from_expression("x"), samples=200, seed=3)
-    assert not report.passed
-    assert report.asymmetry_violations
-    with pytest.raises(ValidationError):
-        report.raise_if_failed()
+    with pytest.raises(ValidationError, match="^x is not symmetric: max"):
+        gl.validate_graphon(gl.from_expression("x"))
 
 
 def test_validate_rejects_range_violation_at_corner():
-    report = gl.validate_graphon(gl.from_expression("2*x*y"), samples=200, seed=3)
-    assert not report.passed
-    assert any(x == 1.0 and y == 1.0 for x, y, _ in report.range_violations)
+    with pytest.raises(ValidationError, match=r"^2\*x\*y is not in \[0, 1\]: W\(") as exc:
+        gl.validate_graphon(gl.from_expression("2*x*y"))
+    assert float(str(exc.value).rsplit("= ", 1)[1]) > 1.0  # the value, in full
     # the clamped variant passes
-    clamped = gl.validate_graphon(gl.from_expression("2*x*y", clamp=True), samples=200, seed=3)
-    assert clamped.passed
+    gl.validate_graphon(gl.from_expression("2*x*y", clamp=True))
+    # a step is checked on its own values, at its cell midpoints
+    signed = gl.StepGraphon(2, [[0.0, -0.5], [-0.5, 0.0]], -1.0, 1.0)
+    with pytest.raises(ValidationError, match=r"^step\(n=2\) is not in .*W\(0.25, 0.75\) = -0.5$"):
+        gl.validate_graphon(signed)
 
 
 @given(seed=st.integers(0, 2**32), x=st.floats(0, 1), y=st.floats(0, 1))
@@ -196,11 +194,11 @@ def test_eval_grid_matches_pointwise():
 def test_evaluate_dispatches_through_products_and_estimates():
     p2 = gl.power(gl.builtin("product"), 2)
     assert gl.evaluate(p2, 0.3, 0.8) == pytest.approx(0.3 * 0.8 / 3, abs=1e-6)
-    assert gl.validate_graphon(p2, samples=100, seed=1).passed
+    gl.validate_graphon(p2)
 
     e = gl.expected_graphon(gl.builtin("minmax"), 4)
     assert gl.evaluate(e, 0.1, 0.6) == e.values[0, 2]
-    assert gl.validate_graphon(e, samples=100, seed=1).passed
+    gl.validate_graphon(e)
 
     mc = gl.mc_expected_graphon(gl.SamplerConfig(3, 5, gl.constant(1.0)), 2)
     assert gl.evaluate(mc.step, 0.1, 0.9) == 1.0
@@ -220,6 +218,6 @@ def test_evaluate_and_validate_plain_callable():
 
     assert gl.evaluate(f, 0.3, 0.5) == pytest.approx(0.15, abs=1e-15)
     assert gl.evaluate(lambda x, y: min(x, y), 0.3, 0.5) == 0.3
-    report = gl.validate_graphon(f, samples=100, seed=1)
-    assert report.passed and report.max_asymmetry == 0.0
-    assert not gl.validate_graphon(lambda x, y: x - y, samples=100, seed=1).passed
+    gl.validate_graphon(f)
+    with pytest.raises(ValidationError, match="^<lambda> is not symmetric"):
+        gl.validate_graphon(lambda x, y: x - y)

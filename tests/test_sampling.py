@@ -169,6 +169,17 @@ def test_bad_inputs():
         gl.sample_graph(cfg(3, 1), gl.sample_latents(cfg(4, 1)))
 
 
+def test_sampler_names_a_non_finite_edge_probability():
+    # exp overflows to inf at the far corner, and 0 * inf is NaN; the CLI refuses this
+    # kernel before sampling, so its own check is pinned here
+    w = gl.from_expression("0.5+0*exp(1000*x*y)")
+    msg = r"^edge probability of pair \(9, 11\) is nan, not a number in \[0, 1\]"
+    with pytest.raises(ValidationError, match=msg):
+        gl.sample_graph(cfg(12, 1, w), gl.sample_latents(cfg(12, 1, w)))
+    with pytest.raises(ValidationError, match="^edge probability of pair"):
+        gl.mc_expected_graphon(cfg(12, 1, w), draws=3)
+
+
 def test_lazy_product_sampling_matches_its_edge_density():
     # a lazy power evaluated without a z-grid settles its z-integral
     w = gl.power(gl.builtin("minmax"), 2)
