@@ -162,65 +162,123 @@ def enum_best_mask(values: np.ndarray) -> int:
 #
 # Fix S, pick the sign-optimal T; fix T, pick the sign-optimal S; repeat until
 # the value stops improving, or until an improving pass ends on the rows it
-# started from: the next pass would recompute the same value and stop with
-# the same rows, so it is skipped. Always a valid lower bound. Subsets are boolean
-# row vectors (no size cap). Restart 0 starts from the full set, which is
-# optimal for nonnegative matrices; restart t draws row i from the parity of
-# the generator word at counter t * 2^32 + i (mod 2^64), so every start is a
-# pure function of (key, t).
+# started from (Alon & Naor 2006). Always a valid lower bound. Subsets are
+# boolean row vectors (no size cap). Restart 0 starts from the full set, which
+# is optimal for nonnegative matrices; restart t draws row i from the parity
+# of the generator word at counter t * 2^32 + i (mod 2^64), so every start is
+# a pure function of (key, t). A restart stops after 4n^2 + 8 passes at most.
 #
-# Summation order: r sums the rows of S and c the columns of T, each one
-# term at a time in ascending index order. The columns are taken as rows of
-# one C-contiguous transpose per call, so both sums are `compress(axis=0)`
-# followed by a row-by-row `sum(axis=0)`, with no fancy-index gather and no
-# symmetry assumed. `compress(values, axis=1).sum(axis=1)` would reduce along
-# contiguous rows, which NumPy sums pairwise: a different rounding that can
-# flip a sign and with it the chosen rows.
+# Reference order (`_half_pass`): r sums the rows of S and c the columns of T,
+# each one term at a time in ascending index order (`compress(axis=0)` then a
+# row-by-row `sum(axis=0)`; the columns of T are rows of the `values.T` view).
+# pos and neg are NumPy's sums of the positive and negative entries. A
+# restart returns the rows of its last pass and the value of its last
+# improving pass; the first restart of largest value wins.
+#
+# Batch: the live restarts are the rows of one 0/1 matrix, so a half pass is
+# one gemm, `S @ values` and then `T @ values.T`, with signs taken per row.
+# The gemm sums in an order of its own, which varies with the BLAS kernel and
+# thread count, so, as in `enum_best_mask`, it only nominates. Two sums of
+# the same terms in any two orders differ by less than (n + 2) * eps times
+# the sum of their magnitudes. With K = 2 * (n + 2) * eps, a decision is
+# certain when its gemm margin exceeds its bound:
+#
+#   * the sign of r_j: |r_j| > K * sum_i |v_ij| (a bound of 0 means the two
+#     sums agree bit for bit);
+#   * pos >= neg, and a pass's value against the restart's best: a gap over
+#     2K * sum |v| for each term that is a gemm estimate.
+#
+# A restart whose decision is not certain redoes that half pass, or the two
+# values it compares, in the reference order. Two rules need no value: a
+# pass that picks the T of the pass before would recompute the same value,
+# so it stops on its rows; and restarts whose values may tie for the top are
+# ranked by reference values, one per distinct T (equal T, equal value).
+# Every S and T, and so the returned rows, is then the reference's, bit for
+# bit on every BLAS kernel and thread count: reported cut norms, their
+# witnesses and the report bytes built on them do not move. The theorem
+# sweep's signed matrices almost never take the fallback; ER - p matrices,
+# whose column sums are often exactly 0, redo about a third of their half
+# passes (n = 25..200, p = 0.1..0.7). The batch holds restarts x n arrays
+# and no n x n temporary.
 
 _RESTART_STRIDE = 1 << 32
 
 
-def _altmax_from(values, vt, sel_rows):
-    n = values.shape[0]
-    best = -1.0
-    for _ in range(4 * n * n + 8):
-        prev = sel_rows
-        r = np.compress(sel_rows, values, axis=0).sum(axis=0)
-        pos = r[r > 0.0].sum()
-        neg = -r[r < 0.0].sum()
-        sel_cols = (r > 0.0) if pos >= neg else (r < 0.0)
-        c = np.compress(sel_cols, vt, axis=0).sum(axis=0)
-        posc = c[c > 0.0].sum()
-        negc = -c[c < 0.0].sum()
-        val = max(posc, negc)
-        sel_rows = (c > 0.0) if posc >= negc else (c < 0.0)
-        if val <= best:
-            break
-        best = val
-        if np.array_equal(prev, sel_rows):
-            break
-    return best, sel_rows
+def _half_pass(m, sel):
+    """max(pos, neg) and the sign-optimal subset of the sum of m's rows at sel,
+    summed one row at a time in ascending order (the reference order)."""
+    r = np.compress(sel, m, axis=0).sum(axis=0)
+    pos = r[r > 0.0].sum()
+    neg = -r[r < 0.0].sum()
+    return max(pos, neg), (r > 0.0) if pos >= neg else (r < 0.0)
+
+
+def _batch_half_pass(sel, m, bound, tol):
+    """`_half_pass` for every row of sel by one gemm, with a flag per row that
+    says whether all of its decisions are certain."""
+    g = sel.astype(np.float64) @ m
+    pos = np.where(g > 0.0, g, 0.0).sum(axis=1)
+    neg = np.where(g < 0.0, -g, 0.0).sum(axis=1)
+    d = pos - neg
+    sure = ((np.abs(g) > bound) | (bound == 0.0)).all(axis=1)
+    sure &= (np.abs(d) > tol) | (tol == 0.0)
+    return np.maximum(pos, neg), np.where((d >= 0.0)[:, None], g > 0.0, g < 0.0), sure
 
 
 def altmax_best_rows(values: np.ndarray, restarts: int, key: int) -> np.ndarray:
+    """Row subset S (boolean) of the first restart of largest value."""
     values = np.ascontiguousarray(values, dtype=np.float64)
-    vt = np.ascontiguousarray(values.T)
-    key = int(key) & MASK64
     n = values.shape[0]
-    counters = np.arange(n, dtype=np.uint64)
-    best_val = -1.0
-    best_rows = np.zeros(n, dtype=bool)
-    for t in range(int(restarts)):
-        if t == 0:
-            start = np.ones(n, dtype=bool)
-        else:
-            base = np.uint64((t * _RESTART_STRIDE) & MASK64)
-            start = (words_at(key, base + counters) & np.uint64(1)).astype(bool)
-        val, rows = _altmax_from(values, vt, start)
-        if val > best_val:
-            best_val = val
-            best_rows = rows
-    return best_rows
+    if restarts < 1:
+        return np.zeros(n, dtype=bool)
+    base = np.arange(restarts, dtype=np.uint64)[:, None] * np.uint64(_RESTART_STRIDE)
+    words = words_at(int(key) & MASK64, base + np.arange(n, dtype=np.uint64))
+    rows = (words & np.uint64(1)).astype(bool)  # S of each restart
+    rows[0] = True
+    cols = np.zeros_like(rows)  # T of each restart's last improving pass
+    best = np.full(restarts, -np.inf)
+    best_tol = np.zeros(restarts)  # 0 where best is a reference value
+    col_abs, row_abs = np.zeros(n), np.empty(n)
+    for i in range(0, n, 256):  # row blocks: no n x n temporary
+        a = np.abs(values[i:i + 256])
+        col_abs += a.sum(axis=0)
+        row_abs[i:i + 256] = a.sum(axis=1)
+    k = 2.0 * (n + 2) * np.finfo(np.float64).eps
+    tol = 2.0 * k * float(col_abs.sum())
+    live = np.arange(restarts)
+    for p in range(4 * n * n + 8):
+        if not live.size:
+            break
+        s = rows[live]
+        _, sel, sure = _batch_half_pass(s, values, k * col_abs, tol)
+        for a in np.flatnonzero(~sure):
+            sel[a] = _half_pass(values, s[a])[1]
+        go = ~(sel == cols[live]).all(axis=1) if p else np.ones(live.size, dtype=bool)
+        live, s, sel = live[go], s[go], sel[go]
+        val, s_new, sure = _batch_half_pass(sel, values.T, k * row_abs, tol)
+        val_tol = np.where(sure, tol, 0.0)
+        for a in np.flatnonzero(~sure):
+            val[a], s_new[a] = _half_pass(values.T, sel[a])
+        gap = val_tol + best_tol[live]
+        for a in np.flatnonzero((np.abs(val - best[live]) <= gap) & (gap > 0.0)):
+            if val_tol[a]:
+                val[a], val_tol[a] = _half_pass(values.T, sel[a])[0], 0.0
+            if best_tol[live[a]]:
+                best[live[a]], best_tol[live[a]] = _half_pass(values.T, cols[live[a]])[0], 0.0
+        up = val > best[live]
+        rows[live] = s_new
+        best[live[up]], best_tol[live[up]], cols[live[up]] = val[up], val_tol[up], sel[up]
+        live = live[up & ~(s_new == s).all(axis=1)]
+    top = np.flatnonzero(best + best_tol >= np.max(best - best_tol))
+    win = top[0]
+    if (cols[top] != cols[win]).any():  # values of different T may tie
+        exact = {}  # one reference value per distinct T
+        for a in top:
+            t = cols[a].tobytes()
+            if t not in exact:
+                exact[t] = _half_pass(values.T, cols[a])[0]
+        win = top[np.argmax([exact[cols[a].tobytes()] for a in top])]
+    return rows[win].copy()
 
 
 def warmup() -> None:
@@ -228,4 +286,5 @@ def warmup() -> None:
     m = np.array([[0.0, 0.5], [0.5, 0.0]])
     uniforms_at(1, np.arange(4))
     enum_best_mask(m)
-    altmax_best_rows(m, 2, 1)
+    path = np.eye(4, k=1) + np.eye(4, k=-1)  # the path 0-1-2-3, as ER - 1/2 with zero diagonal
+    altmax_best_rows(path - 0.5 * (1.0 - np.eye(4)), 3, 1)  # its zero sums take the fallback

@@ -281,15 +281,20 @@ def _cmd_product(args, cfg):
     b = _with_graphon(args)
     if b is None:
         raise GraphonLabError("product needs a second kernel (--with-builtin/expr/step)")
-    step = _materialize(product(a, b, _quadrature(cfg)), cfg, args)
+    q = _quadrature(cfg)
+    step = _materialize(product(a, b, q), cfg, args)
+    validate_graphon(a, q)  # each factor too, before any output
+    validate_graphon(b, q)
     _emit_step(step, cfg, "product (graphon)", header="# product is a graphon")
     return 0
 
 
 def _cmd_power(args, cfg):
     w = _graphon_from(cfg, args)
-    r = power(w, _need(cfg.k, "--k"), _quadrature(cfg))
-    _emit_step(_materialize(r, cfg, args), cfg, f"power k={cfg.k}")
+    q = _quadrature(cfg)
+    step = _materialize(power(w, _need(cfg.k, "--k"), q), cfg, args)
+    validate_graphon(w, q)  # the factor too, before any output
+    _emit_step(step, cfg, f"power k={cfg.k}")
     return 0
 
 

@@ -8,9 +8,10 @@ and thread counts. The generator is SplitMix64 run in counter mode:
 
 where ``finalize`` is the SplitMix64 output permutation
 (z ^= z>>30; z *= 0xBF58476D1CE4E5B9; z ^= z>>27; z *= 0x94D049BB133111EB;
-z ^= z>>31). Uniform doubles use the 53-bit mantissa convention
+z ^= z>>31). Uniform doubles (``uniforms``, ``uniform_block``) use the 53-bit
+mantissa convention
 
-    uniform01(key, c) = (value(key, c) >> 11) * 2^-53        in [0, 1).
+    uniform(key, c) = (value(key, c) >> 11) * 2^-53        in [0, 1).
 
 Independent streams are carved out by key derivation: ``derive_key(k, a, b)``
 folds each tag through one generator call, ``value(value(k, a), b)``. Seeds
@@ -39,10 +40,6 @@ def derive_key(key: int, *parts: int) -> int:
     for p in parts:
         k = value_at_py(k, mask64(p))
     return k
-
-
-def uniform01(key: int, counter: int) -> float:
-    return (value_at(key, counter) >> 11) * 2.0**-53
 
 
 def uniforms(key: int, counters) -> np.ndarray:

@@ -630,6 +630,19 @@ def test_power_of_a_kernel_above_1_is_refused(capsys):
     assert err.startswith("error: pow[2*x*y,2] is not in [0, 1]: W(")
 
 
+# each printed cells in [0, 1], although the factor's W(1, 1) = 1.1: only the result
+# was checked
+@pytest.mark.parametrize("argv", [
+    ("power", "--graphon-expr", "0.5+0.6*x*y", "--k", "2", "--discretize", "2"),
+    ("product", "--graphon-expr", "0.5+0.6*x*y", "--with-expr", "0.5+0.6*x*y",
+     "--discretize", "2"),
+], ids=["power", "product"])
+def test_product_and_power_refuse_a_factor_that_is_no_graphon(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: 0.5+0.6*x*y is not in [0, 1]: W(")
+
+
 def test_validate_prints_a_value_above_1_in_full(capsys):
     code, out, _ = run(capsys, "validate", "--graphon-expr", "1+1e-9*x*y")
     assert code == 1 and out.startswith("FAIL 1+1e-9*x*y is not in [0, 1]: W(")

@@ -1,9 +1,16 @@
 """The hot kernels against their Python references."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import graphonlab as gl
 from graphonlab import _kernels, rng
+from graphonlab.norms import _value_and_t
 from conftest import peak_bytes, random_step
 
 
@@ -134,6 +141,133 @@ def test_altmax_best_rows_matches_gather_reference(values, restarts, key):
     got = _kernels.altmax_best_rows(values, restarts, key)
     want = _gather_altmax_best_rows(values, restarts, key)
     assert got.dtype == bool and got.tolist() == want.tolist()
+
+
+def _restart_loop_best_rows(values, restarts, key):
+    """Reference: the restart loop the batch replaced, one restart after another,
+    both sums taken one term at a time in ascending order."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    vt = np.ascontiguousarray(values.T)
+    n = values.shape[0]
+    counters = np.arange(n, dtype=np.uint64)
+    best_val, best_rows = -1.0, np.zeros(n, dtype=bool)
+    for t in range(restarts):
+        if t == 0:
+            sel_rows = np.ones(n, dtype=bool)
+        else:
+            base = np.uint64((t << 32) & _kernels.MASK64)
+            sel_rows = (_kernels.words_at(key, base + counters) & np.uint64(1)).astype(bool)
+        best = -1.0
+        for _ in range(4 * n * n + 8):
+            prev = sel_rows
+            r = np.compress(sel_rows, values, axis=0).sum(axis=0)
+            pos, neg = r[r > 0.0].sum(), -r[r < 0.0].sum()
+            sel_cols = (r > 0.0) if pos >= neg else (r < 0.0)
+            c = np.compress(sel_cols, vt, axis=0).sum(axis=0)
+            posc, negc = c[c > 0.0].sum(), -c[c < 0.0].sum()
+            val = max(posc, negc)
+            sel_rows = (c > 0.0) if posc >= negc else (c < 0.0)
+            if val <= best:
+                break
+            best = val
+            if np.array_equal(prev, sel_rows):
+                break
+        if best > best_val:
+            best_val, best_rows = best, sel_rows
+    return best_rows
+
+
+def _tie_cases():
+    """Matrices whose column sums are often exactly 0 or nearly tied, where the
+    batch's rounding bound leaves a decision open."""
+    g = np.random.default_rng(1606)
+    cases = []
+    for n in (25, 64, 150, 300):
+        for p in (0.1, 0.3, 0.5, 0.7):
+            adj = np.triu(g.uniform(size=(n, n)) < p, 1).astype(float)
+            er = adj + adj.T - p
+            np.fill_diagonal(er, 0.0)
+            cases.append((f"er-{n}-{p}", er))
+    for n in (25, 90, 200):
+        q = g.integers(-2, 3, (n, n)) / 4
+        cases.append((f"quantized-{n}", np.triu(q) + np.triu(q, 1).T))
+        cases.append((f"quantized-nonsymmetric-{n}", g.integers(-1, 2, (n, n)) / 3))
+        u = g.uniform(-1, 1, (n, n))
+        cases.append((f"tiny-{n}", 1e-9 * (np.triu(u) + np.triu(u, 1).T)))
+        cases.append((f"tiny-quantized-{n}", 1e-9 * (np.triu(q) + np.triu(q, 1).T)))
+        cases.append((f"nonsymmetric-{n}", u))
+    cases += [("zero-30", np.zeros((30, 30))), ("zero-1", np.zeros((1, 1)))]
+    for i, (name, values) in enumerate(cases):
+        restarts = (1, 2, 7, 20, 33, 50, 60)[i % 7]
+        half = name.startswith("er-") and name.endswith("-0.5")
+        yield pytest.param(values, restarts, rng.derive_key(16, i), half,
+                           id=f"{name}-r{restarts}")
+
+
+@pytest.mark.parametrize("values,restarts,key,er_half", list(_tie_cases()))
+def test_batched_altmax_matches_the_restart_loop_on_ties(monkeypatch, values, restarts, key,
+                                                         er_half):
+    fallbacks = []
+    half_pass = _kernels._half_pass
+    monkeypatch.setattr(_kernels, "_half_pass",
+                        lambda m, sel: fallbacks.append(1) or half_pass(m, sel))
+    got = _kernels.altmax_best_rows(values, restarts, key)
+    want = _restart_loop_best_rows(values, restarts, key)
+    assert got.dtype == bool and got.tolist() == want.tolist()
+    assert _value_and_t(values, np.flatnonzero(got)) == _value_and_t(values, np.flatnonzero(want))
+    if er_half:
+        assert fallbacks  # ties at p = 1/2 leave some decision to the reference order
+
+
+@pytest.mark.parametrize("seed, n", [(160, 11), (5384, 15)])
+def test_batched_altmax_compares_tied_values_in_the_reference_order(seed, n):
+    # two different T reach one value here, and the gemm's rounding of the two
+    # would continue a restart that the reference stops
+    q = np.random.default_rng(seed).integers(-3, 4, (n, n)) * 0.1 + 0.05
+    values = np.triu(q) + np.triu(q, 1).T
+    key = rng.derive_key(16, seed)
+    got = _kernels.altmax_best_rows(values, 20, key)
+    assert got.tolist() == _restart_loop_best_rows(values, 20, key).tolist()
+
+
+def _theorem_style(n, seed):
+    """Signed matrix of the theorem sweep's kind: the square of a sampled minmax
+    graph's step graphon minus the square of its expected graphon."""
+    cfg = gl.SamplerConfig(n, seed, gl.builtin("minmax"))
+    a = gl.canonical_graphon(gl.sample_graph(cfg, gl.sample_latents(cfg)))
+    e = gl.expected_graphon(cfg.graphon, n)
+    return np.clip(gl.power(a, 2).values - gl.power(e, 2).values, -1.0, 1.0)
+
+
+_BLAS_RUN = """
+import sys
+import numpy as np
+from graphonlab import _kernels
+key = int(sys.argv[1])
+np.save(sys.argv[2], np.concatenate(
+    [_kernels.altmax_best_rows(np.load(path), 50, key) for path in sys.argv[3:]]))
+"""
+
+
+@pytest.mark.parametrize("env", [{"OPENBLAS_CORETYPE": "Prescott"},
+                                 {"OPENBLAS_NUM_THREADS": "2"}],
+                         ids=["prescott", "threads-2"])
+def test_altmax_rows_do_not_depend_on_blas_kernel_or_threads(tmp_path, env):
+    # the generic Prescott kernel rounds gemms differently from the default one
+    key = rng.derive_key(2310, 14683)
+    paths, want = [], []
+    for n, seed in ((64, 1), (150, 2), (300, 3)):
+        values = _theorem_style(n, seed)
+        paths.append(str(tmp_path / f"m{n}.npy"))
+        np.save(paths[-1], values)
+        want.append(_kernels.altmax_best_rows(values, 50, key))
+    src = str(Path(gl.__file__).resolve().parents[1])
+    run_env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "rows.npy"
+    subprocess.run([sys.executable, "-c", _BLAS_RUN, str(key), str(out), *paths],
+                   check=True, env=run_env)
+    assert np.load(out).tolist() == np.concatenate(want).tolist()
 
 
 @pytest.mark.parametrize("key", [0, 1, _kernels.MASK64])
