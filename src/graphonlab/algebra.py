@@ -163,19 +163,22 @@ def integrate2d(f, q: QuadratureSpec) -> QuadratureResult:
 # ---------------------------------------------------------------------------
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, rounded alike at every BLAS thread count: a thread split inside an unaligned
-    edge rounds differently. So only an inner dimension that is a multiple of 256 with a
-    column count that is a multiple of 64 takes the plain product; any other pads b with
-    zero columns to a multiple of 64 and adds 256-row inner panels in ascending order."""
+def _matmul(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """a @ b, into ``out`` if given, rounded alike at every BLAS thread count: a thread split
+    inside an unaligned edge rounds differently. So only an inner dimension that is a multiple
+    of 256 with a column count that is a multiple of 64 takes the plain product; any other pads
+    b with zero columns to a multiple of 64 and adds 256-row inner panels in ascending order."""
     inner, cols = b.shape
     if inner % 256 == 0 and cols % 64 == 0:
-        return a @ b
+        return np.matmul(a, b, out=out)
     b = np.pad(b, ((0, 0), (0, -cols % 64)))
-    out = a[:, :256] @ b[:256]
+    acc = a[:, :256] @ b[:256]
     for lo in range(256, inner, 256):
-        out += a[:, lo : lo + 256] @ b[lo : lo + 256]
-    return np.ascontiguousarray(out[:, :cols])
+        acc += a[:, lo : lo + 256] @ b[lo : lo + 256]
+    if out is None:
+        return np.ascontiguousarray(acc[:, :cols])
+    out[...] = acc[:, :cols]
+    return out
 
 
 def _matrix_power(a: np.ndarray, k: int) -> np.ndarray:
@@ -220,13 +223,15 @@ class ProductGraphon:
                 self.q, self.q.base_grid, lambda g: self.eval_grid(xs, ys, g),
                 f"z-integral of {self.label}",
             ).value
+        # the result first, so that the factors are freed above it on the heap, not below it
+        out = np.empty((len(xs), len(ys)))
         zm = midpoints(gz)
         lhs = self.left.eval_grid(xs, zm, gz)
         if self.left is self.right and np.array_equal(xs, zm) and np.array_equal(ys, zm):
             rhs = lhs  # a self-product on its own z-grid: both factors are one grid
         else:
             rhs = self.right.eval_grid(zm, ys, gz)
-        out = _matmul(lhs, rhs)
+        _matmul(lhs, rhs, out)
         out /= gz  # in place: no second full-size grid
         return out
 
@@ -337,8 +342,7 @@ def cell_means(w, m: int, q: QuadratureSpec, zero_diagonal: bool = False) -> np.
             cells[lo : lo + rows] = _row_means(block, m)
         cells = _symmetrized(cells)
         if zero_diagonal:
-            upper = np.triu(cells, 1)
-            cells = upper + upper.T
+            np.fill_diagonal(cells, 0.0)
         return cells
 
     g0 = _first_grid(q, m, kernel)

@@ -282,9 +282,9 @@ def _cmd_product(args, cfg):
     if b is None:
         raise GraphonLabError("product needs a second kernel (--with-builtin/expr/step)")
     q = _quadrature(cfg)
-    step = _materialize(product(a, b, q), cfg, args)
-    validate_graphon(a, q)  # each factor too, before any output
+    validate_graphon(a, q)  # each factor before the product is formed
     validate_graphon(b, q)
+    step = _materialize(product(a, b, q), cfg, args)
     _emit_step(step, cfg, "product (graphon)", header="# product is a graphon")
     return 0
 
@@ -292,8 +292,8 @@ def _cmd_product(args, cfg):
 def _cmd_power(args, cfg):
     w = _graphon_from(cfg, args)
     q = _quadrature(cfg)
+    validate_graphon(w, q)  # the factor before the power is formed
     step = _materialize(power(w, _need(cfg.k, "--k"), q), cfg, args)
-    validate_graphon(w, q)  # the factor too, before any output
     _emit_step(step, cfg, f"power k={cfg.k}")
     return 0
 

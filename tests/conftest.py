@@ -34,14 +34,21 @@ def _warm_kernels():
     warmup()
 
 
-def peak_bytes(fn) -> int:
-    """Peak bytes that tracemalloc sees allocated while fn() runs, its result included."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+@pytest.fixture
+def peak_bytes():
+    """A measure of the peak bytes that tracemalloc sees allocated while fn() runs, its
+    result included. NumPy reports its buffers to tracemalloc, so this counts the arrays
+    of this process alone, whatever else the machine runs."""
+
+    def measure(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return measure
 
 
 def random_step(n: int, key: int, signed: bool = True) -> StepGraphon:

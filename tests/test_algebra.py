@@ -11,7 +11,7 @@ from graphonlab.algebra import (
 from graphonlab.algebra import _matmul, _matrix_power
 from graphonlab.core import as_kernel
 from graphonlab.errors import QuadratureError, ValidationError
-from conftest import brute_force_product_cell, peak_bytes, random_step
+from conftest import brute_force_product_cell, random_step
 
 
 def test_quadrature_spec_validation():
@@ -134,6 +134,8 @@ def test_matmul_is_the_product_within_rounding(m, k, n):
     a, b = rng.random((m, k)), rng.random((k, n))
     got = _matmul(a, b)
     assert got.shape == (m, n) and got.flags.c_contiguous
+    into = np.empty((m, n))
+    assert _matmul(a, b, into) is into and into.tobytes() == got.tobytes()
     if k % 256 == 0 and n % 64 == 0:
         assert got.tobytes() == (a @ b).tobytes()
     np.testing.assert_allclose(got, a @ b, rtol=k * np.finfo(float).eps, atol=0)
@@ -365,11 +367,19 @@ def test_row_block_cell_means_match_the_full_grid_oracle(name, m, zero_diagonal)
     assert got.tobytes() == want.tobytes()
 
 
-def test_cell_means_holds_no_full_grid():
+def test_cell_means_holds_no_full_grid(peak_bytes):
     w = gl.from_expression("min(x,y)*(1-max(x,y))")
     q = gl.QuadratureSpec()
     # the full-grid version peaks at 72 MiB here: W and one temporary on the 2048-grid
     assert peak_bytes(lambda: cell_means(w, 1024, q, zero_diagonal=True)) < 40 * 2**20
+
+
+def test_zeroing_the_diagonal_of_cell_means_adds_no_matrix(peak_bytes):
+    m = 512  # one m x m matrix is 2 MiB; a constant's row blocks take 0.5 of one more
+    run = lambda: cell_means(gl.constant(0.3), m, gl.QuadratureSpec(), zero_diagonal=True)
+    # live at once: the previous level, the current one, and either its symmetrized copy
+    # or settle's difference; a zeroed copy of the diagonal would make that four
+    assert peak_bytes(run) < 4 * m * m * 8
 
 
 class _ShapeRecordingKernel(_CountingKernel):
@@ -560,7 +570,7 @@ def test_lazy_power_of_an_exact_asymmetric_product_integrates_on_its_lcm_grain()
     assert abs(res.value - float(np.mean(p @ p / 6))) <= 1e-15
 
 
-def test_step_products_and_powers_hold_at_most_two_matrices_at_once():
+def test_step_products_and_powers_hold_at_most_two_matrices_at_once(peak_bytes):
     s = random_step(512, key=3, signed=False)  # one 512 x 512 matrix is 2 MiB
     for make in (lambda: gl.product(s, s), lambda: gl.power(s, 2)):
         assert peak_bytes(make) < 5 * 2**20

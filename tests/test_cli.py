@@ -627,7 +627,7 @@ def test_power_of_a_kernel_above_1_is_refused(capsys):
     code, out, err = run(capsys, "power", "--graphon-expr", "2*x*y", "--k", "2",
                          "--discretize", "2")
     assert code == 2 and out == ""
-    assert err.startswith("error: pow[2*x*y,2] is not in [0, 1]: W(")
+    assert err.startswith("error: 2*x*y is not in [0, 1]: W(")
 
 
 # each printed cells in [0, 1], although the factor's W(1, 1) = 1.1: only the result

@@ -9,7 +9,9 @@ from graphonlab.algebra import midpoints
 from graphonlab.cli import main
 from graphonlab.core import cell_index
 from graphonlab.errors import ValidationError
-from graphonlab.experiments import _LimitDistance, render_svg, report_from_dict, report_to_dict
+from graphonlab.experiments import (
+    _LimitDistance, _mean_abs_diff, _pairwise_sum, render_svg, report_from_dict, report_to_dict,
+)
 from conftest import random_step
 
 
@@ -187,7 +189,9 @@ def test_step_limit_reports_match_golden_bytes(tmp_path, monkeypatch, name):
 
 # Reference digests of two sweeps past the enumeration cap (n > 24): an
 # analytic limit, whose e_n is a quadrature distance and whose cut norms are
-# heuristic, and ER draws with heuristic cut norms from n = 26 on.
+# heuristic, and ER draws with heuristic cut norms from n = 26 on. A third
+# analytic sweep settles on grids that are no power of 2: ns 3, 5, 6 share
+# the alignment 30, so its e_n are sums over the 270- and 540-grids.
 GOLDEN_LARGE_REPORTS = {
     "expr": (
         ["theorem", "--graphon-expr", "min(x,y)*(1-max(x,y))", "--k", "2",
@@ -199,6 +203,12 @@ GOLDEN_LARGE_REPORTS = {
         ["counterexample", "--p", "0.3", "--ns", "26,40,64,150", "--draws", "3", "--seed", "9"],
         "e6bd07b4e2489b5b71990df01f9db3b67a869da74e2c31a5cef685e33f202dfb",
         "571edfec35631e77a42aeb5acc8262c2d4003b173721f6c05cc368b002c9dd72",
+    ),
+    "expr-270": (
+        ["theorem", "--graphon-expr", "min(x,y)*(1-max(x,y))", "--k", "2",
+         "--ns", "3,5,6", "--seed", "7"],
+        "5eee7f0c293fcada2b9744eb5487840be875d94aea8dfef91c7c0855ae0c7d8c",
+        "b8b2d03a070b7303a8e0d68401547d140e229955b4d6e02bc7593fff9379a592",
     ),
 }
 
@@ -241,6 +251,39 @@ def test_midpoint_grid_cells_are_contiguous_runs():
             if g % n == 0:
                 want = np.repeat(np.arange(n), g // n)
                 assert np.array_equal(cell_index(mids, n), want), (g, n)
+
+
+def _spread(size: int, seed: int) -> np.ndarray:
+    # signed values over 20 decades, so that any other summation order moves the bits
+    r = np.random.default_rng(seed)
+    return r.standard_normal(size) * 10.0 ** r.uniform(-10, 10, size)
+
+
+@pytest.mark.parametrize("size", [1, 7, 8, 127, 129, 2**15 - 1, 2**15 + 1])
+def test_pairwise_sum_is_numpys_mean_to_the_bit(size):
+    d = _spread(size, size)
+    got = _pairwise_sum(lambda lo, hi: np.abs(d[lo:hi]), 0, size) / size
+    assert got == float(np.abs(d).mean())
+
+
+@pytest.mark.parametrize("g,n", [(15, 3), (15, 5), (270, 5), (270, 6), (516, 4), (516, 129),
+                                 (1080, 8), (1080, 540), (2048, 64), (2048, 1024), (2064, 16),
+                                 (2064, 129)])
+def test_limit_distance_sum_is_the_whole_grid_mean_to_the_bit(g, n):
+    lim = np.abs(_spread(g * g, g).reshape(g, g))
+    v = np.abs(_spread(n * n, n).reshape(n, n))
+    s = g // n
+    want = float(np.abs(lim.reshape(n, s, n, s) - v[:, None, :, None]).mean())
+    assert _mean_abs_diff(lim, v) == want
+
+
+def test_limit_distance_holds_no_grid_sized_temporary(peak_bytes):
+    dist = _LimitDistance(gl.builtin("minmax"), 1, [256], gl.QuadratureSpec(base_grid=512))
+    step = gl.constant(0.1).step.refine(256)
+    dist.distance(step)
+    assert sorted(dist.cache) == [512, 1024]
+    # a whole-grid |lim - v| would be one 1024 x 1024 array, 8 MiB; a leaf is 256 KiB
+    assert peak_bytes(lambda: dist.distance(step)) < 1024 * 1024 * 8 // 8
 
 
 def test_incomplete_sweep_keeps_what_stopped_it():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import graphonlab.expr as ex
 from graphonlab import evaluate
 from graphonlab.expr import Bin, Call, ExprEvalError, Num, Unary, Var
-from conftest import peak_bytes
 
 
 def test_parse_simple_product():
@@ -275,7 +274,7 @@ def test_eval_array_never_writes_its_inputs():
         assert np.array_equal(x, before[0]) and np.array_equal(y, before[1])
 
 
-def test_theorem_kernel_evaluation_holds_at_most_two_grids():
+def test_theorem_kernel_evaluation_holds_at_most_two_grids(peak_bytes):
     g = 1024
     m = (np.arange(g) + 0.5) / g
     ast = ex.parse("min(x,y)*(1-max(x,y))")

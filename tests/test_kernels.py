@@ -11,7 +11,7 @@ import pytest
 import graphonlab as gl
 from graphonlab import _kernels, rng
 from graphonlab.norms import _value_and_t
-from conftest import peak_bytes, random_step
+from conftest import random_step
 
 
 def test_uniforms_match_python_reference():
@@ -71,7 +71,7 @@ def test_enum_best_mask_zero_matrix_and_single_block():
     assert _kernels.enum_best_mask(np.zeros((1, 1))) == 0
 
 
-def test_enum_best_mask_allocates_no_full_subset_array():
+def test_enum_best_mask_allocates_no_full_subset_array(peak_bytes):
     values = random_step(20, key=9).values
     peak = peak_bytes(lambda: _kernels.enum_best_mask(values))
     assert peak < (1 << 20) * 8 // 4  # a quarter of one float per subset
