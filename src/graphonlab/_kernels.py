@@ -82,19 +82,41 @@ def uniforms_at(key: int, counters) -> np.ndarray:
 # buffers, O(2^n * n) in all. No 2^n-sized array is built, and masks are
 # visited in ascending order.
 #
+# The scan only nominates, in float32: half the bytes of float64, so twice
+# the entries per pass through the same 256 KiB chunk. The float64 tables
+# are first multiplied by 2^-e, with e the exponent of their largest entry,
+# so that every |entry| < 1. A power of two scales exactly, and the scaled
+# sums sit in the middle of float32's range whatever the input's magnitude:
+# a plain cast would flush a 2^-160 matrix to zeros and overflow a 2^130 one.
+# With V the sum of |scaled values|, the columns' |hi| + |lo| add up to at
+# most 2V (the row-sum column adds at most V), and with u = eps32 / 2 the scan's
+# sum for a mask is within (n + 3) * u * 2V of twice its exact estimate: u
+# for each cast, u for the add and (n + 1) * u for accumulating n + 1
+# terms. The float64 tables add far less, and so do entries below float32's
+# normal range (at most 2^-150 each, while V >= 1/2: a table entry reaches
+# 1/2). Two masks' scan sums therefore compare wrongly only within
+# 2 * (n + 3) * eps32 * V, and tol = 32 * (n + 1) * eps32 * V covers that
+# with room to spare, also for rounding the floor to float32.
+#
 # Tie rule: a symmetric matrix ties exactly between (S, T) and (T, S), and
-# the split sums round differently from the reference value, so the split
-# 2 * est only nominates. Every mask of a chunk within `tol` of the running
-# maximum is rescored with `_subset_estimate`, which sums each r_j over the
-# rows of S in ascending order: the order of a BLAS product `bits @ values`
-# over a full chunk, which a product over a few rows need not keep. The
-# first mask with the largest rescored value wins (argmax within a chunk,
-# strict `>` across chunks), and a matrix whose values are all zero yields
-# no candidates and mask 0. `tol` bounds the rounding of both estimates, so
-# the winner is always nominated.
+# the scan's sums round differently from the reference value, so the scan
+# only nominates. Every mask of a chunk within `tol` of the running maximum
+# (and above float32's tiny, so a chunk of zero sums nominates nothing) is
+# rescored with `_subset_estimate`, in float64 on the unscaled values, which
+# sums each r_j over the rows of S in ascending order: the order of a BLAS
+# product `bits @ values` over a full chunk, which a product over a few rows
+# need not keep. The first mask with the largest rescored value wins (argmax
+# within a chunk, strict `>` across chunks). That mask does not depend on
+# which other masks are nominated with it, so any scan that always
+# nominates it returns the same mask: this one returns the float64 scan's
+# it replaced, and the witnesses of `cut_norm_exact`, and the report bytes
+# built on them, do not move. A matrix whose values are all zero returns
+# mask 0 before any scaling.
 
-_SCAN_CHUNK = 1 << 15
+_SCAN_CHUNK = 1 << 16
 _MIN_LOW_BITS = 12
+_EPS32 = float(np.finfo(np.float32).eps)
+_TINY32 = float(np.finfo(np.float32).tiny)
 
 
 def _subset_estimate(values, masks):
@@ -119,17 +141,21 @@ def _subset_sums(rows):
 def enum_best_mask(values: np.ndarray) -> int:
     """Bitmask of the first row subset S of largest value max(pos, neg)."""
     values = np.ascontiguousarray(values, dtype=np.float64)
+    if not values.any():
+        return 0
     n = values.shape[0]
     nlo = max((n + 1) // 2, min(n, _MIN_LOW_BITS))
     ext = np.column_stack([values, values.sum(axis=1)])
     lo = _subset_sums(ext[:nlo])
     hi = _subset_sums(ext[nlo:])
+    e = int(np.frexp(max(lo.max(), -lo.min(), hi.max(), -hi.min()))[1])
+    lo = np.ldexp(lo, -e, out=lo).astype(np.float32)  # |entries| < 1, exactly scaled
+    hi = np.ldexp(hi, -e, out=hi).astype(np.float32)
     nl, nh = lo.shape[1], hi.shape[1]
     hb = max(1, _SCAN_CHUNK // nl)
-    acc = np.empty((hb, nl))
-    tmp = np.empty((hb, nl))
-    tol = 32.0 * (n + 1) * np.finfo(np.float64).eps * float(np.abs(values).sum())
-    tiny = np.finfo(np.float64).tiny
+    acc = np.empty((hb, nl), dtype=np.float32)
+    tmp = np.empty((hb, nl), dtype=np.float32)
+    tol = 32.0 * (n + 1) * _EPS32 * float(np.abs(np.ldexp(values, -e)).sum())
     running = 0.0
     best_val = 0.0
     best_mask = 0
@@ -143,7 +169,7 @@ def enum_best_mask(values: np.ndarray) -> int:
             a += t
         top = float(a.max())
         running = max(running, top)
-        floor = max(running - tol, tiny)
+        floor = np.float32(max(running - tol, _TINY32))
         if top < floor:
             continue
         cand = np.flatnonzero(a >= floor)

@@ -18,9 +18,10 @@ Twice that maximum is sum_j |r_j| + |sum_j r_j|, and r for S is the sum of
 the r of its low rows and of its high rows. Enumeration over S therefore
 splits the rows in two, tabulates the subset column sums of each part, and
 scans every pair (low subset, high subset) at O(n) each: O(2^n * n) time in
-O(2^(n/2) * n) memory (meet in the middle). The masks the split sums
-nominate are rescored by summing the rows of S in ascending order, and the
-first best one wins, so the witness does not depend on the split. The
+O(2^(n/2) * n) memory (meet in the middle). The split sums are scanned in
+float32 and only nominate masks; those are rescored in float64 by summing
+the rows of S in ascending order, and the first best one wins, so the
+witness does not depend on the split or on the scan's precision. The
 search is capped at n = 24; larger inputs must use the seeded
 alternating-maximization heuristic, which returns a certified lower bound
 (its witness is a feasible pair). For kernels that are not step functions
@@ -123,6 +124,8 @@ def cut_norm_lower_bound(s: StepGraphon, restarts: int = 50, seed: int = 0) -> C
 
 def cut_norm_auto(s: StepGraphon, restarts: int = 50, seed: int = 0) -> CutNormResult:
     """Exact within the enumeration budget, heuristic beyond it."""
+    if restarts < 1:  # refused on both paths, not only where the heuristic runs
+        raise ValidationError("restarts must be >= 1")
     if s.n <= ENUMERATION_CAP:
         return cut_norm_exact(s)
     return cut_norm_lower_bound(s, restarts=restarts, seed=seed)

@@ -125,6 +125,18 @@ def test_norm_requires_exactly_one_mode(capsys):
     assert code == 2 and "exactly one" in err
 
 
+# the first two enumerate (n <= 24) and exited 0; the third runs the heuristic
+@pytest.mark.parametrize("argv", [
+    ("--graphon-builtin", "minmax", "--discretize", "4", "--restarts", "-5"),
+    ("--graphon-builtin", "constant:0.5", "--restarts", "0"),
+    ("--graphon-builtin", "minmax", "--discretize", "25", "--restarts", "-5"),
+], ids=["discretize-4", "constant", "discretize-25"])
+def test_norm_cut_refuses_restarts_below_1_on_every_path(capsys, argv):
+    code, out, err = run(capsys, "norm", "--cut", *argv)
+    assert code == 2 and out == ""
+    assert err == "error: restarts must be >= 1\n"
+
+
 def test_sweep_theorem_emits_formats(tmp_path, capsys):
     base = tmp_path / "r"
     code, out, _ = run(capsys, "sweep", "theorem", "--graphon-builtin", "constant:0.5",

@@ -46,17 +46,32 @@ def _full_scan_best_mask(values):
     return best_mask
 
 
+def _er_half(n, g):
+    adj = np.triu(g.uniform(size=(n, n)) < 0.5, 1).astype(float)
+    return adj + adj.T - 0.5
+
+
+def _quantized(n, g):
+    q = g.integers(-3, 4, (n, n)) / 7
+    return np.triu(q) + np.triu(q, 1).T
+
+
 def _oracle_cases():
     g = np.random.default_rng(20240)
     for n in range(1, 15):
         for key in range(3):
             yield pytest.param(random_step(n, key=key).values, id=f"random_step-{n}-{key}")
-        q = g.integers(-3, 4, (n, n)) / 7
-        yield pytest.param(np.triu(q) + np.triu(q, 1).T, id=f"quantized-{n}")
-        adj = np.triu(g.uniform(size=(n, n)) < 0.5, 1).astype(float)
-        yield pytest.param(adj + adj.T - 0.5, id=f"er-{n}")
+        yield pytest.param(_quantized(n, g), id=f"quantized-{n}")
+        yield pytest.param(_er_half(n, g), id=f"er-{n}")
         yield pytest.param(g.uniform(-1, 1, (n, n)), id=f"nonsymmetric-{n}")
+    # past n = 16 the scan takes several chunks
     yield pytest.param(random_step(18, key=5).values, id="random_step-18")
+    for n in (19, 20, 21):  # exact (S, T) / (T, S) ties in different chunks
+        yield pytest.param(_er_half(n, g), id=f"er-{n}")
+    q = _quantized(20, g)
+    yield pytest.param(q, id="quantized-20")
+    u = g.uniform(-1, 1, (20, 20))
+    yield pytest.param(q + 1e-10 * (np.triu(u) + np.triu(u, 1).T), id="quantized-20-noise")
 
 
 @pytest.mark.parametrize("values", list(_oracle_cases()))
@@ -69,6 +84,43 @@ def test_enum_best_mask_zero_matrix_and_single_block():
     assert _kernels.enum_best_mask(np.array([[0.25]])) == 1
     assert _kernels.enum_best_mask(np.array([[-0.25]])) == 1
     assert _kernels.enum_best_mask(np.zeros((1, 1))) == 0
+
+
+def _scaling_cases():
+    g = np.random.default_rng(2310)
+    for n in (6, 13, 20):
+        u = g.uniform(-1, 1, (n, n))
+        yield pytest.param(np.triu(u) + np.triu(u, 1).T, id=f"random-{n}")
+        yield pytest.param(_quantized(n, g), id=f"quantized-{n}")
+    u = g.uniform(-1, 1, (20, 20))
+    v = np.triu(u) + np.triu(u, 1).T
+    v[7] *= 2.0 ** -160
+    v[:, 7] *= 2.0 ** -160
+    yield pytest.param(v, id="row-and-column-2^-160")
+
+
+# the scan runs in float32, whose range ends near 2^-149 and 2^128
+@pytest.mark.parametrize("values", list(_scaling_cases()))
+def test_enum_best_mask_does_not_move_under_a_power_of_two_scale(values):
+    want = _kernels.enum_best_mask(values)
+    for k in (-1000, -160, -140, 0, 130, 1000):
+        assert _kernels.enum_best_mask(np.ldexp(values, k)) == want, k
+
+
+# masks rescored in the reference order on these inputs by the float64 scan
+# of 2^15-entry chunks that the float32 scan replaced
+_PARENT_RESCORED = 77
+
+
+def test_enum_best_mask_rescores_no_more_masks_than_the_float64_scan(monkeypatch):
+    rescored = []
+    estimate = _kernels._subset_estimate
+    monkeypatch.setattr(_kernels, "_subset_estimate",
+                        lambda values, masks: rescored.append(len(masks)) or estimate(values, masks))
+    g = np.random.default_rng(18)
+    for _ in range(5):
+        _kernels.enum_best_mask(_er_half(20, g))
+    assert 0 < sum(rescored) <= _PARENT_RESCORED
 
 
 def test_enum_best_mask_allocates_no_full_subset_array(peak_bytes):
