@@ -4,11 +4,12 @@ Three inner loops dominate the package's runtime: counter-mode generation of
 uniform variates, exact cut-norm enumeration over all 2^n row subsets, and the
 alternating-maximization cut-norm heuristic.
 
-Subset conventions: a row subset S of an n-block step matrix is encoded as an
-integer bitmask (bit i set <=> block i in S, n <= 24 for enumeration). The
-kernels return only the best S-mask; callers derive the column subset T and
-the achieved value from S with a single exact pass (`norms._value_and_t`),
-which keeps reported values consistent with their witnesses.
+Subset conventions: the kernels return only the best row subset S of an
+n-block step matrix. `enum_best_mask` encodes it as an integer bitmask (bit i
+set <=> block i in S, n <= 24), and `altmax_best_rows` as a boolean row
+vector. Callers derive the column subset T and the achieved value from S with
+one reference pass (`_half_pass`, through `norms._result`), which keeps
+reported values consistent with their witnesses.
 """
 
 from __future__ import annotations
@@ -252,11 +253,9 @@ def _batch_half_pass(sel, m, bound, tol):
 
 
 def altmax_best_rows(values: np.ndarray, restarts: int, key: int) -> np.ndarray:
-    """Row subset S (boolean) of the first restart of largest value."""
+    """Row subset S (boolean) of the first restart of largest value; restarts >= 1."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     n = values.shape[0]
-    if restarts < 1:
-        return np.zeros(n, dtype=bool)
     base = np.arange(restarts, dtype=np.uint64)[:, None] * np.uint64(_RESTART_STRIDE)
     words = words_at(int(key) & MASK64, base + np.arange(n, dtype=np.uint64))
     rows = (words & np.uint64(1)).astype(bool)  # S of each restart

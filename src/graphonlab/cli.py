@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import io as glio
@@ -317,20 +317,13 @@ def _cmd_norm(args, cfg):
             raise GraphonLabError("--cut with --with needs two step kernels on one grid")
         step = StepGraphon(step.n, step.values - sb.values, -1.0, 1.0)
     if step is not None:
-        result = cut_norm_auto(step, restarts=args.restarts, seed=cfg.seed).to_dict()
+        result = cut_norm_auto(step, restarts=args.restarts, seed=cfg.seed)
     elif args.discretize is None:
         raise GraphonLabError("analytic kernel: pass --discretize M to bracket its cut norm")
     else:
-        iv = cut_distance_upper_via_discretization(a, args.discretize, q,
-                                                   restarts=args.restarts, seed=cfg.seed)
-        result = {
-            "low": iv.low,
-            "high": iv.high,
-            "l1_gap": iv.l1_gap,
-            "m": iv.m,
-            "discretized": iv.discretized.to_dict(),
-        }
-    text = json.dumps(result, indent=2)
+        result = cut_distance_upper_via_discretization(a, args.discretize, q,
+                                                       restarts=args.restarts, seed=cfg.seed)
+    text = json.dumps(asdict(result), indent=2)
     if cfg.out:
         path = glio.resolve_out(cfg.out)
         path.write_text(text + "\n")

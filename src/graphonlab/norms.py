@@ -34,10 +34,12 @@ the fact that the cut norm is 1-Lipschitz with respect to the L1 norm
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _kernels, rng
+# bound at import, so a patched `_kernels._half_pass` counts only the kernels' own passes
+from ._kernels import _half_pass
 from .algebra import (
     LCM_GRID_CAP, QuadratureSpec, _first_grid, _grid_mean, _row_blocks, discretize, settle,
 )
@@ -60,43 +62,23 @@ class CutNormResult:
 
     def witness_value(self, values: np.ndarray) -> float:
         """Re-evaluate |sum over S x T| / n^2 from the witness."""
-        return witness_sum(values, self.witness_s, self.witness_t)
+        if not self.witness_s or not self.witness_t:
+            return 0.0
+        sub = values[np.ix_(self.witness_s, self.witness_t)]
+        return abs(float(sub.sum())) / values.shape[0] ** 2
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "n": self.n,
-            "witness_s": list(self.witness_s),
-            "witness_t": list(self.witness_t),
-            "exact": self.exact,
-        }
+        return asdict(self)
 
 
-def witness_sum(values: np.ndarray, s_blocks, t_blocks) -> float:
+def _result(values: np.ndarray, sel: np.ndarray, exact: bool) -> CutNormResult:
+    """The result for row subset S = sel (boolean): the sign-optimal T and its
+    value from one reference pass, so every value matches its witness."""
     n = values.shape[0]
-    if not len(s_blocks) or not len(t_blocks):
-        return 0.0
-    sub = values[np.ix_(list(s_blocks), list(t_blocks))]
-    return abs(float(sub.sum())) / (n * n)
-
-
-def _value_and_t(values: np.ndarray, rows):
-    """Optimal T and achieved value for a fixed row subset S (exact pass)."""
-    n = values.shape[0]
-    rows = sorted(int(i) for i in rows)
-    if rows:
-        r = values[rows].sum(axis=0)
-    else:
-        r = np.zeros(n)
-    pos = float(r[r > 0.0].sum())
-    neg = float(-r[r < 0.0].sum())
-    if pos >= neg:
-        t = tuple(int(j) for j in np.nonzero(r > 0.0)[0])
-        val = pos
-    else:
-        t = tuple(int(j) for j in np.nonzero(r < 0.0)[0])
-        val = neg
-    return val / (n * n), tuple(rows), t
+    value, t = _half_pass(values, sel)
+    return CutNormResult(value=float(value) / (n * n), n=n,
+                         witness_s=tuple(np.flatnonzero(sel).tolist()),
+                         witness_t=tuple(np.flatnonzero(t).tolist()), exact=exact)
 
 
 def cut_norm_exact(s: StepGraphon) -> CutNormResult:
@@ -107,9 +89,7 @@ def cut_norm_exact(s: StepGraphon) -> CutNormResult:
             "use cut_norm_lower_bound"
         )
     mask = _kernels.enum_best_mask(s.values)
-    rows = [i for i in range(s.n) if (mask >> i) & 1]
-    value, ws, wt = _value_and_t(s.values, rows)
-    return CutNormResult(value=value, n=s.n, witness_s=ws, witness_t=wt, exact=True)
+    return _result(s.values, (mask >> np.arange(s.n)) & 1 == 1, exact=True)
 
 
 def cut_norm_lower_bound(s: StepGraphon, restarts: int = 50, seed: int = 0) -> CutNormResult:
@@ -117,9 +97,7 @@ def cut_norm_lower_bound(s: StepGraphon, restarts: int = 50, seed: int = 0) -> C
     if restarts < 1:
         raise ValidationError("restarts must be >= 1")
     key = rng.derive_key(seed, _TAG_RESTARTS)
-    rows = np.nonzero(_kernels.altmax_best_rows(s.values, restarts, key))[0]
-    value, ws, wt = _value_and_t(s.values, rows)
-    return CutNormResult(value=value, n=s.n, witness_s=ws, witness_t=wt, exact=False)
+    return _result(s.values, _kernels.altmax_best_rows(s.values, restarts, key), exact=False)
 
 
 def cut_norm_auto(s: StepGraphon, restarts: int = 50, seed: int = 0) -> CutNormResult:
@@ -161,9 +139,9 @@ class CutNormInterval:
 
     low: float
     high: float
-    discretized: CutNormResult
     l1_gap: float
     m: int
+    discretized: CutNormResult
 
 
 def cut_distance_upper_via_discretization(
@@ -178,9 +156,11 @@ def cut_distance_upper_via_discretization(
     Valid because discretization moves the cut norm by at most the L1
     distance between the kernel and its cell-average step function.
     """
+    if restarts < 1:  # refused before any grid is built
+        raise ValidationError("restarts must be >= 1")
     d = discretize(a, m, q)
     cut = cut_norm_auto(d, restarts=restarts, seed=seed)
     gap = l1_distance(a, d, q)  # exactly 0.0 for a step whose n divides m
     return CutNormInterval(
-        low=cut.value - gap, high=cut.value + gap, discretized=cut, l1_gap=gap, m=m
+        low=cut.value - gap, high=cut.value + gap, l1_gap=gap, m=m, discretized=cut
     )

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphonlab as gl
-from graphonlab.errors import EnumerationBudgetError
+from graphonlab import norms
+from graphonlab.errors import EnumerationBudgetError, ValidationError
 from conftest import brute_force_cut_norm, random_step
 
 
@@ -169,3 +170,68 @@ def test_discretization_interval_analytic_brackets_heuristic():
     # 2 * int_0^1 x (1-x)^2 / 2 dx = 1/2 - 2/3 + 1/4 = 1/12
     truth = 1.0 / 12.0
     assert iv.low - 1e-9 <= truth <= iv.high + 1e-9
+
+
+def test_discretization_interval_refuses_restarts_below_1_before_any_grid(monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("discretized before restarts were checked")
+
+    monkeypatch.setattr(norms, "discretize", no_grid)
+    for restarts in (0, -5):
+        with pytest.raises(ValidationError, match="^restarts must be >= 1$"):
+            gl.cut_distance_upper_via_discretization(gl.builtin("minmax"), 1500,
+                                                     restarts=restarts)
+
+
+def _old_value_and_t(values, rows):
+    """The witness pass every result was built with before `norms._result`."""
+    n = values.shape[0]
+    rows = sorted(int(i) for i in rows)
+    if rows:
+        r = values[rows].sum(axis=0)
+    else:
+        r = np.zeros(n)
+    pos = float(r[r > 0.0].sum())
+    neg = float(-r[r < 0.0].sum())
+    if pos >= neg:
+        t = tuple(int(j) for j in np.nonzero(r > 0.0)[0])
+        val = pos
+    else:
+        t = tuple(int(j) for j in np.nonzero(r < 0.0)[0])
+        val = neg
+    return val / (n * n), tuple(rows), t
+
+
+def _witness_cases():
+    g = np.random.default_rng(19)
+    mats = [("zero-1", np.zeros((1, 1))), ("zero-6", np.zeros((6, 6))),
+            ("single-pos", np.array([[0.25]])), ("single-neg", np.array([[-0.25]])),
+            # S = {0} has column sums (0.5, -0.5): pos == neg, and T is read off pos
+            ("tie", np.array([[0.5, -0.5], [-0.5, 0.5]])),
+            ("tie-3", np.array([[0.25, -0.5, 0.25], [0.0, 0.0, 0.0], [1.0, 1.0, -2.0]]))]
+    for n in (7, 20, 40):
+        # entries in {-1/2, 1/2}: column sums over S are often exactly 0
+        adj = np.triu(g.uniform(size=(n, n)) < 0.5, 1).astype(float)
+        er = adj + adj.T - 0.5
+        np.fill_diagonal(er, 0.0)
+        mats.append((f"er-half-{n}", er))
+    for n in (3, 12):
+        u = g.normal(size=(n, n))
+        mats += [(f"symmetric-{n}", np.triu(u) + np.triu(u, 1).T), (f"nonsymmetric-{n}", u)]
+    for name, values in mats:
+        n = values.shape[0]
+        sels = [("empty", np.zeros(n, dtype=bool)), ("full", np.ones(n, dtype=bool))]
+        sels += [(f"random{i}", g.uniform(size=n) < 0.5) for i in range(6)]
+        if name.startswith("tie"):
+            sels.append(("first", np.arange(n) == 0))
+        for sel_name, sel in sels:
+            yield pytest.param(values, sel, id=f"{name}-{sel_name}")
+
+
+@pytest.mark.parametrize("values,sel", list(_witness_cases()))
+def test_result_matches_the_old_witness_pass(values, sel):
+    value, ws, wt = _old_value_and_t(values, np.flatnonzero(sel))
+    r = norms._result(values, sel, False)
+    assert np.float64(r.value).tobytes() == np.float64(value).tobytes()
+    assert (r.witness_s, r.witness_t, r.n, r.exact) == (ws, wt, values.shape[0], False)
+    assert all(type(i) is int for i in r.witness_s + r.witness_t)
