@@ -21,6 +21,15 @@ settles its z-integral under the QuadratureSpec it was built with. A product or
 power of steps is the exact matrix formula (1/n) A B on the common (lcm) grid: a
 StepGraphon when symmetric, or else a ProductGraphon holding the asymmetric matrix.
 Every kernel matrix product is `_matmul`, whose bytes do not depend on the thread count.
+A self-product (a lazy product's square on its own z-grid, a step power's squarings, a
+step times itself) is `_square`: `_matmul(a, a.T)` when a is exactly symmetric, else
+`_matmul(a, a)`. The values are the same. On `_matmul`'s plain route NumPy hands
+`a @ a.T` over one buffer to BLAS syrk, which computes one triangle (half a gemm's flops)
+that NumPy mirrors; the bytes are kept because that triangle equals the gemm's and the
+gemm of an exactly symmetric factor is exactly symmetric on that route (the tests check
+this on the default, Haswell and Prescott kernels at 1 and 2 threads). On the padded route
+the transposed factor is copied, so the product is the gemm. Transposed passes
+(`core.is_symmetric`, `core.sym_sum`, `_asymmetry`) read a matrix in cache-sized tiles.
 The kernel protocol is `eval_grid` plus `step_form`, and `core.evaluate` is the one point
 read. `validate_graphon` is the one rule for being a graphon (symmetric, finite, in
 [0, 1]); every command and the theorem sweep that needs a graphon calls it.
@@ -35,7 +44,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import RANGE_TOL, StepGraphon, as_kernel, cell_index
+from .core import (
+    RANGE_TOL, StepGraphon, as_kernel, cell_index, is_symmetric, sym_sum, tile_pairs,
+)
 from .errors import QuadratureError, ValidationError
 
 LCM_GRID_CAP = 4096
@@ -181,14 +192,20 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> n
     return out
 
 
+def _square(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """_matmul(a, a), as _matmul(a, a.T) when a is exactly symmetric: the same values, and
+    on the plain route NumPy hands a @ a.T over one buffer to BLAS syrk, half the work."""
+    return _matmul(a, a.T if is_symmetric(a) else a, out)
+
+
 def _matrix_power(a: np.ndarray, k: int) -> np.ndarray:
     """a^k, k >= 2, in np.linalg.matrix_power's order with every product by _matmul:
     (a a) a at k = 3, else squarings multiplied in from the lowest bit (a a at k = 2)."""
     if k == 3:
-        return _matmul(_matmul(a, a), a)
+        return _matmul(_square(a), a)
     z = result = None
     while k:
-        z = a if z is None else _matmul(z, z)
+        z = a if z is None else _square(z)
         k, bit = divmod(k, 2)
         if bit:
             result = z if result is None else _matmul(result, z)
@@ -228,10 +245,9 @@ class ProductGraphon:
         zm = midpoints(gz)
         lhs = self.left.eval_grid(xs, zm, gz)
         if self.left is self.right and np.array_equal(xs, zm) and np.array_equal(ys, zm):
-            rhs = lhs  # a self-product on its own z-grid: both factors are one grid
+            _square(lhs, out)  # a self-product on its own z-grid: both factors are one grid
         else:
-            rhs = self.right.eval_grid(zm, ys, gz)
-        _matmul(lhs, rhs, out)
+            _matmul(lhs, self.right.eval_grid(zm, ys, gz), out)
         out /= gz  # in place: no second full-size grid
         return out
 
@@ -244,9 +260,13 @@ def _clip_to(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 def _asymmetry(vals: np.ndarray) -> float:
-    """max |V - V^T|, with one temporary."""
-    d = vals - vals.T
-    return float(np.abs(d, out=d).max())
+    """max |V - V^T|, a tile pair at a time (core.tile_pairs): no n x n temporary. The
+    max does not depend on the order, and a NaN anywhere makes it NaN."""
+    gaps = []
+    for r, c in tile_pairs(vals.shape[0]):
+        d = vals[r, c] - vals[c, r].T
+        gaps.append(np.abs(d, out=d).max())
+    return float(np.max(gaps))
 
 
 def _step_range(*steps: StepGraphon) -> tuple[float, float]:
@@ -260,10 +280,11 @@ def _step_product(sa: StepGraphon, sb: StepGraphon, label: str):
     a = sa.refine(m // sa.n).values
     b = sb.refine(m // sb.n).values
     lo, hi = _step_range(sa, sb)
-    vals = _clip_to(_matmul(a, b) / m, lo, hi)
+    vals = _clip_to((_square(a) if a is b else _matmul(a, b)) / m, lo, hi)
     if _asymmetry(vals) > SYMMETRY_TOL:
         return ProductGraphon(label=label, asym_values=vals)
-    vals = 0.5 * (vals + vals.T)  # reassigned: the unsymmetrized matrix dies before the copy
+    vals = sym_sum(vals)  # reassigned: the unsymmetrized matrix dies here
+    vals *= 0.5
     return StepGraphon(m, vals, lo, hi)
 
 
@@ -288,7 +309,8 @@ def power(w, k: int, q: QuadratureSpec = QuadratureSpec()):
     s = kw.step_form()
     if s is not None:
         vals = _matrix_power(s.values, k) / float(s.n) ** (k - 1)
-        vals = 0.5 * (vals + vals.T)  # reassigned so that at most two n x n arrays live
+        vals = sym_sum(vals)  # reassigned so that at most two n x n arrays live
+        vals *= 0.5
         lo, hi = _step_range(s)
         vals = _clip_to(vals, lo, hi)
         return StepGraphon(s.n, vals, lo, hi)
@@ -311,7 +333,7 @@ def _row_means(vals: np.ndarray, m: int) -> np.ndarray:
 
 
 def _symmetrized(cells: np.ndarray) -> np.ndarray:
-    t = cells + cells.T
+    t = sym_sum(cells)
     t *= 0.5
     return t
 

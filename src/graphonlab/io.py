@@ -18,7 +18,7 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .core import SimpleGraph, StepGraphon
+from .core import SimpleGraph, StepGraphon, is_symmetric
 from .errors import ValidationError
 
 
@@ -91,7 +91,7 @@ def _matrix_from_rows(rows, name: str) -> StepGraphon:
     if not np.isfinite(m).all():
         i, j = np.argwhere(~np.isfinite(m))[0]
         raise ValidationError(f"{name}: non-finite entry at ({i + 1},{j + 1})")
-    if not np.array_equal(m, m.T):
+    if not is_symmetric(m):
         i, j = np.argwhere(m != m.T)[0]
         raise ValidationError(f"matrix not symmetric at ({i + 1},{j + 1})/({j + 1},{i + 1})")
     if m.min() < 0.0 or m.max() > 1.0:

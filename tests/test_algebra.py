@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from graphonlab.algebra import (
     LCM_GRID_CAP, _clip_to, ceil_to_multiple, cell_means, grain_of, midpoints,
     settle, validate_graphon,
 )
-from graphonlab.algebra import _matmul, _matrix_power
+from graphonlab.algebra import _asymmetry, _matmul, _matrix_power, _square
 from graphonlab.core import as_kernel
 from graphonlab.errors import QuadratureError, ValidationError
 from conftest import brute_force_product_cell, random_step
@@ -146,6 +150,133 @@ def test_step_matrix_power_keeps_the_order_of_numpy_matrix_power(n):
     a = random_step(n, key=n, signed=False).values
     for k in range(2, 8):
         assert _matrix_power(a, k).tobytes() == np.linalg.matrix_power(a, k).tobytes(), k
+
+
+def _symmetric_kinds(n: int):
+    """Exactly symmetric random, quantized (multiples of 1/16) and 0/1 matrices."""
+    r = np.random.default_rng(n)
+    u = r.random((n, n))
+    q = np.round(r.random((n, n)) * 16.0) / 16.0
+    e = (r.random((n, n)) < 0.3).astype(float)
+    return {"random": 0.5 * (u + u.T), "quantized": np.triu(q) + np.triu(q, 1).T,
+            "zero-one": np.triu(e, 1) + np.triu(e, 1).T}
+
+
+# 256, 512 and 1024 take the plain product, which NumPy hands to BLAS syrk for a @ a.T;
+# the others pad, so their transposed factor is a copy and the product a gemm
+@pytest.mark.parametrize("n", [1, 30, 100, 270, 256, 512, 1024])
+def test_the_transposed_square_keeps_the_bytes_of_the_product(n):
+    for kind, a in _symmetric_kinds(n).items():
+        want = _matmul(a, a)
+        got = _matmul(a, a.T)
+        assert got.tobytes() == want.tobytes(), kind
+        into = np.empty((n, n))
+        assert _matmul(a, a.T, into) is into and into.tobytes() == want.tobytes(), kind
+        assert _square(a).tobytes() == want.tobytes(), kind
+        if n % 256 == 0:  # syrk computes one triangle and NumPy mirrors it
+            assert np.array_equal(got, got.T), kind
+
+
+def test_square_of_a_matrix_that_is_not_exactly_symmetric_is_the_product():
+    a = _symmetric_kinds(256)["random"]
+    a[3, 200] = np.nextafter(a[3, 200], 1.0)  # one ulp off: symmetric within 1e-12
+    want = _matmul(a, a)
+    assert _square(a).tobytes() == want.tobytes()
+    assert _matmul(a, a.T).tobytes() != want.tobytes()  # the route _square must not take
+
+
+def _old_matrix_power(a, k):
+    """The power before squarings went through _square: every product a plain _matmul."""
+    if k == 3:
+        return _matmul(_matmul(a, a), a)
+    z = result = None
+    while k:
+        z = a if z is None else _matmul(z, z)
+        k, bit = divmod(k, 2)
+        if bit:
+            result = z if result is None else _matmul(result, z)
+    return result
+
+
+@pytest.mark.parametrize("n", [30, 100, 256, 270, 512])
+def test_step_matrix_power_keeps_the_bytes_of_plain_products(n):
+    a = random_step(n, key=n + 1, signed=False).values
+    for k in range(2, 9):
+        assert _matrix_power(a, k).tobytes() == _old_matrix_power(a, k).tobytes(), k
+
+
+@pytest.mark.parametrize("n", [1, 30, 256, 300])
+def test_self_product_of_a_step_keeps_the_bytes_of_the_plain_product(n):
+    s = random_step(n, key=7 * n, signed=False)
+    vals = np.clip(_matmul(s.values, s.values) / n, 0.0, 1.0)
+    p = gl.product(s, s)
+    assert isinstance(p, gl.StepGraphon)
+    assert p.values.tobytes() == (0.5 * (vals + vals.T)).tobytes()
+
+
+def _nearly_symmetric(x, y):
+    # symmetric within 1e-12, but not exactly: the lazy square must stay a gemm
+    return x * y + 1e-13 * np.maximum(x - y, 0.0)
+
+
+@pytest.mark.parametrize("label, fn", [("minmax", gl.builtin("minmax").fn),
+                                       ("nearly", _nearly_symmetric)])
+def test_lazy_self_product_keeps_the_bytes_of_the_plain_product(label, fn):
+    w = gl.GraphonSpec(label=label, fn=fn)
+    validate_graphon(w)
+    g = 512
+    zm = midpoints(g)
+    lhs = np.asarray(w.eval_grid(zm, zm))
+    assert np.array_equal(lhs, lhs.T) == (label == "minmax")
+    want = _matmul(lhs, lhs) / g
+    assert gl.product(w, w).eval_grid(zm, zm, g).tobytes() == want.tobytes()
+
+
+def test_asymmetry_is_the_largest_gap_to_the_transpose():
+    for n in (1, 129, 300):
+        v = np.random.default_rng(n).random((n, n))
+        assert _asymmetry(v) == float(np.abs(v - v.T).max())
+        v[n - 1, 0] = np.nan
+        assert math.isnan(_asymmetry(v))
+
+
+def test_asymmetry_holds_no_matrix_sized_temporary(peak_bytes):
+    v = np.random.default_rng(5).random((1024, 1024))  # 8 MiB
+    assert peak_bytes(lambda: _asymmetry(v)) < 1 << 20
+
+
+_BLAS_SQUARES = """
+import sys
+import numpy as np
+from graphonlab.algebra import _matmul, _matrix_power
+sys.path.insert(0, sys.argv[1])
+from test_algebra import _old_matrix_power, _symmetric_kinds
+bad = []
+for n in (1, 30, 100, 256, 270, 512, 1024):
+    for kind, a in _symmetric_kinds(n).items():
+        want = _matmul(a, a)
+        into = np.empty((n, n))
+        if (_matmul(a, a.T).tobytes() != want.tobytes()
+                or _matmul(a, a.T, into).tobytes() != want.tobytes()):
+            bad.append(f"a a.T at n={n} {kind}")
+        if n <= 270 and _matrix_power(a, 4).tobytes() != _old_matrix_power(a, 4).tobytes():
+            bad.append(f"a^4 at n={n} {kind}")
+print("; ".join(bad) or "ok")
+"""
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_transposed_squares_keep_the_bytes_on_other_blas_kernels(core, threads):
+    # children only: this process keeps its own kernel and thread count. Under Haswell and
+    # Prescott at 2 threads a padded gemm square of a symmetric matrix is not always
+    # exactly symmetric, so a^4 shows that _square checks its factor
+    src = str(Path(gl.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", _BLAS_SQUARES, str(Path(__file__).parent)],
+                         check=True, capture_output=True, text=True, env=env)
+    assert run.stdout.strip() == "ok"
 
 
 def test_discretize_examples():

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphonlab as gl
+from graphonlab import core
+from graphonlab.core import is_symmetric, sym_sum
 from graphonlab.errors import DomainError, ValidationError
 
 
@@ -87,6 +89,68 @@ def test_step_graphon_invariants():
 def test_step_graphon_rejects_non_finite_entries(bad):
     with pytest.raises(ValidationError, match=r"non-finite entry at \(0, 1\)"):
         gl.StepGraphon(2, [[0.1, bad], [bad, 0.2]])
+
+
+def _symmetric(n: int) -> np.ndarray:
+    u = np.random.default_rng(n).random((n, n))
+    return 0.5 * (u + u.T)
+
+
+def _one_pair(n: int, where: str):
+    """(i, j) of one asymmetric pair: in a diagonal tile, in an off-diagonal tile, or
+    against the last (partial) tile, at the tile size the transposed passes use."""
+    t = core._TILE
+    return {"diagonal": (1, 0), "off-diagonal": (2, t + 3), "last": (n - 1, 0)}[where]
+
+
+_PAIR_CASES = [(n, where) for n in (255, 256, 257, 513, 2048)
+               for where in ("diagonal", "off-diagonal", "last")
+               if max(_one_pair(n, where)) < n]
+
+
+def _check_against_the_whole_matrix_passes(m):
+    assert is_symmetric(m) == np.array_equal(m, m.T)
+    got = sym_sum(m)
+    assert got.flags.c_contiguous and got.tobytes() == (m + m.T).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 513, 2048])
+def test_tiled_symmetry_helpers_match_the_transposed_passes_on_symmetric_matrices(n):
+    m = _symmetric(n)
+    assert is_symmetric(m)
+    _check_against_the_whole_matrix_passes(m)
+    m[n // 2, n // 3], m[n // 3, n // 2] = -0.0, 0.0  # -0.0 == 0.0, and sums to 0.0
+    assert is_symmetric(m)
+    _check_against_the_whole_matrix_passes(m)
+
+
+@pytest.mark.parametrize("n, where", _PAIR_CASES, ids=[f"{n}-{w}" for n, w in _PAIR_CASES])
+def test_tiled_symmetry_helpers_find_one_asymmetric_pair(n, where):
+    m = _symmetric(n)
+    i, j = _one_pair(n, where)
+    m[i, j] += 0.25
+    assert not is_symmetric(m)
+    _check_against_the_whole_matrix_passes(m)
+
+
+@pytest.mark.parametrize("n", [1, 257, 513])
+def test_a_nan_is_never_symmetric(n):
+    for i, j in {(0, 0), (n - 1, n - 1), (0, n - 1)}:  # a pair of NaNs, or one on the diagonal
+        m = _symmetric(n)
+        m[i, j] = m[j, i] = np.nan
+        assert not is_symmetric(m)
+        _check_against_the_whole_matrix_passes(m)
+
+
+def test_step_graphon_names_the_first_asymmetric_entry():
+    m = _symmetric(300)
+    m[40, 9] += 0.125  # the lower entry comes first in row order
+    m[2, 280] += 0.125  # across tiles, and in an earlier row
+    with pytest.raises(ValidationError, match=r"^matrix not symmetric at \(2, 280\)$"):
+        gl.StepGraphon(300, m)
+    m[2, 280] = m[280, 2]
+    with pytest.raises(ValidationError, match=r"^matrix not symmetric at \(9, 40\)$"):
+        gl.StepGraphon(300, m)
 
 
 def test_simple_graph_invariants():

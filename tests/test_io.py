@@ -25,6 +25,16 @@ def test_csv_asymmetric_reports_indices(tmp_path):
         glio.load_step_matrix(p)
 
 
+def test_csv_asymmetric_reports_the_first_pair_across_tiles(tmp_path):
+    m = np.zeros((300, 300))
+    m[200, 150] = 0.5  # below the diagonal: named as (col, row), which comes first
+    m[250, 4] = 0.5  # an earlier row of the transpose still
+    p = tmp_path / "m.csv"
+    p.write_text("\n".join(",".join(f"{v:g}" for v in row) for row in m) + "\n")
+    with pytest.raises(ValidationError, match=r"^matrix not symmetric at \(5,251\)/\(251,5\)$"):
+        glio.load_step_matrix(p)
+
+
 def test_csv_ragged_names_row(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("0,1\n1\n")
