@@ -21,15 +21,15 @@ settles its z-integral under the QuadratureSpec it was built with. A product or
 power of steps is the exact matrix formula (1/n) A B on the common (lcm) grid: a
 StepGraphon when symmetric, or else a ProductGraphon holding the asymmetric matrix.
 Every kernel matrix product is `_matmul`, whose bytes do not depend on the thread count.
-A self-product (a lazy product's square on its own z-grid, a step power's squarings, a
-step times itself) is `_square`: `_matmul(a, a.T)` when a is exactly symmetric, else
-`_matmul(a, a)`. The values are the same. On `_matmul`'s plain route NumPy hands
-`a @ a.T` over one buffer to BLAS syrk, which computes one triangle (half a gemm's flops)
-that NumPy mirrors; the bytes are kept because that triangle equals the gemm's and the
-gemm of an exactly symmetric factor is exactly symmetric on that route (the tests check
-this on the default, Haswell and Prescott kernels at 1 and 2 threads). On the padded route
-the transposed factor is copied, so the product is the gemm. Transposed passes
-(`core.is_symmetric`, `core.sym_sum`, `_asymmetry`) read a matrix in cache-sized tiles.
+A self-product `_matmul(a, a)` (a lazy product's square on its own z-grid, a step power's
+squarings, a step times itself) multiplies by `a.T` when a is exactly symmetric. The values
+are the same. On `_matmul`'s plain route NumPy hands `a @ a.T` over one buffer to BLAS
+syrk, which computes one triangle (half a gemm's flops) that NumPy mirrors; the bytes are
+kept because that triangle equals the gemm's and the gemm of an exactly symmetric factor is
+exactly symmetric on that route (the tests check this on the default, Haswell and Prescott
+kernels at 1 and 2 threads). On the padded route the transposed factor is copied, so the
+product is the gemm. Every symmetrization is `core.sym_mean`; the transposed passes
+(`core.is_symmetric`, `core.sym_mean`, `core.asymmetry`) read a matrix in cache-sized tiles.
 The kernel protocol is `eval_grid` plus `step_form`, and `core.evaluate` is the one point
 read. `validate_graphon` is the one rule for being a graphon (symmetric, finite, in
 [0, 1]); every command and the theorem sweep that needs a graphon calls it.
@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    RANGE_TOL, StepGraphon, as_kernel, cell_index, is_symmetric, sym_sum, tile_pairs,
+    RANGE_TOL, StepGraphon, as_kernel, asymmetry, cell_index, is_symmetric, sym_mean,
 )
 from .errors import QuadratureError, ValidationError
 
@@ -178,34 +178,34 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> n
     """a @ b, into ``out`` if given, rounded alike at every BLAS thread count: a thread split
     inside an unaligned edge rounds differently. So only an inner dimension that is a multiple
     of 256 with a column count that is a multiple of 64 takes the plain product; any other pads
-    b with zero columns to a multiple of 64 and adds 256-row inner panels in ascending order."""
-    inner, cols = b.shape
+    a's rows and b's columns with zeros to multiples of 64 and adds 256-row inner panels in
+    ascending order. A self-product (b is a) of an exactly symmetric a is a @ a.T: the same
+    values, and on the plain route NumPy hands it over one buffer to BLAS syrk, half the work."""
+    if b is a and is_symmetric(a):
+        b = a.T
+    (rows, inner), cols = a.shape, b.shape[1]
     if inner % 256 == 0 and cols % 64 == 0:
         return np.matmul(a, b, out=out)
+    if rows % 64:
+        a = np.pad(a, ((0, -rows % 64), (0, 0)))
     b = np.pad(b, ((0, 0), (0, -cols % 64)))
     acc = a[:, :256] @ b[:256]
     for lo in range(256, inner, 256):
         acc += a[:, lo : lo + 256] @ b[lo : lo + 256]
     if out is None:
-        return np.ascontiguousarray(acc[:, :cols])
-    out[...] = acc[:, :cols]
+        return np.ascontiguousarray(acc[:rows, :cols])
+    out[...] = acc[:rows, :cols]
     return out
-
-
-def _square(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """_matmul(a, a), as _matmul(a, a.T) when a is exactly symmetric: the same values, and
-    on the plain route NumPy hands a @ a.T over one buffer to BLAS syrk, half the work."""
-    return _matmul(a, a.T if is_symmetric(a) else a, out)
 
 
 def _matrix_power(a: np.ndarray, k: int) -> np.ndarray:
     """a^k, k >= 2, in np.linalg.matrix_power's order with every product by _matmul:
     (a a) a at k = 3, else squarings multiplied in from the lowest bit (a a at k = 2)."""
     if k == 3:
-        return _matmul(_square(a), a)
+        return _matmul(_matmul(a, a), a)
     z = result = None
     while k:
-        z = a if z is None else _square(z)
+        z = a if z is None else _matmul(z, z)
         k, bit = divmod(k, 2)
         if bit:
             result = z if result is None else _matmul(result, z)
@@ -244,10 +244,9 @@ class ProductGraphon:
         out = np.empty((len(xs), len(ys)))
         zm = midpoints(gz)
         lhs = self.left.eval_grid(xs, zm, gz)
-        if self.left is self.right and np.array_equal(xs, zm) and np.array_equal(ys, zm):
-            _square(lhs, out)  # a self-product on its own z-grid: both factors are one grid
-        else:
-            _matmul(lhs, self.right.eval_grid(zm, ys, gz), out)
+        # a self-product on its own z-grid: both factors are one grid, which _matmul squares
+        own_grid = self.left is self.right and np.array_equal(xs, zm) and np.array_equal(ys, zm)
+        _matmul(lhs, lhs if own_grid else self.right.eval_grid(zm, ys, gz), out)
         out /= gz  # in place: no second full-size grid
         return out
 
@@ -257,16 +256,6 @@ def _clip_to(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
     if values.min() < lo - 1e-9 or values.max() > hi + 1e-9:
         raise ValidationError("product values escape the expected range")
     return np.clip(values, lo, hi)
-
-
-def _asymmetry(vals: np.ndarray) -> float:
-    """max |V - V^T|, a tile pair at a time (core.tile_pairs): no n x n temporary. The
-    max does not depend on the order, and a NaN anywhere makes it NaN."""
-    gaps = []
-    for r, c in tile_pairs(vals.shape[0]):
-        d = vals[r, c] - vals[c, r].T
-        gaps.append(np.abs(d, out=d).max())
-    return float(np.max(gaps))
 
 
 def _step_range(*steps: StepGraphon) -> tuple[float, float]:
@@ -280,11 +269,10 @@ def _step_product(sa: StepGraphon, sb: StepGraphon, label: str):
     a = sa.refine(m // sa.n).values
     b = sb.refine(m // sb.n).values
     lo, hi = _step_range(sa, sb)
-    vals = _clip_to((_square(a) if a is b else _matmul(a, b)) / m, lo, hi)
-    if _asymmetry(vals) > SYMMETRY_TOL:
+    vals = _clip_to(_matmul(a, b) / m, lo, hi)
+    if asymmetry(vals) > SYMMETRY_TOL:
         return ProductGraphon(label=label, asym_values=vals)
-    vals = sym_sum(vals)  # reassigned: the unsymmetrized matrix dies here
-    vals *= 0.5
+    vals = sym_mean(vals)  # reassigned: the unsymmetrized matrix dies here
     return StepGraphon(m, vals, lo, hi)
 
 
@@ -309,8 +297,7 @@ def power(w, k: int, q: QuadratureSpec = QuadratureSpec()):
     s = kw.step_form()
     if s is not None:
         vals = _matrix_power(s.values, k) / float(s.n) ** (k - 1)
-        vals = sym_sum(vals)  # reassigned so that at most two n x n arrays live
-        vals *= 0.5
+        vals = sym_mean(vals)  # reassigned so that at most two n x n arrays live
         lo, hi = _step_range(s)
         vals = _clip_to(vals, lo, hi)
         return StepGraphon(s.n, vals, lo, hi)
@@ -332,15 +319,9 @@ def _row_means(vals: np.ndarray, m: int) -> np.ndarray:
     return vals.reshape(vals.shape[0] // s, s, m, s).mean(axis=(1, 3))
 
 
-def _symmetrized(cells: np.ndarray) -> np.ndarray:
-    t = sym_sum(cells)
-    t *= 0.5
-    return t
-
-
 def block_means(vals: np.ndarray, m: int) -> np.ndarray:
     """Symmetrized means of the m x m blocks of a square grid whose side m divides."""
-    return _symmetrized(_row_means(vals, m))
+    return sym_mean(_row_means(vals, m))
 
 
 def cell_means(w, m: int, q: QuadratureSpec, zero_diagonal: bool = False) -> np.ndarray:
@@ -362,7 +343,7 @@ def cell_means(w, m: int, q: QuadratureSpec, zero_diagonal: bool = False) -> np.
         cells = np.empty((m, m))
         for lo, block in zip(range(0, m, rows), _row_blocks(kernel, g, rows * side)):
             cells[lo : lo + rows] = _row_means(block, m)
-        cells = _symmetrized(cells)
+        cells = sym_mean(cells)
         if zero_diagonal:
             np.fill_diagonal(cells, 0.0)
         return cells
@@ -394,7 +375,7 @@ def validate_graphon(w, q: QuadratureSpec = QuadratureSpec()) -> None:
     if len(bad):
         raise ValidationError(f"{label} is not finite: {point(*bad[0])}")
     if s is None:
-        gap = _asymmetry(vals)
+        gap = asymmetry(vals)
         if gap > SYMMETRY_TOL:
             raise ValidationError(
                 f"{label} is not symmetric: max |V - V^T| = {gap:.3g} on the {g}-grid"

@@ -375,8 +375,8 @@ def main(argv=None) -> int:
         if extra:
             args._parser.error(f"unrecognized arguments: {' '.join(extra)}")
         return _COMMANDS[args.command](args, _merge(args))
-    except GraphonLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (GraphonLabError, MemoryError) as exc:  # NumPy's MemoryError names the request
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -44,14 +44,25 @@ def is_symmetric(m: np.ndarray) -> bool:
     return all(np.array_equal(m[r, c], m[c, r].T) for r, c in tile_pairs(m.shape[0]))
 
 
-def sym_sum(m: np.ndarray) -> np.ndarray:
-    """m + m.T, a tile pair at a time. Each entry is the same one addition, so the bytes
-    do not depend on the tile order."""
+def asymmetry(m: np.ndarray) -> float:
+    """max |m - m.T|, a tile pair at a time: no n x n temporary. The max does not depend
+    on the order, and a NaN anywhere makes it NaN."""
+    gaps = []
+    for r, c in tile_pairs(m.shape[0]):
+        d = m[r, c] - m[c, r].T
+        gaps.append(np.abs(d, out=d).max())
+    return float(np.max(gaps))
+
+
+def sym_mean(m: np.ndarray) -> np.ndarray:
+    """(m + m.T) / 2, a tile pair at a time, halved once at the end. Each entry is the same
+    one addition and one halving, so the bytes do not depend on the tile order."""
     out = np.empty_like(m, order="C")
     for r, c in tile_pairs(m.shape[0]):
         np.add(m[r, c], m[c, r].T, out=out[r, c])
         if r != c:
             np.add(m[c, r], m[r, c].T, out=out[c, r])
+    out *= 0.5
     return out
 
 

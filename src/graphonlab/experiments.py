@@ -17,7 +17,7 @@ For an analytic limit, e_n settles when two successive grid levels agree within
 min(q.tol, (sqrt(2) L + sup W) / (10 max(ns))), a tenth of the rate bound at the
 largest n. That can exceed e_n, so measurement error can mask convergence: in the
 perfbench theorem-large sweep (k = 2, n up to 1024) it is 1e-4, while e_n at
-n = 1024 is 3.46e-5 (ROADMAP item 6). The rate constant L is taken from the
+n = 1024 is 3.46e-5 (see ROADMAP). The rate constant L is taken from the
 builtin catalog and defaults to 1; the O(1/n) target itself is derived for
 Lipschitz kernels and is not asserted for merely integrable inputs.
 Reports are byte-reproducible for a given (config, seed).

@@ -34,7 +34,7 @@ the fact that the cut norm is 1-Lipschitz with respect to the L1 norm
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, rng
@@ -66,9 +66,6 @@ class CutNormResult:
             return 0.0
         sub = values[np.ix_(self.witness_s, self.witness_t)]
         return abs(float(sub.sum())) / values.shape[0] ** 2
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _result(values: np.ndarray, sel: np.ndarray, exact: bool) -> CutNormResult:

@@ -12,8 +12,8 @@ from graphonlab.algebra import (
     LCM_GRID_CAP, _clip_to, ceil_to_multiple, cell_means, grain_of, midpoints,
     settle, validate_graphon,
 )
-from graphonlab.algebra import _asymmetry, _matmul, _matrix_power, _square
-from graphonlab.core import as_kernel
+from graphonlab.algebra import _matmul, _matrix_power
+from graphonlab.core import as_kernel, asymmetry
 from graphonlab.errors import QuadratureError, ValidationError
 from conftest import brute_force_product_cell, random_step
 
@@ -163,16 +163,18 @@ def _symmetric_kinds(n: int):
 
 
 # 256, 512 and 1024 take the plain product, which NumPy hands to BLAS syrk for a @ a.T;
-# the others pad, so their transposed factor is a copy and the product a gemm
+# the others pad, so their transposed factor is a copy and the product a gemm. A copy of
+# the second factor keeps a self-product a gemm: _matmul takes a.T only when b is a.
 @pytest.mark.parametrize("n", [1, 30, 100, 270, 256, 512, 1024])
 def test_the_transposed_square_keeps_the_bytes_of_the_product(n):
     for kind, a in _symmetric_kinds(n).items():
-        want = _matmul(a, a)
+        want = _matmul(a, a.copy())
         got = _matmul(a, a.T)
         assert got.tobytes() == want.tobytes(), kind
         into = np.empty((n, n))
         assert _matmul(a, a.T, into) is into and into.tobytes() == want.tobytes(), kind
-        assert _square(a).tobytes() == want.tobytes(), kind
+        assert _matmul(a, a).tobytes() == want.tobytes(), kind
+        assert _matmul(a, a, into) is into and into.tobytes() == want.tobytes(), kind
         if n % 256 == 0:  # syrk computes one triangle and NumPy mirrors it
             assert np.array_equal(got, got.T), kind
 
@@ -180,18 +182,18 @@ def test_the_transposed_square_keeps_the_bytes_of_the_product(n):
 def test_square_of_a_matrix_that_is_not_exactly_symmetric_is_the_product():
     a = _symmetric_kinds(256)["random"]
     a[3, 200] = np.nextafter(a[3, 200], 1.0)  # one ulp off: symmetric within 1e-12
-    want = _matmul(a, a)
-    assert _square(a).tobytes() == want.tobytes()
-    assert _matmul(a, a.T).tobytes() != want.tobytes()  # the route _square must not take
+    want = _matmul(a, a.copy())
+    assert _matmul(a, a).tobytes() == want.tobytes()
+    assert _matmul(a, a.T).tobytes() != want.tobytes()  # the route a self-product must not take
 
 
 def _old_matrix_power(a, k):
-    """The power before squarings went through _square: every product a plain _matmul."""
+    """The power before self-products took a.T: every product a gemm."""
     if k == 3:
-        return _matmul(_matmul(a, a), a)
+        return _matmul(_matmul(a, a.copy()), a)
     z = result = None
     while k:
-        z = a if z is None else _matmul(z, z)
+        z = a if z is None else _matmul(z, z.copy())
         k, bit = divmod(k, 2)
         if bit:
             result = z if result is None else _matmul(result, z)
@@ -208,7 +210,7 @@ def test_step_matrix_power_keeps_the_bytes_of_plain_products(n):
 @pytest.mark.parametrize("n", [1, 30, 256, 300])
 def test_self_product_of_a_step_keeps_the_bytes_of_the_plain_product(n):
     s = random_step(n, key=7 * n, signed=False)
-    vals = np.clip(_matmul(s.values, s.values) / n, 0.0, 1.0)
+    vals = np.clip(_matmul(s.values, s.values.copy()) / n, 0.0, 1.0)
     p = gl.product(s, s)
     assert isinstance(p, gl.StepGraphon)
     assert p.values.tobytes() == (0.5 * (vals + vals.T)).tobytes()
@@ -228,21 +230,21 @@ def test_lazy_self_product_keeps_the_bytes_of_the_plain_product(label, fn):
     zm = midpoints(g)
     lhs = np.asarray(w.eval_grid(zm, zm))
     assert np.array_equal(lhs, lhs.T) == (label == "minmax")
-    want = _matmul(lhs, lhs) / g
+    want = _matmul(lhs, lhs.copy()) / g
     assert gl.product(w, w).eval_grid(zm, zm, g).tobytes() == want.tobytes()
 
 
 def test_asymmetry_is_the_largest_gap_to_the_transpose():
     for n in (1, 129, 300):
         v = np.random.default_rng(n).random((n, n))
-        assert _asymmetry(v) == float(np.abs(v - v.T).max())
+        assert asymmetry(v) == float(np.abs(v - v.T).max())
         v[n - 1, 0] = np.nan
-        assert math.isnan(_asymmetry(v))
+        assert math.isnan(asymmetry(v))
 
 
 def test_asymmetry_holds_no_matrix_sized_temporary(peak_bytes):
     v = np.random.default_rng(5).random((1024, 1024))  # 8 MiB
-    assert peak_bytes(lambda: _asymmetry(v)) < 1 << 20
+    assert peak_bytes(lambda: asymmetry(v)) < 1 << 20
 
 
 _BLAS_SQUARES = """
@@ -254,10 +256,11 @@ from test_algebra import _old_matrix_power, _symmetric_kinds
 bad = []
 for n in (1, 30, 100, 256, 270, 512, 1024):
     for kind, a in _symmetric_kinds(n).items():
-        want = _matmul(a, a)
+        want = _matmul(a, a.copy())
         into = np.empty((n, n))
         if (_matmul(a, a.T).tobytes() != want.tobytes()
-                or _matmul(a, a.T, into).tobytes() != want.tobytes()):
+                or _matmul(a, a.T, into).tobytes() != want.tobytes()
+                or _matmul(a, a).tobytes() != want.tobytes()):
             bad.append(f"a a.T at n={n} {kind}")
         if n <= 270 and _matrix_power(a, 4).tobytes() != _old_matrix_power(a, 4).tobytes():
             bad.append(f"a^4 at n={n} {kind}")
@@ -265,18 +268,68 @@ print("; ".join(bad) or "ok")
 """
 
 
+def _in_child(script: str, core: str, threads: str) -> str:
+    """The stdout of ``script`` in a child process on OpenBLAS kernel ``core`` ("default"
+    for the host's own) at ``threads`` threads: this process keeps its own kernel and
+    thread count. The script gets the tests directory as its first argument."""
+    src = str(Path(gl.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_CORETYPE", None)
+    if core != "default":
+        env["OPENBLAS_CORETYPE"] = core
+    run = subprocess.run([sys.executable, "-c", script, str(Path(__file__).parent)],
+                         check=True, capture_output=True, text=True, env=env)
+    return run.stdout
+
+
 @pytest.mark.parametrize("core", ["Haswell", "Prescott"])
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_transposed_squares_keep_the_bytes_on_other_blas_kernels(core, threads):
-    # children only: this process keeps its own kernel and thread count. Under Haswell and
-    # Prescott at 2 threads a padded gemm square of a symmetric matrix is not always
-    # exactly symmetric, so a^4 shows that _square checks its factor
-    src = str(Path(gl.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS=threads,
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run([sys.executable, "-c", _BLAS_SQUARES, str(Path(__file__).parent)],
-                         check=True, capture_output=True, text=True, env=env)
-    assert run.stdout.strip() == "ok"
+    # a^4 squares a^2, whose transpose _matmul takes only when a^2 is exactly symmetric;
+    # either way a^4 must keep the bytes of the all-gemm power
+    assert _in_child(_BLAS_SQUARES, core, threads).strip() == "ok"
+
+
+# the padded route at every n: the minmax midpoint grid squared, and times a seeded
+# uniform matrix; a thread split inside an unaligned edge would change these bytes
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+import graphonlab as gl
+from graphonlab.algebra import _matmul, midpoints
+for n in (30, 100, 270, 300, 517, 1000):
+    a = gl.builtin("minmax").eval_grid(midpoints(n), midpoints(n))
+    square, cross = _matmul(a, a), _matmul(a, np.random.default_rng(n).random((n, n)))
+    digests = [hashlib.sha256(m.tobytes()).hexdigest()[:16] for m in (square, cross)]
+    print(n, *digests, np.array_equal(square, square.T))
+"""
+
+
+@pytest.mark.parametrize("core", ["default", "Haswell", "Prescott"])
+def test_products_round_alike_at_1_and_2_threads_on_every_blas_kernel(core):
+    one = _in_child(_THREAD_PROBE, core, "1")
+    assert [line.split()[-1] for line in one.splitlines()] == ["True"] * 6  # exact squares
+    assert _in_child(_THREAD_PROBE, core, "2") == one
+
+
+# a sampled power is an exact integer count over n^(k-1), one IEEE division: its bytes
+# do not depend on the summation order, so neither on the kernel nor on the thread count
+_SAMPLED_POWERS = """
+import hashlib
+import graphonlab as gl
+for n in (100, 270, 512):
+    cfg = gl.SamplerConfig(n, 1, gl.constant(0.5))
+    s = gl.canonical_graphon(gl.sample_graph(cfg, gl.sample_latents(cfg)))
+    for k in (2, 3):
+        print(n, k, hashlib.sha256(gl.power(s, k).values.tobytes()).hexdigest()[:16])
+"""
+
+
+def test_sampled_powers_have_the_same_bytes_on_every_blas_kernel_and_thread_count():
+    runs = {_in_child(_SAMPLED_POWERS, core, threads)
+            for core in ("default", "Haswell", "Prescott") for threads in ("1", "2")}
+    assert len(runs) == 1 and len(runs.pop().splitlines()) == 6
 
 
 def test_discretize_examples():

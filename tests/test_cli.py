@@ -642,6 +642,23 @@ def test_power_of_a_kernel_above_1_is_refused(capsys):
     assert err.startswith("error: 2*x*y is not in [0, 1]: W(")
 
 
+# NumPy raises a MemoryError subclass naming the request when an array does not fit;
+# the callee raises it here, so no test allocates a huge array
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data type "
+     "float64", "Unable to allocate 74.5 GiB"),
+    ("", "out of memory"),
+], ids=["numpy", "bare"])
+def test_running_out_of_memory_exits_2_without_a_traceback(monkeypatch, capsys, message, shown):
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("graphonlab.cli.validate_graphon", refuse)
+    code, out, err = run(capsys, "validate", "--graphon-expr", "x*y", "--grid", "100000")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {shown}") and err.count("\n") == 1
+
+
 # each printed cells in [0, 1], although the factor's W(1, 1) = 1.1: only the result
 # was checked
 @pytest.mark.parametrize("argv", [
