@@ -20,8 +20,6 @@ from .core import (
     canonical_graphon,
     constant,
     evaluate,
-    from_step,
-    graph_from_step,
 )
 from .errors import (
     DomainError,
@@ -38,7 +36,7 @@ from .experiments import (
     run_counterexample_sweep,
     run_theorem_sweep,
 )
-from .expr import eval_ast, from_expression, parse, symmetrize, unparse
+from .expr import from_expression, parse, unparse
 from .norms import (
     CutNormInterval,
     CutNormResult,

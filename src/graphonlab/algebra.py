@@ -20,7 +20,8 @@ computation chooses one; evaluated without a z-grid (gz == 0), a lazy product
 settles its z-integral under the QuadratureSpec it was built with. A product or
 power of steps is the exact matrix formula (1/n) A B on the common (lcm) grid: a
 StepGraphon when symmetric, or else a ProductGraphon holding the asymmetric matrix.
-Every kernel matrix product is `_matmul`, whose bytes do not depend on the thread count.
+Every kernel matrix product is `_matmul`, whose bytes do not depend on the thread count
+(it pads an unaligned row count on both of its routes).
 A self-product `_matmul(a, a)` (a lazy product's square on its own z-grid, a step power's
 squarings, a step times itself) multiplies by `a.T` when a is exactly symmetric. The values
 are the same. On `_matmul`'s plain route NumPy hands `a @ a.T` over one buffer to BLAS
@@ -176,22 +177,27 @@ def integrate2d(f, q: QuadratureSpec) -> QuadratureResult:
 
 def _matmul(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """a @ b, into ``out`` if given, rounded alike at every BLAS thread count: a thread split
-    inside an unaligned edge rounds differently. So only an inner dimension that is a multiple
-    of 256 with a column count that is a multiple of 64 takes the plain product; any other pads
-    a's rows and b's columns with zeros to multiples of 64 and adds 256-row inner panels in
-    ascending order. A self-product (b is a) of an exactly symmetric a is a @ a.T: the same
-    values, and on the plain route NumPy hands it over one buffer to BLAS syrk, half the work."""
+    inside an unaligned edge rounds differently. So a's rows are padded with zeros to a
+    multiple of 64 on every route. An inner dimension that is a multiple of 256 with a column
+    count that is a multiple of 64 then takes the plain product; any other also pads b's
+    columns to a multiple of 64 and adds 256-row inner panels in ascending order. A
+    self-product (b is a) of an exactly symmetric a is a @ a.T: the same values, and on the
+    plain route NumPy hands it over one buffer to BLAS syrk, half the work."""
     if b is a and is_symmetric(a):
         b = a.T
     (rows, inner), cols = a.shape, b.shape[1]
-    if inner % 256 == 0 and cols % 64 == 0:
+    plain = inner % 256 == 0 and cols % 64 == 0
+    if plain and rows % 64 == 0:
         return np.matmul(a, b, out=out)
     if rows % 64:
         a = np.pad(a, ((0, -rows % 64), (0, 0)))
-    b = np.pad(b, ((0, 0), (0, -cols % 64)))
-    acc = a[:, :256] @ b[:256]
-    for lo in range(256, inner, 256):
-        acc += a[:, lo : lo + 256] @ b[lo : lo + 256]
+    if plain:
+        acc = a @ b
+    else:
+        b = np.pad(b, ((0, 0), (0, -cols % 64)))
+        acc = a[:, :256] @ b[:256]
+        for lo in range(256, inner, 256):
+            acc += a[:, lo : lo + 256] @ b[lo : lo + 256]
     if out is None:
         return np.ascontiguousarray(acc[:rows, :cols])
     out[...] = acc[:rows, :cols]

@@ -182,8 +182,9 @@ class LatentPoints:
             raise ValidationError(f"expected {self.n} latent points, got shape {xs.shape}")
         lo = np.arange(self.n) / self.n
         hi = np.arange(1, self.n + 1) / self.n
-        if np.any(xs < lo) or np.any(xs >= hi):
-            bad = int(np.argmax((xs < lo) | (xs >= hi)))
+        inside = (xs >= lo) & (xs < hi)  # False on NaN
+        if not inside.all():
+            bad = int(np.argmin(inside))
             raise ValidationError(f"latent {bad} = {xs[bad]} outside its stratum")
         xs.setflags(write=False)
         object.__setattr__(self, "xs", xs)
@@ -296,13 +297,6 @@ def builtin_names() -> list[str]:
     return ["constant"] + sorted(_BUILTINS)
 
 
-def from_step(step: StepGraphon) -> StepGraphon:
-    """The step itself, once its values are checked to lie in [0, 1]."""
-    if step.lo < 0.0:
-        raise ValidationError("a graphon needs values in [0, 1]; got a signed step")
-    return step
-
-
 def evaluate(w, x: float, y: float) -> float:
     """The one point read of a kernel: its 1x1 grid evaluation without a z-grid (so a
     lazy product settles its z-integral); raises DomainError outside the unit square."""
@@ -314,13 +308,3 @@ def evaluate(w, x: float, y: float) -> float:
 def canonical_graphon(g: SimpleGraph) -> StepGraphon:
     """Step graphon whose block values are the adjacency matrix of g."""
     return StepGraphon(g.n, g.adjacency(), 0.0, 1.0)
-
-
-def graph_from_step(s: StepGraphon) -> SimpleGraph:
-    """Inverse of canonical_graphon for 0/1 matrices with zero diagonal."""
-    v = s.values
-    if not np.all((v == 0.0) | (v == 1.0)):
-        raise ValidationError("step values are not all 0/1")
-    if np.any(np.diag(v) != 0.0):
-        raise ValidationError("nonzero diagonal block; not a simple-graph graphon")
-    return SimpleGraph(s.n, np.argwhere(np.triu(v, 1)))

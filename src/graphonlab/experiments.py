@@ -274,6 +274,7 @@ def report_from_dict(doc: dict) -> ConvergenceReport:
 
 
 def load_report(path) -> ConvergenceReport:
+    """Public because it reads back the JSON report that `emit_report` writes."""
     return report_from_dict(json.loads(Path(path).read_text()))
 
 

@@ -25,7 +25,6 @@ node a fresh array, bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -305,14 +304,6 @@ def eval_array(ast, x, y) -> np.ndarray:
         return _eval(ast, x, y, np.broadcast_shapes(x.shape, y.shape))[0]
 
 
-def eval_ast(ast, x: float, y: float) -> float:
-    v = eval_array(ast, np.float64(x), np.float64(y))
-    v = float(v)
-    if math.isnan(v):
-        raise ExprEvalError("evaluation produced NaN", ast)
-    return v
-
-
 # --- pretty printing ----------------------------------------------------------
 #
 # Nodes are assigned the tightest grammar category that can produce them bare
@@ -362,7 +353,9 @@ def unparse(ast) -> str:
 
 def from_expression(source: str, clamp: bool = False, symmetrize: bool = False):
     """GraphonSpec of the expression, optionally symmetrized and then clamped to [0, 1],
-    labelled with its source (``sym:`` plus the source when symmetrized)."""
+    labelled with its source (``sym:`` plus the source when symmetrized). The symmetrized
+    kernel (f(x, y) + f(y, x)) / 2 is bit-symmetric by construction, since float addition
+    commutes, so it always passes the graphon rule's symmetry check."""
     ast = parse(source)
     if symmetrize:
         def raw(x, y, _ast=ast):
@@ -373,12 +366,3 @@ def from_expression(source: str, clamp: bool = False, symmetrize: bool = False):
 
     fn = (lambda x, y: np.clip(raw(x, y), 0.0, 1.0)) if clamp else raw
     return GraphonSpec(label=("sym:" + source if symmetrize else source), fn=fn)
-
-
-def symmetrize(ast, clamp: bool = False):
-    """Wrap an AST as the graphon (f(x,y) + f(y,x)) / 2.
-
-    The averaged evaluation is bit-symmetric by construction (float addition
-    commutes), so the result always satisfies the core symmetry invariant.
-    """
-    return from_expression(unparse(ast), clamp=clamp, symmetrize=True)

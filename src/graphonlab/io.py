@@ -144,6 +144,7 @@ def save_graph(g: SimpleGraph, path) -> Path:
 
 
 def load_graph(path) -> SimpleGraph:
+    """Public because it reads back the edge list that `sample --out` writes."""
     p = Path(path)
     if not p.exists():
         raise GraphFormatError(f"graph file not found: {p}")

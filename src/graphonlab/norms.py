@@ -61,7 +61,8 @@ class CutNormResult:
     exact: bool
 
     def witness_value(self, values: np.ndarray) -> float:
-        """Re-evaluate |sum over S x T| / n^2 from the witness."""
+        """Re-evaluate |sum over S x T| / n^2 from the witness: the independent reference
+        that tests compare `value` against."""
         if not self.witness_s or not self.witness_t:
             return 0.0
         sub = values[np.ix_(self.witness_s, self.witness_t)]

@@ -30,7 +30,8 @@ def mask64(x: int) -> int:
 
 
 def value_at(key: int, counter: int) -> int:
-    """Raw 64-bit generator output for (key, counter)."""
+    """Raw 64-bit generator output for (key, counter): the scalar reference that the
+    vectorized uniforms are tested against."""
     return value_at_py(mask64(key), mask64(counter))
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import rng
 from .algebra import QuadratureSpec, cell_means
 from .core import RANGE_TOL, LatentPoints, SimpleGraph, StepGraphon, as_kernel
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 
 _TAG_LATENTS = 1
 _TAG_EDGES = 2
@@ -102,9 +102,15 @@ def _edge_draw(cfg: SamplerConfig, xs: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def sample_graph(cfg: SamplerConfig, latents) -> SimpleGraph:
     """Independent Bernoulli edges with probability W(x_i, x_j), i < j."""
-    xs = latents.xs if isinstance(latents, LatentPoints) else np.asarray(latents, float)
+    stratified = isinstance(latents, LatentPoints)
+    xs = latents.xs if stratified else np.asarray(latents, float)
     if xs.shape != (cfg.n,):
         raise ValidationError(f"latents have shape {xs.shape}, expected ({cfg.n},)")
+    if not stratified:  # stratified points lie in their strata by construction
+        inside = (xs >= 0.0) & (xs <= 1.0)  # False on NaN
+        if not inside.all():
+            bad = int(np.argmin(inside))
+            raise DomainError(f"latent {bad} = {xs[bad]} outside [0, 1]")
     return SimpleGraph(cfg.n, np.stack(_edge_draw(cfg, xs), axis=1))
 
 

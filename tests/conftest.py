@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from graphonlab import StepGraphon, evaluate, rng
 from graphonlab._kernels import warmup
+from graphonlab.algebra import _matmul
 
 
 _SKIPPED = []
@@ -49,6 +51,20 @@ def peak_bytes():
             tracemalloc.stop()
 
     return measure
+
+
+# sha256 of _matmul(a, a) for the 3 x 3 matrix in blas_family on OpenBLAS's Prescott kernel
+# (SSE3, no FMA); the FMA kernels (SkylakeX, Haswell) round one of its sums differently
+_PRESCOTT_PROBE = "101d1e6b1215857629175d06796308b690de4a2200554f9645b0b7f4ab651823"
+
+
+def blas_family() -> str:
+    """"Prescott" when this process's BLAS rounds a small unaligned product as OpenBLAS's
+    Prescott kernel does, else "default". Golden digests of products on unaligned shapes
+    are recorded per family, since no summation order makes FMA and non-FMA sums agree."""
+    a = np.array([[0.1, 0.2, 0.9], [0.2, 0.4, 0.5], [0.9, 0.5, 0.7]])
+    probe = hashlib.sha256(_matmul(a, a).tobytes()).hexdigest()
+    return "Prescott" if probe == _PRESCOTT_PROBE else "default"
 
 
 def random_step(n: int, key: int, signed: bool = True) -> StepGraphon:

@@ -126,7 +126,7 @@ def test_power_of_product_kernel():
 
 def test_power_of_step_is_exact_matrix_formula():
     s = random_step(4, key=9, signed=False)
-    p = gl.power(gl.from_step(s), 3).step_form()
+    p = gl.power(s, 3).step_form()
     want = np.linalg.matrix_power(s.values, 3) / 16.0
     assert np.allclose(p.values, want, atol=1e-12)
 
@@ -292,24 +292,42 @@ def test_transposed_squares_keep_the_bytes_on_other_blas_kernels(core, threads):
 
 
 # the padded route at every n: the minmax midpoint grid squared, and times a seeded
-# uniform matrix; a thread split inside an unaligned edge would change these bytes
+# uniform matrix; the plain route (aligned inner and column counts) at unaligned row
+# counts; and the edge probabilities of a lazy cube, whose inner product takes the plain
+# route with n rows. A thread split inside an unaligned edge would change these bytes
 _THREAD_PROBE = """
 import hashlib
 import numpy as np
 import graphonlab as gl
 from graphonlab.algebra import _matmul, midpoints
+from graphonlab.sampling import _pair_probabilities
+
+def digest(m):
+    return hashlib.sha256(m.tobytes()).hexdigest()[:16]
+
 for n in (30, 100, 270, 300, 517, 1000):
     a = gl.builtin("minmax").eval_grid(midpoints(n), midpoints(n))
     square, cross = _matmul(a, a), _matmul(a, np.random.default_rng(n).random((n, n)))
-    digests = [hashlib.sha256(m.tobytes()).hexdigest()[:16] for m in (square, cross)]
-    print(n, *digests, np.array_equal(square, square.T))
+    print("padded", n, digest(square), digest(cross), np.array_equal(square, square.T))
+for rows in (1, 3, 100, 270, 517):
+    for inner, cols in ((256, 64), (512, 256), (1024, 1024)):
+        r = np.random.default_rng([rows, inner, cols])
+        print("plain", rows, inner, cols,
+              digest(_matmul(r.random((rows, inner)), r.random((inner, cols)))))
+cube = gl.power(gl.builtin("minmax"), 3)
+for n in (100, 270):
+    xs = gl.sample_latents(gl.SamplerConfig(n, 1, cube)).xs
+    print("cube", n, digest(_pair_probabilities(cube, xs)))
 """
 
 
 @pytest.mark.parametrize("core", ["default", "Haswell", "Prescott"])
 def test_products_round_alike_at_1_and_2_threads_on_every_blas_kernel(core):
     one = _in_child(_THREAD_PROBE, core, "1")
-    assert [line.split()[-1] for line in one.splitlines()] == ["True"] * 6  # exact squares
+    kinds = [line.split()[0] for line in one.splitlines()]
+    assert kinds == ["padded"] * 6 + ["plain"] * 15 + ["cube"] * 2
+    squares = [line.split()[-1] for line in one.splitlines() if line.startswith("padded")]
+    assert squares == ["True"] * 6  # exact squares
     assert _in_child(_THREAD_PROBE, core, "2") == one
 
 
@@ -337,7 +355,7 @@ def test_discretize_examples():
     d = gl.discretize(gl.builtin("product"), 2)
     assert d.values[0, 0] == pytest.approx(0.0625, abs=1e-12)
     s = random_step(4, key=3, signed=False)
-    assert np.array_equal(gl.discretize(gl.from_step(s), 4).values, s.values)
+    assert np.array_equal(gl.discretize(s, 4).values, s.values)
 
 
 def test_step_product_oracle_random_instances():
@@ -387,7 +405,7 @@ def test_range_preservation():
 
 
 def test_associativity_of_step_powers():
-    s = gl.from_step(random_step(5, key=77, signed=False))
+    s = random_step(5, key=77, signed=False)
     left = gl.product(gl.product(s, s), s)
     right = gl.product(s, gl.product(s, s))
     lv = left.step_form().values if left.step_form() is not None else left.asym_values
@@ -681,11 +699,26 @@ def _old_factors_equal(ka, kb) -> bool:
     return sa.n == sb.n and np.array_equal(sa.values, sb.values)
 
 
+def _panel_product(a, b):
+    """a @ b in _matmul's documented order: rows padded with zeros to a multiple of 64; the
+    plain product when the inner dimension is a multiple of 256 and the columns of 64, else
+    the columns padded to a multiple of 64 too and 256-row inner panels added in order."""
+    (rows, inner), cols = a.shape, b.shape[1]
+    a = np.pad(a, ((0, -rows % 64), (0, 0)))
+    if inner % 256 == 0 and cols % 64 == 0:
+        return (a @ b)[:rows]
+    b = np.pad(b, ((0, 0), (0, -cols % 64)))
+    acc = a[:, :256] @ b[:256]
+    for lo in range(256, inner, 256):
+        acc = acc + a[:, lo : lo + 256] @ b[lo : lo + 256]
+    return acc[:rows, :cols]
+
+
 def _old_step_product(sa, sb, symmetric):
     m = math.lcm(sa.n, sb.n)
     a = sa.refine(m // sa.n).values
     b = sb.refine(m // sb.n).values
-    vals = (a @ b) / m
+    vals = _panel_product(a, b) / m
     proper = sa.lo >= 0.0 and sb.lo >= 0.0
     lo, hi = (0.0, 1.0) if proper else (-1.0, 1.0)
     vals = _clip_to(vals, lo, hi)

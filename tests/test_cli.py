@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import graphonlab as gl
 import graphonlab.io as glio
 from graphonlab.cli import main
+from conftest import blas_family
 
 
 def run(capsys, *argv):
@@ -328,6 +329,13 @@ STDOUT_SHA = {
     "power_step": "3473b445ab3d8c6c184cdc7ba6707b6d4a2df57279737732b8b0237e02e1025d",
     "power_expr": "bf321f5bd076a7df8cc4fbb60313dcf23bd454b219743c7aae862e70c3444815",
 }
+# the same stdout on OpenBLAS's Prescott kernel (no FMA), which rounds the products of
+# the unaligned 3-block steps differently; "expect" forms no product
+STDOUT_SHA_PRESCOTT = {
+    "product": "601aa77b1fe88f59767e5098028b3fd12eea1e16ca02c8fbb2dd45aeebcaf1c3",
+    "power_step": "8cf2b4bb1209de55cc14d244e9a1e2c94469c94e9cc3d381c10663eafd2118c6",
+    "power_expr": "204b9002409cd7c7de6064693cd5fadec348460b51f6d808a09eb1f685cdb571",
+}
 SWEEP_ROWS_SHA = {
     "theorem": "b736167413c0b916be5bdcae7f2f3ebea806fcdf0c4fe4edbf2f8912ddbaa8e1",
     "counterexample": "f4820f2fdb1c3272f2c32cbe81b12fdfb9c510d1084b837c0a318d5f978428da",
@@ -346,7 +354,8 @@ def test_step_printing_commands_match_golden_bytes(tmp_path, capsys, name):
     }[name]
     code, out, _ = run(capsys, *argv)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA[name]
+    golden = {**STDOUT_SHA, **STDOUT_SHA_PRESCOTT} if blas_family() == "Prescott" else STDOUT_SHA
+    assert hashlib.sha256(out.encode()).hexdigest() == golden[name]
 
 
 @pytest.mark.parametrize("mode", sorted(SWEEP_ROWS_SHA))

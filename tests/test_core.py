@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,7 +68,8 @@ def test_canonical_graphon_roundtrips_to_graph(n, data):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     picks = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
     g = gl.SimpleGraph(n, frozenset(picks))
-    assert gl.graph_from_step(gl.canonical_graphon(g)).edges == g.edges
+    v = gl.canonical_graphon(g).values
+    assert gl.SimpleGraph(n, np.argwhere(np.triu(v, 1))).edges == g.edges
 
 
 def test_step_midpoint_agreement():
@@ -213,8 +216,10 @@ def test_simple_graph_pairs_read_only_and_edges_sorted_view():
 
 def test_latent_points_invariants():
     gl.LatentPoints(2, [0.25, 0.75])
-    with pytest.raises(ValidationError):
-        gl.LatentPoints(2, [0.75, 0.25])
+    for xs, bad in (([0.75, 0.25], 0), ([math.nan, 0.7], 0), ([0.2, math.nan], 1),
+                    ([0.2, math.inf], 1), ([-0.3, 0.7], 0)):
+        with pytest.raises(ValidationError, match=rf"^latent {bad} = {xs[bad]} outside its"):
+            gl.LatentPoints(2, xs)
 
 
 def test_validate_constant_passes():
@@ -242,14 +247,14 @@ def test_validate_rejects_range_violation_at_corner():
 @settings(max_examples=60, deadline=None)
 def test_accepted_specs_evaluate_symmetrically(seed, x, y):
     for w in (gl.builtin("product"), gl.builtin("minmax"), gl.builtin("attachment"),
-              gl.symmetrize(gl.parse("x^2*y"))):
+              gl.from_expression("x^2*y", symmetrize=True)):
         assert abs(gl.evaluate(w, x, y) - gl.evaluate(w, y, x)) <= 1e-12
 
 
 def test_eval_grid_matches_pointwise():
     xs = np.array([0.1, 0.6, 0.9])
     for w in (gl.builtin("minmax"), gl.from_expression("x*y"),
-              gl.from_step(gl.StepGraphon(2, [[0.0, 1.0], [1.0, 0.0]]))):
+              gl.StepGraphon(2, [[0.0, 1.0], [1.0, 0.0]])):
         grid = w.eval_grid(xs, xs)
         for i, x in enumerate(xs):
             for j, y in enumerate(xs):
@@ -268,13 +273,6 @@ def test_evaluate_dispatches_through_products_and_estimates():
     mc = gl.mc_expected_graphon(gl.SamplerConfig(3, 5, gl.constant(1.0)), 2)
     assert gl.evaluate(mc.step, 0.1, 0.9) == 1.0
     assert gl.evaluate(mc.step, 0.1, 0.2) == 0.0
-
-
-def test_from_step_returns_the_step():
-    s = gl.StepGraphon(2, [[0.0, 1.0], [1.0, 0.0]])
-    assert gl.from_step(s) is s
-    with pytest.raises(ValidationError):
-        gl.from_step(gl.StepGraphon(2, [[0.0, -0.5], [-0.5, 0.0]], -1.0, 1.0))
 
 
 def test_evaluate_and_validate_plain_callable():

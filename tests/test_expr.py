@@ -19,7 +19,7 @@ def test_parse_simple_product():
 
 def test_parse_minmax_kernel():
     ast = ex.parse("min(x,y)*(1-max(x,y))")
-    assert ex.eval_ast(ast, 0.5, 0.5) == pytest.approx(0.25, abs=1e-15)
+    assert ex.eval_array(ast, 0.5, 0.5) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_unknown_identifier_offset():
@@ -30,27 +30,27 @@ def test_unknown_identifier_offset():
 
 
 def test_eval_examples():
-    assert ex.eval_ast(ex.parse("1/2"), 0.9, 0.1) == 0.5
-    assert ex.eval_ast(ex.parse("x^2"), 0.3, 0.0) == pytest.approx(0.09, abs=1e-15)
+    assert ex.eval_array(ex.parse("1/2"), 0.9, 0.1) == 0.5
+    assert ex.eval_array(ex.parse("x^2"), 0.3, 0.0) == pytest.approx(0.09, abs=1e-15)
     with pytest.raises(ex.ExprEvalError):
-        ex.eval_ast(ex.parse("sqrt(x-1)"), 0.5, 0.5)
+        ex.eval_array(ex.parse("sqrt(x-1)"), 0.5, 0.5)
     with pytest.raises(ex.ExprEvalError):
-        ex.eval_ast(ex.parse("1/(x-x)"), 0.5, 0.5)
+        ex.eval_array(ex.parse("1/(x-x)"), 0.5, 0.5)
 
 
 def test_power_is_right_associative():
-    assert ex.eval_ast(ex.parse("2^3^2"), 0.0, 0.0) == 512.0
+    assert ex.eval_array(ex.parse("2^3^2"), 0.0, 0.0) == 512.0
 
 
 def test_unary_minus_binds_tighter_than_power():
-    assert ex.eval_ast(ex.parse("-2^2"), 0.0, 0.0) == 4.0
+    assert ex.eval_array(ex.parse("-2^2"), 0.0, 0.0) == 4.0
 
 
 def test_functions_and_arity():
-    assert ex.eval_ast(ex.parse("abs(-3)"), 0.0, 0.0) == 3.0
-    assert ex.eval_ast(ex.parse("exp(0)"), 0.0, 0.0) == 1.0
-    assert ex.eval_ast(ex.parse("sqrt(4)"), 0.0, 0.0) == 2.0
-    assert ex.eval_ast(ex.parse("min(x, y)"), 0.2, 0.7) == 0.2
+    assert ex.eval_array(ex.parse("abs(-3)"), 0.0, 0.0) == 3.0
+    assert ex.eval_array(ex.parse("exp(0)"), 0.0, 0.0) == 1.0
+    assert ex.eval_array(ex.parse("sqrt(4)"), 0.0, 0.0) == 2.0
+    assert ex.eval_array(ex.parse("min(x, y)"), 0.2, 0.7) == 0.2
     with pytest.raises(ex.ExprSyntaxError):
         ex.parse("min(x)")
     with pytest.raises(ex.ExprSyntaxError):
@@ -122,16 +122,15 @@ def test_unparse_parse_roundtrip_evaluates_identically(ast, x, y):
     text = ex.unparse(ast)
     reparsed = ex.parse(text)
     try:
-        expected = ex.eval_ast(ast, x, y)
-        failed = False
+        expected = float(ex.eval_array(ast, x, y))
     except ex.ExprEvalError:
-        failed = True
-    if failed:
         with pytest.raises(ex.ExprEvalError):
-            ex.eval_ast(reparsed, x, y)
+            ex.eval_array(reparsed, x, y)
         return
-    got = ex.eval_ast(reparsed, x, y)
-    if math.isinf(expected):
+    got = float(ex.eval_array(reparsed, x, y))
+    if math.isnan(expected):
+        assert math.isnan(got)
+    elif math.isinf(expected):
         assert got == expected
     else:
         assert got == pytest.approx(expected, abs=1e-15, rel=1e-15)
@@ -153,18 +152,18 @@ def test_parser_never_crashes_on_token_soup(source):
 
 
 def test_symmetrize_examples():
-    half_sum = ex.symmetrize(ex.parse("x"))
+    half_sum = ex.from_expression("x", symmetrize=True)
     assert evaluate(half_sum, 0.2, 0.8) == pytest.approx(0.5, abs=1e-15)
 
-    unchanged = ex.symmetrize(ex.parse("x*y"))
+    unchanged = ex.from_expression("x*y", symmetrize=True)
     assert evaluate(unchanged, 0.3, 0.9) == pytest.approx(0.27, abs=1e-15)
 
-    mixed = ex.symmetrize(ex.parse("x^2*y"))
+    mixed = ex.from_expression("x^2*y", symmetrize=True)
     assert evaluate(mixed, 0.2, 0.8) == pytest.approx(0.08, abs=1e-15)
 
 
 def test_symmetrize_is_bit_symmetric():
-    w = ex.symmetrize(ex.parse("x^2*y + exp(x)/3"))
+    w = ex.from_expression("x^2*y + exp(x)/3", symmetrize=True)
     for x, y in [(0.1, 0.9), (0.37, 0.82), (0.5, 0.25)]:
         assert evaluate(w, x, y) == evaluate(w, y, x)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphonlab as gl
-from graphonlab.errors import ValidationError
+from graphonlab.errors import DomainError, ValidationError
 
 
 def cfg(n, seed, w=None):
@@ -49,6 +49,21 @@ def test_iid_latents_are_sorted_uniforms():
     assert xs.min() >= 0.0 and xs.max() < 1.0
 
 
+@pytest.mark.parametrize("xs, bad", [([-0.3, 0.7], 0), ([0.2, 1.8], 1), ([math.nan, 0.7], 0),
+                                     ([0.2, math.inf], 1)])
+def test_raw_latents_outside_the_unit_interval_are_refused(xs, bad):
+    # on a step graphon these were read as cell -1, clamped into the last cell, or an
+    # IndexError
+    c = cfg(2, 1, gl.StepGraphon(2, [[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(DomainError, match=rf"^latent {bad} = {xs[bad]} outside \[0, 1\]$"):
+        gl.sample_graph(c, np.array(xs))
+
+
+def test_raw_latents_may_lie_on_the_ends_of_the_unit_interval():
+    c = cfg(2, 1, gl.StepGraphon(2, [[0.0, 1.0], [1.0, 0.0]]))
+    assert gl.sample_graph(c, np.array([0.0, 1.0])).edges == ((0, 1),)
+
+
 def test_complete_and_empty_graphs():
     c = cfg(5, 11, gl.constant(1.0))
     g = gl.sample_graph(c, gl.sample_latents(c))
@@ -87,7 +102,7 @@ def test_expected_product_cell_is_product_of_means():
 
 def test_expected_step_same_grid_is_identity_off_diagonal():
     s = gl.StepGraphon(3, np.array([[0.2, 0.4, 0.6], [0.4, 0.8, 0.5], [0.6, 0.5, 0.3]]))
-    e = gl.expected_graphon(gl.from_step(s), 3)
+    e = gl.expected_graphon(s, 3)
     off = ~np.eye(3, dtype=bool)
     assert np.allclose(e.values[off], s.values[off], atol=1e-15)
     assert np.all(np.diag(e.values) == 0.0)
