@@ -1,8 +1,6 @@
-"""Hot numeric kernels, vectorized with NumPy.
-
-Three inner loops dominate the package's runtime: counter-mode generation of
-uniform variates, exact cut-norm enumeration over all 2^n row subsets, and the
-alternating-maximization cut-norm heuristic.
+"""The two cut-norm searches, vectorized with NumPy: exact enumeration over
+all 2^n row subsets and the alternating-maximization heuristic. The random
+starts of the heuristic come from the generator in `rng`.
 
 Subset conventions: the kernels return only the best row subset S of an
 n-block step matrix. `enum_best_mask` encodes it as an integer bitmask (bit i
@@ -16,49 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-MASK64 = 0xFFFFFFFFFFFFFFFF
-GOLDEN = 0x9E3779B97F4A7C15
-MIX1 = 0xBF58476D1CE4E5B9
-MIX2 = 0x94D049BB133111EB
-
-_U64_GOLDEN = np.uint64(GOLDEN)
-_U64_MIX1 = np.uint64(MIX1)
-_U64_MIX2 = np.uint64(MIX2)
-_INV_2_53 = 2.0 ** -53
-
-
-# ---------------------------------------------------------------------------
-# SplitMix64 in counter mode (see rng.py for the public contract)
-# ---------------------------------------------------------------------------
-
-
-def value_at_py(key: int, counter: int) -> int:
-    """Reference implementation on Python ints; used for key derivation."""
-    z = (key + (counter + 1) * GOLDEN) & MASK64
-    z ^= z >> 30
-    z = (z * MIX1) & MASK64
-    z ^= z >> 27
-    z = (z * MIX2) & MASK64
-    z ^= z >> 31
-    return z
-
-
-def words_at(key: int, counters) -> np.ndarray:
-    """Raw 64-bit generator outputs (uint64) at the given counters."""
-    c = np.ascontiguousarray(counters, dtype=np.uint64)
-    z = np.uint64(key & MASK64) + (c + np.uint64(1)) * _U64_GOLDEN
-    z ^= z >> np.uint64(30)
-    z *= _U64_MIX1
-    z ^= z >> np.uint64(27)
-    z *= _U64_MIX2
-    z ^= z >> np.uint64(31)
-    return z
-
-
-def uniforms_at(key: int, counters) -> np.ndarray:
-    """Uniforms in [0,1) at the given counters."""
-    return (words_at(key, counters) >> np.uint64(11)).astype(np.float64) * _INV_2_53
-
+from .rng import uniforms_at, words_at
 
 # ---------------------------------------------------------------------------
 # Exact cut-norm enumeration (best row subset of a step matrix)
@@ -257,7 +213,7 @@ def altmax_best_rows(values: np.ndarray, restarts: int, key: int) -> np.ndarray:
     values = np.ascontiguousarray(values, dtype=np.float64)
     n = values.shape[0]
     base = np.arange(restarts, dtype=np.uint64)[:, None] * np.uint64(_RESTART_STRIDE)
-    words = words_at(int(key) & MASK64, base + np.arange(n, dtype=np.uint64))
+    words = words_at(int(key), base + np.arange(n, dtype=np.uint64))
     rows = (words & np.uint64(1)).astype(bool)  # S of each restart
     rows[0] = True
     cols = np.zeros_like(rows)  # T of each restart's last improving pass

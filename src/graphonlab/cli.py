@@ -25,6 +25,7 @@ from .experiments import (
 )
 from .expr import from_expression
 from .norms import (
+    DEFAULT_RESTARTS,
     cut_distance_upper_via_discretization,
     cut_norm_auto,
     l1_distance,
@@ -108,7 +109,7 @@ def _build_parser():
                    "difference when --with is given)")
     p.add_argument("--discretize", type=int, metavar="M",
                    help="bracket an analytic cut norm via an M-block discretization")
-    p.add_argument("--restarts", type=int, default=50)
+    p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
 
     modes = sub.add_parser("sweep", help="convergence sweeps").add_subparsers(
         dest="mode", required=True)
@@ -375,7 +376,8 @@ def main(argv=None) -> int:
         if extra:
             args._parser.error(f"unrecognized arguments: {' '.join(extra)}")
         return _COMMANDS[args.command](args, _merge(args))
-    except (GraphonLabError, MemoryError) as exc:  # NumPy's MemoryError names the request
+    # NumPy's MemoryError names the request; an OSError names the file it could not use
+    except (GraphonLabError, MemoryError, OSError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 

@@ -50,7 +50,6 @@ _TAG_CE_DRAW = 7
 _TAG_CE_CUT = 8
 
 _SHARED_ALIGN_CAP = 2048
-_SWEEP_RESTARTS = 50
 
 
 @dataclass(frozen=True)
@@ -206,7 +205,7 @@ def _sampled(w, k: int, n: int, q: QuadratureSpec, dist: _LimitDistance,
     # both terms are symmetric; StepGraphon copies, so the clipped difference dies here
     signed = StepGraphon(n, np.clip(ak.values - dist.limit_cells(n), -1.0, 1.0), -1.0, 1.0)
     del ak
-    return l1, cut_norm_auto(signed, restarts=_SWEEP_RESTARTS, seed=cut_key).value
+    return l1, cut_norm_auto(signed, seed=cut_key).value
 
 
 def run_counterexample_sweep(

@@ -18,6 +18,7 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from .algebra import QuadratureSpec
 from .core import SimpleGraph, StepGraphon, is_symmetric
 from .errors import ValidationError
 
@@ -79,6 +80,13 @@ def save_matrix(values: np.ndarray, path) -> Path:
     return p
 
 
+def _read_text(p: Path, error=ValidationError) -> str:
+    try:
+        return p.read_text()
+    except UnicodeDecodeError as exc:
+        raise error(f"{p.name}: not a text file: {exc}") from None
+
+
 def _matrix_from_rows(rows, name: str) -> StepGraphon:
     n = len(rows)
     for i, row in enumerate(rows):
@@ -106,7 +114,7 @@ def load_step_matrix(path) -> StepGraphon:
         raise ValidationError(f"matrix file not found: {p}")
     if _detect_format(p) == "csv":
         rows = []
-        for lineno, line in enumerate(p.read_text().splitlines(), start=1):
+        for lineno, line in enumerate(_read_text(p).splitlines(), start=1):
             if not line.strip():
                 continue
             try:
@@ -148,7 +156,7 @@ def load_graph(path) -> SimpleGraph:
     p = Path(path)
     if not p.exists():
         raise GraphFormatError(f"graph file not found: {p}")
-    lines = [ln for ln in p.read_text().splitlines() if ln.strip()]
+    lines = [ln for ln in _read_text(p, GraphFormatError).splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("n="):
         raise GraphFormatError(f"{p.name}: missing 'n=<count>' header")
     try:
@@ -196,9 +204,9 @@ class ExperimentConfig:
     draws: int = 20
     seed: int = 0
     p: Optional[float] = None
-    grid: int = 256
-    tol: float = 1e-4
-    max_refinements: int = 4
+    grid: int = QuadratureSpec.base_grid
+    tol: float = QuadratureSpec.tol
+    max_refinements: int = QuadratureSpec.max_refinements
     out: Optional[str] = None
     formats: list[str] = field(default_factory=lambda: ["csv", "json"])
 

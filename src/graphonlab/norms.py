@@ -47,6 +47,7 @@ from .core import StepGraphon, as_kernel
 from .errors import EnumerationBudgetError, ValidationError
 
 ENUMERATION_CAP = 24
+DEFAULT_RESTARTS = 50  # of the heuristic, on every path that does not set a count
 _TAG_RESTARTS = 3
 
 
@@ -90,7 +91,7 @@ def cut_norm_exact(s: StepGraphon) -> CutNormResult:
     return _result(s.values, (mask >> np.arange(s.n)) & 1 == 1, exact=True)
 
 
-def cut_norm_lower_bound(s: StepGraphon, restarts: int = 50, seed: int = 0) -> CutNormResult:
+def cut_norm_lower_bound(s: StepGraphon, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> CutNormResult:
     """Alternating maximization from seeded restarts; always <= the true value."""
     if restarts < 1:
         raise ValidationError("restarts must be >= 1")
@@ -98,7 +99,7 @@ def cut_norm_lower_bound(s: StepGraphon, restarts: int = 50, seed: int = 0) -> C
     return _result(s.values, _kernels.altmax_best_rows(s.values, restarts, key), exact=False)
 
 
-def cut_norm_auto(s: StepGraphon, restarts: int = 50, seed: int = 0) -> CutNormResult:
+def cut_norm_auto(s: StepGraphon, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> CutNormResult:
     """Exact within the enumeration budget, heuristic beyond it."""
     if restarts < 1:  # refused on both paths, not only where the heuristic runs
         raise ValidationError("restarts must be >= 1")
@@ -146,7 +147,7 @@ def cut_distance_upper_via_discretization(
     a,
     m: int,
     q: QuadratureSpec = QuadratureSpec(),
-    restarts: int = 50,
+    restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
 ) -> CutNormInterval:
     """Bracket the cut norm of `a` through its m-block discretization.

@@ -95,7 +95,7 @@ def _edge_draw(cfg: SamplerConfig, xs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     p = _pair_probabilities(cfg.graphon, xs)
     iu, ju = np.triu_indices(n, 1)
     key = rng.derive_key(cfg.seed, _TAG_EDGES)
-    u = rng.uniforms(key, iu.astype(np.uint64) * np.uint64(n) + ju.astype(np.uint64))
+    u = rng.uniforms_at(key, iu.astype(np.uint64) * np.uint64(n) + ju.astype(np.uint64))
     hit = u < p[iu, ju]
     return iu[hit], ju[hit]
 

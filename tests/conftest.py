@@ -56,15 +56,26 @@ def peak_bytes():
 # sha256 of _matmul(a, a) for the 3 x 3 matrix in blas_family on OpenBLAS's Prescott kernel
 # (SSE3, no FMA); the FMA kernels (SkylakeX, Haswell) round one of its sums differently
 _PRESCOTT_PROBE = "101d1e6b1215857629175d06796308b690de4a2200554f9645b0b7f4ab651823"
+# sha256 of the 1 x 1 product of a's first row, repeated to 256 entries, with itself on
+# Prescott; the Sandybridge kernel (AVX, no FMA) sums that inner dimension differently
+_PRESCOTT_ROW_PROBE = "031c5a3ddb0f1697d6c2ecdd70c8ca91dce7622cfee930c4da0b927d7b347a03"
+
+
+def _digest(m) -> str:
+    return hashlib.sha256(m.tobytes()).hexdigest()
 
 
 def blas_family() -> str:
-    """"Prescott" when this process's BLAS rounds a small unaligned product as OpenBLAS's
-    Prescott kernel does, else "default". Golden digests of products on unaligned shapes
-    are recorded per family, since no summation order makes FMA and non-FMA sums agree."""
+    """"Prescott" or "Sandybridge" when this process's BLAS rounds a small unaligned
+    product as OpenBLAS's non-FMA kernels do, and then a 256-long sum as Prescott does or
+    not; else "default". Golden digests of products on unaligned shapes are recorded per
+    family, since no summation order makes FMA and non-FMA sums agree."""
     a = np.array([[0.1, 0.2, 0.9], [0.2, 0.4, 0.5], [0.9, 0.5, 0.7]])
-    probe = hashlib.sha256(_matmul(a, a).tobytes()).hexdigest()
-    return "Prescott" if probe == _PRESCOTT_PROBE else "default"
+    if _digest(_matmul(a, a)) != _PRESCOTT_PROBE:
+        return "default"
+    row = np.resize(a[0], (1, 256))
+    prescott = _digest(_matmul(row, row.T.copy())) == _PRESCOTT_ROW_PROBE
+    return "Prescott" if prescott else "Sandybridge"
 
 
 def random_step(n: int, key: int, signed: bool = True) -> StepGraphon:

@@ -321,7 +321,7 @@ for n in (100, 270):
 """
 
 
-@pytest.mark.parametrize("core", ["default", "Haswell", "Prescott"])
+@pytest.mark.parametrize("core", ["default", "Haswell", "Prescott", "Sandybridge"])
 def test_products_round_alike_at_1_and_2_threads_on_every_blas_kernel(core):
     one = _in_child(_THREAD_PROBE, core, "1")
     kinds = [line.split()[0] for line in one.splitlines()]
@@ -329,6 +329,22 @@ def test_products_round_alike_at_1_and_2_threads_on_every_blas_kernel(core):
     squares = [line.split()[-1] for line in one.splitlines() if line.startswith("padded")]
     assert squares == ["True"] * 6  # exact squares
     assert _in_child(_THREAD_PROBE, core, "2") == one
+
+
+_FAMILY = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from conftest import blas_family
+print(blas_family())
+"""
+
+
+@pytest.mark.parametrize("core, family", [("Haswell", "default"), ("Prescott", "Prescott"),
+                                          ("Sandybridge", "Sandybridge")])
+def test_blas_family_tells_the_kernels_with_their_own_digests_apart(core, family):
+    # Sandybridge rounds the 3 x 3 probe as Prescott does, but not every golden product
+    for threads in ("1", "2"):
+        assert _in_child(_FAMILY, core, threads).strip() == family
 
 
 # a sampled power is an exact integer count over n^(k-1), one IEEE division: its bytes

@@ -190,6 +190,15 @@ def test_graph_header_required(tmp_path):
         glio.load_graph(p)
 
 
+def test_files_that_are_not_text_name_themselves(tmp_path):
+    (tmp_path / "g.txt").write_bytes(b"n=2\n0 1\xff\n")
+    (tmp_path / "m.csv").write_bytes(b"\xff")
+    with pytest.raises(glio.GraphFormatError, match="^g.txt: not a text file: "):
+        glio.load_graph(tmp_path / "g.txt")
+    with pytest.raises(ValidationError, match="^m.csv: not a text file: "):
+        glio.load_step_matrix(tmp_path / "m.csv")
+
+
 def test_out_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("GRAPHON_LAB_OUT", str(tmp_path / "outputs"))
     s = random_step(2, key=5, signed=False)

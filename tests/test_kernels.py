@@ -16,7 +16,7 @@ from conftest import random_step
 
 def test_uniforms_match_python_reference():
     key = rng.derive_key(123, 5)
-    got = rng.uniforms(key, np.arange(64))
+    got = rng.uniforms_at(key, np.arange(64))
     want = [(rng.value_at(key, c) >> 11) * 2.0**-53 for c in range(64)]
     assert got.tolist() == want
     assert np.all((got >= 0.0) & (got < 1.0))
@@ -24,9 +24,9 @@ def test_uniforms_match_python_reference():
 
 def test_derive_key_accepts_negative_and_huge_seeds():
     k1 = rng.derive_key(-17, 3)
-    k2 = rng.derive_key((-17) & _kernels.MASK64, 3)
+    k2 = rng.derive_key((-17) & rng.MASK64, 3)
     assert k1 == k2
-    assert 0 <= rng.derive_key(2**200, 1, 2, 3) <= _kernels.MASK64
+    assert 0 <= rng.derive_key(2**200, 1, 2, 3) <= rng.MASK64
 
 
 def _full_scan_best_mask(values):
@@ -136,7 +136,7 @@ def _gather_altmax_best_rows(values, restarts, key):
     best_val, best_rows = -1.0, np.zeros(n, dtype=bool)
     for t in range(restarts):
         rows = np.ones(n, dtype=bool) if t == 0 else np.array(
-            [_kernels.value_at_py(key, t * 2**32 + i) & 1 == 1 for i in range(n)], dtype=bool)
+            [rng.value_at(key, t * 2**32 + i) & 1 == 1 for i in range(n)], dtype=bool)
         best = -1.0
         for _ in range(4 * n * n + 8):
             r = values[rows].sum(axis=0) if rows.any() else np.zeros(n)
@@ -184,7 +184,7 @@ def _altmax_cases():
                   (f"nonnegative-nonsymmetric-{n}", u)]
     for i, (name, values) in enumerate(cases):
         restarts = 1 + i % 12
-        key = rng.derive_key(77, i) if i % 5 else _kernels.MASK64 - i
+        key = rng.derive_key(77, i) if i % 5 else rng.MASK64 - i
         yield pytest.param(values, restarts, key, id=f"{name}-r{restarts}")
 
 
@@ -207,8 +207,8 @@ def _restart_loop_best_rows(values, restarts, key):
         if t == 0:
             sel_rows = np.ones(n, dtype=bool)
         else:
-            base = np.uint64((t << 32) & _kernels.MASK64)
-            sel_rows = (_kernels.words_at(key, base + counters) & np.uint64(1)).astype(bool)
+            base = np.uint64((t << 32) & rng.MASK64)
+            sel_rows = (rng.words_at(key, base + counters) & np.uint64(1)).astype(bool)
         best = -1.0
         for _ in range(4 * n * n + 8):
             prev = sel_rows
@@ -322,15 +322,15 @@ def test_altmax_rows_do_not_depend_on_blas_kernel_or_threads(tmp_path, env):
     assert np.load(out).tolist() == np.concatenate(want).tolist()
 
 
-@pytest.mark.parametrize("key", [0, 1, _kernels.MASK64])
-def test_words_at_matches_value_at_py(key):
+@pytest.mark.parametrize("key", [0, 1, rng.MASK64])
+def test_words_at_matches_value_at(key):
     # restart counters t * 2^32 + i (t * 2^32 >= 2^64 for the last t), and
     # counters that cross 2^64
     counters = [t * 2**32 + i for t in (0, 1, 2, 11, 2**31, 2**32 - 1, 2**32 + 3)
                 for i in range(4)]
-    counters += [_kernels.MASK64 - 2 + i for i in range(6)]
-    want = [_kernels.value_at_py(key, c) for c in counters]
-    got = _kernels.words_at(key, np.array([c & _kernels.MASK64 for c in counters], np.uint64))
+    counters += [rng.MASK64 - 2 + i for i in range(6)]
+    want = [rng.value_at(key, c) for c in counters]
+    got = rng.words_at(key, np.array([c & rng.MASK64 for c in counters], np.uint64))
     assert got.dtype == np.uint64 and got.tolist() == want
-    near = np.uint64(_kernels.MASK64 - 2) + np.arange(6, dtype=np.uint64)
-    assert _kernels.words_at(key, near).tolist() == want[-6:]
+    near = np.uint64(rng.MASK64 - 2) + np.arange(6, dtype=np.uint64)
+    assert rng.words_at(key, near).tolist() == want[-6:]

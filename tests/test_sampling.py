@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphonlab as gl
+from graphonlab import rng
 from graphonlab.errors import DomainError, ValidationError
 
 
@@ -131,6 +132,38 @@ def test_expected_entries_sandwiched_by_cell_bounds(name, n):
             lo, hi = _cell_bounds(w, n, i, j)
             assert e[i, j] >= lo - slack
             assert e[i, j] <= hi + slack
+
+
+@pytest.fixture
+def variates(monkeypatch):
+    """Counts the variates drawn through the attribute `rng.uniforms_at`; a caller that
+    bound the function itself would draw past the counter."""
+    seen = []
+    draw = rng.uniforms_at
+
+    def counted(key, counters):
+        u = draw(key, counters)
+        seen.append(u.size)
+        return u
+
+    monkeypatch.setattr(rng, "uniforms_at", counted)
+    return seen
+
+
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_every_variate_is_drawn_through_uniforms_at(variates, n):
+    c, pairs = cfg(n, 5, gl.builtin("minmax")), n * (n - 1) // 2
+    gl.sample_graph(c, gl.sample_latents(c))
+    assert sum(variates) == n + pairs  # one latent per stratum, one uniform per pair
+    variates.clear()
+    xs = gl.sample_latents_iid(c)
+    assert sum(variates) == n
+    variates.clear()
+    gl.sample_graph(c, xs)  # the --iid path's edges
+    assert sum(variates) == pairs
+    variates.clear()
+    gl.mc_expected_graphon(c, draws=3)
+    assert sum(variates) == 3 * (n + pairs)
 
 
 def test_mc_all_ones_has_zero_stderr():
