@@ -11,7 +11,13 @@ moves by more than the tolerance, and after QuadratureSpec.max_refinements
 doublings QuadratureError names the quantity that did not settle. Integrals,
 L1 distances and cell averages read kernels through one evaluator, `_row_blocks`,
 a few grid rows at a time; a lazy product is evaluated whole, once per grid
-level, and sliced. `_first_grid` is the one grid-alignment rule.
+level, and sliced. `_first_grid` is the one grid-alignment rule. Cell averages
+over s x s grid blocks (`_row_means`) have the bytes of NumPy's
+``reshape(...).mean(axis=(1, 3))``; for 2 <= s < 8 and at least two cells a row
+they are whole-row strided adds in the order NumPy's reduction adds, which runs
+its inner loop over one cell side (s entries) and so spends its time on loop
+overhead. One cell a row (NumPy merges the axes into one pairwise sum) and
+s >= 8 (a pairwise inner loop) sum in other orders and keep NumPy's mean.
 
 Products of analytic kernels are kept lazy: (a (.) b)(x, y) is evaluated by
 midpoint quadrature in z on demand, and grid evaluation contracts the factor
@@ -29,8 +35,10 @@ syrk, which computes one triangle (half a gemm's flops) that NumPy mirrors; the 
 kept because that triangle equals the gemm's and the gemm of an exactly symmetric factor is
 exactly symmetric on that route (the tests check this on the default, Haswell and Prescott
 kernels at 1 and 2 threads). On the padded route the transposed factor is copied, so the
-product is the gemm. Every symmetrization is `core.sym_mean`; the transposed passes
-(`core.is_symmetric`, `core.sym_mean`, `core.asymmetry`) read a matrix in cache-sized tiles.
+product is the gemm. Every symmetrization is `core.sym_mean`, which hands back an input
+that is already bitwise symmetric as it is (in a theorem sweep every input is); the
+transposed passes (`core.is_symmetric`, `core.sym_mean`, `core.asymmetry`) read a matrix
+in cache-sized tiles.
 The kernel protocol is `eval_grid` plus `step_form`, and `core.evaluate` is the one point
 read. `validate_graphon` is the one rule for being a graphon (symmetric, finite, in
 [0, 1]); every command and the theorem sweep that needs a graphon calls it.
@@ -52,7 +60,13 @@ from .errors import QuadratureError, ValidationError
 
 LCM_GRID_CAP = 4096
 SYMMETRY_TOL = 1e-12
-_BLOCK_ROWS = 128  # grid rows per kernel evaluation in cell_means
+# A lazy power nests k - 1 products, and evaluating it (eval_grid) or finding its grain
+# (grain_of) recurses once per product. Under Python's default recursion limit of 1000,
+# `power --graphon-builtin minmax --discretize 4` ran up to k = 981 and a theorem sweep up
+# to k = 985; with one wrapper frame around each eval_grid (as a tracer installs) power ran
+# up to k = 492. The bound keeps 92 products of margin under such a wrapper.
+MAX_LAZY_POWER = 400
+_BLOCK_ROWS = 128  # grid rows per block in cell_means (a kernel evaluation) and block_means
 
 
 @dataclass(frozen=True)
@@ -294,7 +308,9 @@ def product(a, b, q: QuadratureSpec = QuadratureSpec()):
 
 
 def power(w, k: int, q: QuadratureSpec = QuadratureSpec()):
-    """k-fold self-product; the step (1/n)^(k-1) A^k for a step."""
+    """k-fold self-product; the step (1/n)^(k-1) A^k for a step, else a lazy chain of k - 1
+    products. A k whose n^(k-1) overflows a float, or a lazy chain deeper than
+    MAX_LAZY_POWER, is refused before any product is formed."""
     if k < 1:
         raise ValidationError("power exponent must be >= 1")
     if k == 1:
@@ -302,12 +318,24 @@ def power(w, k: int, q: QuadratureSpec = QuadratureSpec()):
     kw = as_kernel(w)
     s = kw.step_form()
     if s is not None:
-        vals = _matrix_power(s.values, k) / float(s.n) ** (k - 1)
+        try:
+            scale = float(s.n) ** (k - 1)
+        except OverflowError:
+            raise ValidationError(
+                f"power k={k} of an n={s.n} step: n^(k-1) overflows a float"
+            ) from None
+        vals = _matrix_power(s.values, k) / scale
         vals = sym_mean(vals)  # reassigned so that at most two n x n arrays live
         lo, hi = _step_range(s)
         vals = _clip_to(vals, lo, hi)
         return StepGraphon(s.n, vals, lo, hi)
-    label = f"pow[{getattr(kw, 'label', '?')},{k}]"
+    name = getattr(kw, "label", "?")
+    if k > MAX_LAZY_POWER:
+        raise ValidationError(
+            f"lazy power k={k} of {name}: at most k={MAX_LAZY_POWER}, the deepest product "
+            "chain that evaluates within Python's recursion limit"
+        )
+    label = f"pow[{name},{k}]"
     node = kw
     for _ in range(k - 1):
         node = ProductGraphon(label=label, left=node, right=kw, q=q)
@@ -320,14 +348,49 @@ def power(w, k: int, q: QuadratureSpec = QuadratureSpec()):
 
 
 def _row_means(vals: np.ndarray, m: int) -> np.ndarray:
-    """Means of the s x s blocks of a grid of whole cell rows, s = vals.shape[1] / m."""
+    """Means of the s x s blocks of a grid of whole cell rows, s = vals.shape[1] / m, to the
+    bytes of ``vals.reshape(rows // s, s, m, s).mean(axis=(1, 3))``.
+
+    On a C-contiguous float64 block with m >= 2, NumPy's reduction runs its inner loop over
+    one cell side: it sums each grid row's s column offsets in order from 0.0, adds those
+    row sums in order and divides by s * s. For 2 <= s < 8 that inner loop is a plain
+    sequential sum, so whole-row strided adds in the same order give the same bytes in a few
+    long loops instead of many loops of length s; adding 0.0 last turns a cell of -0.0s
+    into NumPy's +0.0. Any other block keeps NumPy's reduction: at m = 1 NumPy merges the
+    axes into one pairwise sum, at s >= 8 its inner loop sums pairwise (and is long enough
+    already), and a block that is not C-contiguous (a transposed grid, or the zero-stride
+    grid of a constant expression) may be iterated in another order."""
     s = vals.shape[1] // m
-    return vals.reshape(vals.shape[0] // s, s, m, s).mean(axis=(1, 3))
+    v = vals.reshape(vals.shape[0] // s, s, m, s)
+    if not (2 <= s < 8 and m >= 2 and vals.flags.c_contiguous and vals.dtype == np.float64):
+        return v.mean(axis=(1, 3))
+    row_sums = v[..., 0] + v[..., 1]  # (cell rows, s, m): each grid row's sum over a cell
+    for b in range(2, s):
+        row_sums += v[..., b]
+    out = row_sums[:, 0] + row_sums[:, 1]
+    for a in range(2, s):
+        out += row_sums[:, a]
+    out /= s * s
+    out += 0.0
+    return out
+
+
+def _cells(blocks, m: int, rows: int) -> np.ndarray:
+    """Symmetrized means over the m-grid of the blocks of ``rows`` whole cell rows (the
+    last may be shorter) that ``blocks`` yields in order."""
+    cells = np.empty((m, m))
+    for lo, block in zip(range(0, m, rows), blocks):
+        cells[lo : lo + rows] = _row_means(block, m)
+    return sym_mean(cells)
 
 
 def block_means(vals: np.ndarray, m: int) -> np.ndarray:
-    """Symmetrized means of the m x m blocks of a square grid whose side m divides."""
-    return sym_mean(_row_means(vals, m))
+    """Symmetrized means of the m x m blocks of a square grid whose side m divides, read a
+    block of cell rows at a time as `cell_means` reads a kernel, so that the temporaries
+    of `_row_means` stay a block's size."""
+    side = vals.shape[0] // m  # grid rows per cell row
+    rows = max(1, _BLOCK_ROWS // side)  # cell rows per block
+    return _cells((vals[lo * side : (lo + rows) * side] for lo in range(0, m, rows)), m, rows)
 
 
 def cell_means(w, m: int, q: QuadratureSpec, zero_diagonal: bool = False) -> np.ndarray:
@@ -346,10 +409,7 @@ def cell_means(w, m: int, q: QuadratureSpec, zero_diagonal: bool = False) -> np.
     def cells_at(g: int) -> np.ndarray:
         side = g // m  # grid rows per cell row
         rows = max(1, _BLOCK_ROWS // side)  # cell rows per block
-        cells = np.empty((m, m))
-        for lo, block in zip(range(0, m, rows), _row_blocks(kernel, g, rows * side)):
-            cells[lo : lo + rows] = _row_means(block, m)
-        cells = sym_mean(cells)
+        cells = _cells(_row_blocks(kernel, g, rows * side), m, rows)
         if zero_diagonal:
             np.fill_diagonal(cells, 0.0)
         return cells

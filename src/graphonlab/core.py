@@ -56,7 +56,14 @@ def asymmetry(m: np.ndarray) -> float:
 
 def sym_mean(m: np.ndarray) -> np.ndarray:
     """(m + m.T) / 2, a tile pair at a time, halved once at the end. Each entry is the same
-    one addition and one halving, so the bytes do not depend on the tile order."""
+    one addition and one halving, so the bytes do not depend on the tile order.
+
+    May return m itself: when m equals its transpose bit for bit, each entry's result is
+    (a + a) * 0.5, which is a, so m already holds the result's bytes (an |a| above half the
+    float range, where a + a overflowed to inf, is now kept). The test compares bits, not
+    values, because a -0.0 facing a 0.0 is equal in value but sums to 0.0 on both sides."""
+    if is_symmetric(m.view(np.uint64)):
+        return m
     out = np.empty_like(m, order="C")
     for r, c in tile_pairs(m.shape[0]):
         np.add(m[r, c], m[c, r].T, out=out[r, c])

@@ -9,10 +9,10 @@ import pytest
 
 import graphonlab as gl
 from graphonlab.algebra import (
-    LCM_GRID_CAP, _clip_to, ceil_to_multiple, cell_means, grain_of, midpoints,
+    LCM_GRID_CAP, _clip_to, block_means, ceil_to_multiple, cell_means, grain_of, midpoints,
     settle, validate_graphon,
 )
-from graphonlab.algebra import _matmul, _matrix_power
+from graphonlab.algebra import MAX_LAZY_POWER, _matmul, _matrix_power, _row_means
 from graphonlab.core import as_kernel, asymmetry
 from graphonlab.errors import QuadratureError, ValidationError
 from conftest import brute_force_product_cell, random_step
@@ -129,6 +129,26 @@ def test_power_of_step_is_exact_matrix_formula():
     p = gl.power(s, 3).step_form()
     want = np.linalg.matrix_power(s.values, 3) / 16.0
     assert np.allclose(p.values, want, atol=1e-12)
+
+
+def _refuse_to_multiply(*args, **kwargs):
+    raise AssertionError("a product was formed")
+
+
+# n^(k-1) first passes the float range at n = 2, k = 1025 and n = 1024, k = 104
+@pytest.mark.parametrize("n, k", [(2, 1025), (1024, 104), (3, 10**6)])
+def test_step_power_whose_scale_overflows_is_refused_before_any_product(monkeypatch, n, k):
+    s = gl.StepGraphon(n, np.full((n, n), 0.5))
+    monkeypatch.setattr("graphonlab.algebra._matmul", _refuse_to_multiply)
+    with pytest.raises(ValidationError, match=rf"^power k={k} of an n={n} step: n\^\(k-1\) "):
+        gl.power(s, k)
+
+
+def test_lazy_power_past_its_depth_bound_is_refused_before_any_product():
+    w = gl.builtin("minmax")
+    assert gl.power(w, MAX_LAZY_POWER).label == f"pow[minmax,{MAX_LAZY_POWER}]"
+    with pytest.raises(ValidationError, match=rf"^lazy power k={MAX_LAZY_POWER + 1} of minmax"):
+        gl.power(w, MAX_LAZY_POWER + 1)
 
 
 # the plain product on aligned shapes, 256-row panels of the inner dimension otherwise
@@ -585,11 +605,54 @@ def test_row_block_cell_means_match_the_full_grid_oracle(name, m, zero_diagonal)
     assert got.tobytes() == want.tobytes()
 
 
+def _numpy_row_means(vals: np.ndarray, m: int) -> np.ndarray:
+    s = vals.shape[1] // m
+    return vals.reshape(vals.shape[0] // s, s, m, s).mean(axis=(1, 3))
+
+
+def _row_means_cases(s: int, m: int):
+    """Blocks of whole cell rows: signed values over 300 decades, and values that are
+    mostly -0.0 (so that some cells hold nothing else) among 0.0, 1.0 and -1.0."""
+    r = np.random.default_rng(1000 * s + m)
+    shape = (s * (3 if s * m <= 4096 else 1), s * m)
+    yield r.standard_normal(shape) * 10.0 ** r.uniform(-150, 150, shape)
+    yield r.choice([-0.0, 0.0, 1.0, -1.0], size=shape, p=[0.85, 0.05, 0.05, 0.05])
+
+
+# 2 <= s < 8 with m >= 2 takes the strided adds; m = 1 and s = 1 or >= 8 take NumPy's mean
+@pytest.mark.parametrize("m", [1, 2, 3, 64, 1024])
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 32])
+def test_row_means_are_numpys_block_means_to_the_bit(s, m):
+    for vals in _row_means_cases(s, m):
+        assert _row_means(vals, m).tobytes() == _numpy_row_means(vals, m).tobytes()
+
+
+def _blocks_in_other_layouts(s: int):
+    xs = midpoints(8 * s)
+    yield gl.constant(0.3).eval_grid(xs[: 2 * s], xs, 8 * s)
+    yield gl.from_expression("0.3").eval_grid(xs[: 2 * s], xs, 8 * s)  # zero strides
+    # a transposed (Fortran-ordered) block, which NumPy reduces in another order
+    yield np.asfortranarray(next(_row_means_cases(s, 8)))
+
+
+@pytest.mark.parametrize("s", [2, 3, 7])
+def test_row_means_of_blocks_in_other_layouts_are_numpys_block_means(s):
+    for vals in _blocks_in_other_layouts(s):
+        assert _row_means(vals, 8).tobytes() == _numpy_row_means(vals, 8).tobytes()
+
+
 def test_cell_means_holds_no_full_grid(peak_bytes):
     w = gl.from_expression("min(x,y)*(1-max(x,y))")
     q = gl.QuadratureSpec()
     # the full-grid version peaks at 72 MiB here: W and one temporary on the 2048-grid
     assert peak_bytes(lambda: cell_means(w, 1024, q, zero_diagonal=True)) < 40 * 2**20
+
+
+def test_block_means_holds_no_temporary_of_half_the_grid(peak_bytes):
+    vals = np.random.default_rng(0).random((1024, 1024))
+    # live at once: the 2 MiB of cells and their symmetrized copy; the row sums of the whole
+    # grid at s = 2 would be 4 MiB more, those of a 128-row block are 0.5 MiB
+    assert peak_bytes(lambda: block_means(vals, 512)) < 5 * 2**20
 
 
 def test_zeroing_the_diagonal_of_cell_means_adds_no_matrix(peak_bytes):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import graphonlab as gl
 import graphonlab.io as glio
+from graphonlab.algebra import MAX_LAZY_POWER
 from graphonlab.cli import main
 from conftest import blas_family
 
@@ -752,3 +753,45 @@ def test_step_file_without_a_known_suffix_names_the_suffixes(tmp_path, monkeypat
     code, out, err = run(capsys, "expect", "--graphon-step", "m.txt", "--n", "2")
     assert code == 2 and out == ""
     assert err == "error: cannot infer matrix format from 'm.txt'; use a .csv or .json suffix\n"
+
+
+_FOUR_STEP = "1,0.5,0.5,0\n0.5,1,0,0.5\n0.5,0,1,0.5\n0,0.5,0.5,1\n"
+
+
+# each exited 1 with an OverflowError traceback: 4^(k-1) passes the float range at k = 513
+@pytest.mark.parametrize("argv", [
+    ("power", "--graphon-step", "four.csv", "--k", "513"),
+    ("sweep", "theorem", "--graphon-step", "four.csv", "--k", "600", "--ns", "4", "--out", "r"),
+], ids=["power", "sweep"])
+def test_step_power_whose_scale_overflows_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "four.csv").write_text(_FOUR_STEP)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    k = argv[argv.index("--k") + 1]
+    assert err == f"error: power k={k} of an n=4 step: n^(k-1) overflows a float\n"
+    code, out, _ = run(capsys, "power", "--graphon-step", "four.csv", "--k", "512")
+    assert code == 0 and len(out.splitlines()) == 4  # the largest k whose scale is finite
+
+
+# past the bound each exited 1 with a RecursionError traceback; a child process runs the
+# CLI with the stack it has outside a test runner. The grids are 4 to 64 points a side.
+@pytest.mark.parametrize("argv", [
+    ("power", "--graphon-builtin", "minmax", "--discretize", "4", "--grid", "4"),
+    ("sweep", "theorem", "--graphon-builtin", "minmax", "--ns", "2", "--grid", "4",
+     "--out", "r"),
+], ids=["power", "sweep"])
+@pytest.mark.parametrize("k", [MAX_LAZY_POWER, MAX_LAZY_POWER + 1])
+def test_lazy_power_past_its_depth_bound_exits_2(tmp_path, argv, k):
+    src = str(Path(gl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-m", "graphonlab", *argv, "--k", str(k)],
+                         cwd=tmp_path, env=env, capture_output=True, text=True)
+    if k == MAX_LAZY_POWER:
+        assert run.returncode == 0 and run.stderr == ""
+        return
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr == (
+        f"error: lazy power k={k} of minmax: at most k={MAX_LAZY_POWER}, the deepest product "
+        "chain that evaluates within Python's recursion limit\n"
+    )

@@ -146,6 +146,37 @@ def test_a_nan_is_never_symmetric(n):
         _check_against_the_whole_matrix_passes(m)
 
 
+def _with_pair(n: int, kind: str) -> np.ndarray:
+    """A symmetric matrix with one mirrored pair (n - 1, 0), across tiles when n > 256, set
+    so that it is bitwise symmetric ("same", "nan-pair") or only equal in value or not at all
+    ("signed-zeros", "one-nan", "one-ulp")."""
+    m = _symmetric(n)
+    i, j = n - 1, 0
+    if kind == "signed-zeros":
+        m[i, j], m[j, i] = -0.0, 0.0
+    elif kind == "nan-pair":
+        m[i, j] = m[j, i] = np.nan
+    elif kind == "one-nan":
+        m[i, j] = np.nan
+    elif kind == "one-ulp":
+        m[i, j] = np.nextafter(m[j, i], np.inf)
+    return m
+
+
+@pytest.mark.parametrize("kind, bitwise", [("same", True), ("nan-pair", True),
+                                           ("signed-zeros", False), ("one-nan", False),
+                                           ("one-ulp", False)])
+@pytest.mark.parametrize("n", [2, 257, 513])
+def test_sym_mean_returns_its_input_only_when_it_is_bitwise_symmetric(n, kind, bitwise):
+    m = _with_pair(n, kind)
+    want = ((m + m.T) * 0.5).tobytes()
+    got = sym_mean(m)
+    assert (got is m) == bitwise
+    assert got.tobytes() == want
+    if kind == "signed-zeros":  # both sides of the pair are +0.0, as the sum makes them
+        assert got[n - 1, 0].tobytes() == got[0, n - 1].tobytes() == np.float64(0.0).tobytes()
+
+
 def test_step_graphon_names_the_first_asymmetric_entry():
     m = _symmetric(300)
     m[40, 9] += 0.125  # the lower entry comes first in row order

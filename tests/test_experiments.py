@@ -279,7 +279,8 @@ def test_pairwise_sum_is_numpys_mean_to_the_bit(size):
 
 @pytest.mark.parametrize("g,n", [(15, 3), (15, 5), (270, 5), (270, 6), (516, 4), (516, 129),
                                  (1080, 8), (1080, 540), (2048, 64), (2048, 1024), (2064, 16),
-                                 (2064, 129)])
+                                 (2064, 129), (1536, 512), (2048, 512), (1792, 256),
+                                 (516, 516)])
 def test_limit_distance_sum_is_the_whole_grid_mean_to_the_bit(g, n):
     lim = np.abs(_spread(g * g, g).reshape(g, g))
     v = np.abs(_spread(n * n, n).reshape(n, n))
