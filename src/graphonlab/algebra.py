@@ -11,8 +11,9 @@ moves by more than the tolerance, and after QuadratureSpec.max_refinements
 doublings QuadratureError names the quantity that did not settle. Integrals,
 L1 distances and cell averages read kernels through one evaluator, `_row_blocks`,
 a few grid rows at a time; a lazy product is evaluated whole, once per grid
-level, and sliced. `_first_grid` is the one grid-alignment rule. Cell averages
-over s x s grid blocks (`_row_means`) have the bytes of NumPy's
+level, and sliced. `_first_grid` is the one grid-alignment rule: every quadrature,
+a lazy product's z-integral at a point read included, starts on its grid. Cell
+averages over s x s grid blocks (`_row_means`) have the bytes of NumPy's
 ``reshape(...).mean(axis=(1, 3))``; for 2 <= s < 8 and at least two cells a row
 they are whole-row strided adds in the order NumPy's reduction adds, which runs
 its inner loop over one cell side (s entries) and so spends its time on loop
@@ -39,9 +40,11 @@ product is the gemm. Every symmetrization is `core.sym_mean`, which hands back a
 that is already bitwise symmetric as it is (in a theorem sweep every input is); the
 transposed passes (`core.is_symmetric`, `core.sym_mean`, `core.asymmetry`) read a matrix
 in cache-sized tiles.
-The kernel protocol is `eval_grid` plus `step_form`, and `core.evaluate` is the one point
-read. `validate_graphon` is the one rule for being a graphon (symmetric, finite, in
-[0, 1]); every command and the theorem sweep that needs a graphon calls it.
+The kernel protocol is two attributes: `eval_grid(xs, ys, gz)` and `step`, the exact
+StepGraphon or None. `grain_of` reads `step`, or a ProductGraphon's matrix or factors, and
+`core.evaluate` is the one point read. `validate_graphon` is the one rule for being a
+graphon (symmetric, finite, in [0, 1]); every command and the theorem sweep that needs a
+graphon calls it.
 """
 
 from __future__ import annotations
@@ -121,27 +124,16 @@ def ceil_to_multiple(value: int, factor: int) -> int:
     return ((max(1, value) + factor - 1) // factor) * factor
 
 
-def _is_lazy(kernel) -> bool:
-    """A product evaluated by z-quadrature, not an exact asymmetric matrix."""
-    return isinstance(kernel, ProductGraphon) and kernel.asym_values is None
-
-
 def grain_of(kernel) -> int:
-    """Step block count whose multiples sample the kernel exactly (0 if none).
-
-    Lazy products of step factors are exact on any grid aligned to the lcm of
-    the factor grains, so the hint is propagated through the product tree.
-    """
-    if _is_lazy(kernel):
-        ga, gb = grain_of(kernel.left), grain_of(kernel.right)
-        if ga and gb:
-            return math.lcm(ga, gb)
-        return 0
-    asym = getattr(kernel, "asym_values", None)
-    if asym is not None:
-        return asym.shape[0]
-    s = kernel.step_form()
-    return s.n if s is not None else 0
+    """Step block count whose multiples sample the kernel exactly (0 if none): the side of
+    its step, of an exact product's matrix, or, for a lazy product, the lcm of its factors'
+    grains (0 when either has none), since a product of steps is exact on any grid aligned
+    to both."""
+    if isinstance(kernel, ProductGraphon):
+        if kernel.asym_values is not None:
+            return kernel.asym_values.shape[0]
+        return math.lcm(grain_of(kernel.left), grain_of(kernel.right))
+    return kernel.step.n if kernel.step is not None else 0
 
 
 def _first_grid(q: QuadratureSpec, need: int, *kernels) -> int:
@@ -155,7 +147,8 @@ def _row_blocks(kernel, g: int, rows: int):
     """The kernel on the g-midpoint grid (z-grid g), ``rows`` grid rows at a time. A lazy
     product is evaluated whole and sliced: its matmul needs the whole right factor."""
     xs = midpoints(g)
-    whole = kernel.eval_grid(xs, xs, g) if _is_lazy(kernel) else None
+    lazy = isinstance(kernel, ProductGraphon) and kernel.asym_values is None
+    whole = kernel.eval_grid(xs, xs, g) if lazy else None
     for lo in range(0, g, rows):
         hi = lo + rows
         yield kernel.eval_grid(xs[lo:hi], xs, g) if whole is None else whole[lo:hi]
@@ -237,7 +230,8 @@ class ProductGraphon:
     """Kernel product a (.) b that no step graphon holds: an exact asymmetric
     step-by-step product (its matrix in ``asym_values``), or a lazy product of
     ``left`` and ``right``. ``q`` settles the z-integral of a lazy product
-    evaluated without a z-grid (gz == 0).
+    evaluated without a z-grid (gz == 0), from the grid `_first_grid` aligns to the
+    factors' grains. ``step`` is None: no product held here is a step.
     """
 
     label: str
@@ -245,11 +239,7 @@ class ProductGraphon:
     right: object = None
     asym_values: Optional[np.ndarray] = None
     q: QuadratureSpec = QuadratureSpec()
-    # not a field: the benchmark tracer perfbench/pb_trace._count_product reads it
-    step = None
-
-    def step_form(self) -> None:
-        return None
+    step = None  # the kernel protocol's step form; not a field
 
     def eval_grid(self, xs, ys, gz: int) -> np.ndarray:
         if self.asym_values is not None:
@@ -257,7 +247,8 @@ class ProductGraphon:
             return self.asym_values[np.ix_(cell_index(xs, n), cell_index(ys, n))]
         if gz == 0:
             return settle(
-                self.q, self.q.base_grid, lambda g: self.eval_grid(xs, ys, g),
+                self.q, _first_grid(self.q, 1, self.left, self.right),
+                lambda g: self.eval_grid(xs, ys, g),
                 f"z-integral of {self.label}",
             ).value
         # the result first, so that the factors are freed above it on the heap, not below it
@@ -301,7 +292,7 @@ def product(a, b, q: QuadratureSpec = QuadratureSpec()):
     ka = as_kernel(a)
     kb = ka if b is a else as_kernel(b)
     label = f"prod[{getattr(ka, 'label', '?')},{getattr(kb, 'label', '?')}]"
-    sa, sb = ka.step_form(), kb.step_form()
+    sa, sb = ka.step, kb.step
     if sa is not None and sb is not None:
         return _step_product(sa, sb, label)
     return ProductGraphon(label=label, left=ka, right=kb, q=q)
@@ -316,7 +307,7 @@ def power(w, k: int, q: QuadratureSpec = QuadratureSpec()):
     if k == 1:
         return w
     kw = as_kernel(w)
-    s = kw.step_form()
+    s = kw.step
     if s is not None:
         try:
             scale = float(s.n) ** (k - 1)
@@ -402,7 +393,7 @@ def cell_means(w, m: int, q: QuadratureSpec, zero_diagonal: bool = False) -> np.
     _BLOCK_ROWS grid rows at a time (a lazy product whole, once per grid level).
     """
     kernel = as_kernel(w)
-    s = kernel.step_form()
+    s = kernel.step
     if s is not None and m % s.n == 0 and not zero_diagonal:
         return s.refine(m // s.n).values.copy()
 
@@ -429,7 +420,7 @@ def validate_graphon(w, q: QuadratureSpec = QuadratureSpec()) -> None:
     label = getattr(kernel, "label", "kernel")
     if getattr(kernel, "asym_values", None) is not None:
         raise ValidationError(f"{label} is not symmetric, so it has no step graphon")
-    s = kernel.step_form()
+    s = kernel.step
     g = q.base_grid if s is None else s.n
     xs = midpoints(g)
     vals = kernel.eval_grid(xs, xs, g) if s is None else s.values
@@ -458,7 +449,7 @@ def discretize(w, m: int, q: QuadratureSpec = QuadratureSpec()) -> StepGraphon:
     if m < 1:
         raise ValidationError("discretization block count must be >= 1")
     kernel = as_kernel(w)
-    s = kernel.step_form()
+    s = kernel.step
     if s is None:  # a signed step is valid input: it brackets a cut norm
         validate_graphon(kernel, q)
     lo, hi = (s.lo, s.hi) if s is not None else (0.0, 1.0)

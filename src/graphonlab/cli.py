@@ -223,7 +223,7 @@ def _cmd_validate(args, cfg):
     except ValidationError as exc:
         print(f"FAIL {exc}")
         return 1
-    where = "" if w.step_form() is not None else f" on the {q.base_grid}-grid"
+    where = "" if w.step is not None else f" on the {q.base_grid}-grid"
     print(f"PASS {w.label}: symmetric within {SYMMETRY_TOL:g} and in [0, 1]{where}")
     return 0
 
@@ -271,7 +271,7 @@ def _materialize(result, cfg, args):
     if args.discretize is not None:
         return discretize(result, args.discretize, q)  # validates a kernel without a step form
     validate_graphon(result, q)
-    step = result.step_form()
+    step = result.step
     if step is None:
         raise GraphonLabError("analytic result: pass --discretize M to materialize it")
     return step
@@ -311,9 +311,9 @@ def _cmd_norm(args, cfg):
         print(glio.fmt_float(l1_distance(a, b, q)))
         return 0
     # cut norm: of the step, of the difference of two steps, or else bracketed
-    step = a.step_form()
+    step = a.step
     if b is not None:
-        sb = b.step_form()
+        sb = b.step
         if step is None or sb is None or step.n != sb.n:
             raise GraphonLabError("--cut with --with needs two step kernels on one grid")
         step = StepGraphon(step.n, step.values - sb.values, -1.0, 1.0)

@@ -119,7 +119,8 @@ class StepGraphon:
         iy = cell_index(ys, self.n)
         return self.values[np.ix_(ix, iy)]
 
-    def step_form(self) -> "StepGraphon":
+    @property
+    def step(self) -> "StepGraphon":  # the kernel protocol's step form
         return self
 
     def refine(self, factor: int) -> "StepGraphon":
@@ -229,7 +230,8 @@ _BUILTINS = {
 class GraphonSpec:
     """A kernel on [0,1]^2 defined by a builtin or an expression.
 
-    ``fn`` evaluates on broadcastable float arrays. ``sup_bound`` is an upper
+    ``fn`` evaluates on broadcastable float arrays; ``step`` is the exact step form, where
+    there is one (a constant), else None. ``sup_bound`` is an upper
     bound on |W| and ``lipschitz`` the rate constant used in convergence
     bounds (None when unknown).
     """
@@ -246,9 +248,6 @@ class GraphonSpec:
         out = np.asarray(self.fn(xs[:, None], ys[None, :]), dtype=np.float64)
         return np.broadcast_to(out, (xs.shape[0], ys.shape[0]))
 
-    def step_form(self) -> Optional[StepGraphon]:
-        return self.step
-
 
 def _arrays_or_points(fn):
     """fn on broadcast arrays, or point by point where it takes scalars only."""
@@ -264,9 +263,11 @@ def _arrays_or_points(fn):
 
 
 def as_kernel(obj):
-    """An object with ``eval_grid`` and ``step_form`` as it is, or a plain callable f(x, y)
-    as a GraphonSpec labelled with its name; nothing else (a McEstimate) is a kernel."""
-    if hasattr(obj, "eval_grid") and hasattr(obj, "step_form"):
+    """An object with the kernel protocol's two attributes, ``eval_grid(xs, ys, gz)`` and
+    ``step`` (its exact StepGraphon, or None), as it is, or a plain callable f(x, y) as a
+    GraphonSpec labelled with its name; nothing else is a kernel (a McEstimate has a
+    ``step`` but no ``eval_grid``)."""
+    if hasattr(obj, "eval_grid") and hasattr(obj, "step"):
         return obj
     if callable(obj):
         return GraphonSpec(label=getattr(obj, "__name__", "kernel"), fn=_arrays_or_points(obj))

@@ -97,7 +97,7 @@ class _LimitDistance:
     def __init__(self, w, k: int, ns, q: QuadratureSpec):
         self.q = q
         self.kw = as_kernel(power(w, k, q))
-        self.limit_step = self.kw.step_form()
+        self.limit_step = self.kw.step
         self.cache = {}
         if self.limit_step is None:
             lip = getattr(w, "lipschitz", None) or 1.0
@@ -186,7 +186,7 @@ def run_theorem_sweep(
         except QuadratureError as exc:
             error = str(exc)
             break
-    label = getattr(w, "label", "graphon")
+    label = getattr(as_kernel(w), "label", "graphon")
     return ConvergenceReport(
         label=label, kind="theorem", k=k, seed=seed, quadrature=q, rows=rows,
         incomplete=error is not None, error=error,

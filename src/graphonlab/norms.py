@@ -116,7 +116,7 @@ def cut_norm_auto(s: StepGraphon, restarts: int = DEFAULT_RESTARTS, seed: int = 
 def l1_distance(a, b, q: QuadratureSpec = QuadratureSpec()) -> float:
     """Integral of |a - b|: exact on a common step grid, quadrature otherwise."""
     ka, kb = as_kernel(a), as_kernel(b)
-    sa, sb = ka.step_form(), kb.step_form()
+    sa, sb = ka.step, kb.step
     if sa is not None and sb is not None:
         m = math.lcm(sa.n, sb.n)
         if m <= LCM_GRID_CAP:

@@ -157,7 +157,7 @@ def test_criterion_5_product_oracle():
         n = 2 + trial % 5  # n in 2..6
         a = random_step(n, key=1000 + trial, signed=False)
         prod = gl.product(a, a)
-        step = prod.step_form()
+        step = prod.step
         g = n * 128
         for i in range(n):
             for j in range(n):
@@ -177,8 +177,8 @@ def test_criterion_6_contraction_inequality():
                       for i in range(4))
         ab = gl.product(a, b)
         cd = gl.product(c, d)
-        va = ab.step_form().values if ab.step_form() is not None else ab.asym_values
-        vc = cd.step_form().values if cd.step_form() is not None else cd.asym_values
+        va = ab.step.values if ab.step is not None else ab.asym_values
+        vc = cd.step.values if cd.step is not None else cd.asym_values
         lhs = float(np.abs(va - vc).mean())
         rhs = gl.l1_distance(a, c) + gl.l1_distance(b, d)
         worst = max(worst, lhs - rhs)

@@ -73,7 +73,7 @@ def test_integrate_nonconvergence_raises():
 
 def test_product_of_constants():
     r = gl.product(gl.constant(0.6), gl.constant(0.5))
-    step = r.step_form()
+    step = r.step
     assert step is not None and step.n == 1
     assert step.values[0, 0] == pytest.approx(0.3, abs=1e-15)
     assert isinstance(r, gl.StepGraphon)
@@ -82,7 +82,7 @@ def test_product_of_constants():
 def test_product_of_product_kernel_pointwise():
     w = gl.builtin("product")
     r = gl.product(w, w)
-    assert r.step_form() is None
+    assert r.step is None
     validate_graphon(r, gl.QuadratureSpec())  # a self-product of a graphon passes
     for x, y in [(0.5, 0.5), (0.2, 0.9), (1.0, 1.0)]:
         assert gl.evaluate(r, x, y) == pytest.approx(x * y / 3.0, abs=1e-6)
@@ -91,14 +91,14 @@ def test_product_of_product_kernel_pointwise():
 def test_step_product_example():
     s = gl.StepGraphon(2, [[0.0, 1.0], [1.0, 0.0]])
     r = gl.product(s, s)
-    assert r.step_form().values.tolist() == [[0.5, 0.0], [0.0, 0.5]]
+    assert r.step.values.tolist() == [[0.5, 0.0], [0.0, 0.5]]
 
 
 def test_step_product_unequal_grids_uses_lcm():
     a = random_step(2, key=1, signed=False)
     b = random_step(3, key=2, signed=False)
     r = gl.product(a, b)
-    grid = r.step_form() if r.step_form() is not None else None
+    grid = r.step
     n = grid.n if grid is not None else r.asym_values.shape[0]
     assert n == 6
     # oracle: aligned z-quadrature of the defining integral at cell midpoints
@@ -113,7 +113,7 @@ def test_power_identity_and_constants():
     w = gl.builtin("product")
     assert gl.power(w, 1) is w
     p3 = gl.power(gl.constant(0.5), 3)
-    assert p3.step_form().values[0, 0] == pytest.approx(0.125, abs=1e-15)
+    assert p3.step.values[0, 0] == pytest.approx(0.125, abs=1e-15)
 
 
 def test_power_of_product_kernel():
@@ -126,7 +126,7 @@ def test_power_of_product_kernel():
 
 def test_power_of_step_is_exact_matrix_formula():
     s = random_step(4, key=9, signed=False)
-    p = gl.power(s, 3).step_form()
+    p = gl.power(s, 3).step
     want = np.linalg.matrix_power(s.values, 3) / 16.0
     assert np.allclose(p.values, want, atol=1e-12)
 
@@ -414,7 +414,7 @@ def test_asymmetric_product_is_flagged_kernel():
     r = gl.product(a, b)
     with pytest.raises(ValidationError, match="not symmetric, so it has no step graphon"):
         validate_graphon(r, gl.QuadratureSpec())
-    assert r.step_form() is None
+    assert r.step is None
     want = (a.values @ b.values) / 2.0
     assert np.allclose(r.asym_values, want, atol=1e-15)
 
@@ -425,8 +425,8 @@ def test_contraction_inequality_sample():
         a, b, c, d = (random_step(n, key=200 + 4 * trial + i, signed=False) for i in range(4))
         ab = gl.product(a, b)
         cd = gl.product(c, d)
-        va = ab.step_form().values if ab.step_form() is not None else ab.asym_values
-        vc = cd.step_form().values if cd.step_form() is not None else cd.asym_values
+        va = ab.step.values if ab.step is not None else ab.asym_values
+        vc = cd.step.values if cd.step is not None else cd.asym_values
         lhs = float(np.abs(va - vc).mean())
         rhs = gl.l1_distance(a, c) + gl.l1_distance(b, d)
         assert lhs <= rhs + 1e-9
@@ -444,10 +444,10 @@ def test_associativity_of_step_powers():
     s = random_step(5, key=77, signed=False)
     left = gl.product(gl.product(s, s), s)
     right = gl.product(s, gl.product(s, s))
-    lv = left.step_form().values if left.step_form() is not None else left.asym_values
-    rv = right.step_form().values if right.step_form() is not None else right.asym_values
+    lv = left.step.values if left.step is not None else left.asym_values
+    rv = right.step.values if right.step is not None else right.asym_values
     assert np.max(np.abs(lv - rv)) <= 1e-8
-    direct = gl.power(s, 3).step_form().values
+    direct = gl.power(s, 3).step.values
     assert np.max(np.abs(lv - direct)) <= 1e-8
 
 
@@ -483,8 +483,7 @@ class _CountingKernel:
     def __init__(self, label, fn):
         self.label, self.fn, self.calls = label, fn, 0
 
-    def step_form(self):
-        return None
+    step = None
 
     def eval_grid(self, xs, ys, gz=0):
         self.calls += 1
@@ -535,7 +534,7 @@ def test_equal_labels_do_not_make_equal_factors():
 
 def test_discretize_rejects_a_lazy_product_asymmetric_on_its_grid():
     r = gl.product(gl.builtin("minmax"), gl.builtin("product"))
-    assert r.step_form() is None and r.asym_values is None
+    assert r.step is None and r.asym_values is None
     with pytest.raises(ValidationError, match="not symmetric.*0.06"):
         gl.discretize(r, 4)
 
@@ -557,7 +556,7 @@ def _full_grid_block_means(vals: np.ndarray, m: int) -> np.ndarray:
 def _full_grid_cell_means(w, m, q, zero_diagonal=False):
     """cell_means as it was when it evaluated the whole g x g grid at once (the oracle)."""
     kernel = as_kernel(w)
-    s = kernel.step_form()
+    s = kernel.step
     if s is not None and m % s.n == 0 and not zero_diagonal:
         return s.refine(m // s.n).values.copy()
     grain = grain_of(kernel)
@@ -722,8 +721,7 @@ class _OldAbsDiff:
         self.ka = ka
         self.kb = kb
 
-    def step_form(self):
-        return None
+    step = None
 
     def eval_grid(self, xs, ys, gz):
         return np.abs(self.ka.eval_grid(xs, ys, gz) - self.kb.eval_grid(xs, ys, gz))
@@ -772,7 +770,7 @@ def test_lazy_product_integrals_and_l1_distances_match_the_block_oracle(name):
 def _old_factors_equal(ka, kb) -> bool:
     if ka is kb:
         return True
-    sa, sb = ka.step_form(), kb.step_form()
+    sa, sb = ka.step, kb.step
     if sa is None or sb is None:
         return False
     return sa.n == sb.n and np.array_equal(sa.values, sb.values)
@@ -854,10 +852,98 @@ def test_quadrature_spec_refuses_a_tolerance_that_is_not_positive_and_finite(tol
         gl.QuadratureSpec(tol=tol)
 
 
+def _asym_2x3():
+    return gl.product(random_step(2, key=21, signed=False), random_step(3, key=22, signed=False))
+
+
+class _MinMaxKernel:
+    """minmax through the kernel protocol alone: ``eval_grid`` and ``step``."""
+
+    step = None
+
+    def eval_grid(self, xs, ys, gz=0):
+        x, y = np.asarray(xs)[:, None], np.asarray(ys)[None, :]
+        return np.minimum(x, y) * (1.0 - np.maximum(x, y))
+
+
+_GRAINS = {
+    "step": (lambda: gl.StepGraphon(3, _STEP3), 3),
+    "constant": (lambda: gl.builtin("constant", p=0.3), 1),
+    "expression": (lambda: gl.from_expression("x*y"), 0),
+    "protocol_only": (_MinMaxKernel, 0),
+    "lazy_power_of_minmax": (lambda: gl.power(gl.builtin("minmax"), 2), 0),
+    "lazy_step_times_analytic": (lambda: gl.product(gl.StepGraphon(3, _STEP3),
+                                                    gl.builtin("product")), 0),
+    "exact_asymmetric_2x3_product": (_asym_2x3, 6),
+    "lazy_power_of_the_2x3_product": (lambda: gl.power(_asym_2x3(), 2), 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GRAINS))
+def test_grain_of(name):
+    make, grain = _GRAINS[name]
+    assert grain_of(make()) == grain
+
+
+def test_a_kernel_is_eval_grid_plus_step():
+    # every reader gives a protocol-only minmax the bytes it gives the builtin
+    w, ref = _MinMaxKernel(), gl.builtin("minmax")
+    assert as_kernel(w) is w
+    q, m8 = gl.QuadratureSpec(), midpoints(8)
+
+    def sample(k):
+        cfg = gl.SamplerConfig(24, 5, k)
+        return gl.sample_graph(cfg, gl.sample_latents(cfg)).pairs
+
+    readers = {
+        "integrate2d": lambda k: gl.integrate2d(k, q).value,
+        "cell_means": lambda k: cell_means(k, 5, q),
+        "discretize": lambda k: gl.discretize(k, 4, q).values,
+        "l1_distance": lambda k: gl.l1_distance(k, gl.StepGraphon(3, _STEP3), q),
+        "evaluate": lambda k: gl.evaluate(k, 0.3, 0.6),
+        "lazy_power": lambda k: gl.evaluate(gl.power(k, 2, q), 0.3, 0.6),
+        "lazy_product": lambda k: gl.evaluate(gl.product(gl.builtin("product"), k, q), 0.3, 0.6),
+        "lazy_power_grid": lambda k: gl.power(k, 2, q).eval_grid(m8, m8, 8),
+        "expected_graphon": lambda k: gl.expected_graphon(k, 6, q).values,
+        "sample_graph": sample,
+    }
+    for name, read in readers.items():
+        assert np.asarray(read(w)).tobytes() == np.asarray(read(ref)).tobytes(), name
+    validate_graphon(w, q)
+    got, want = (gl.run_theorem_sweep(k, 2, [4, 8], q, seed=3) for k in (w, ref))
+    assert got.label == "graphon" and got.rows == want.rows
+
+
+class _GridOnly:
+    def eval_grid(self, xs, ys, gz=0):
+        return np.zeros((len(xs), len(ys)))
+
+
+def test_as_kernel_refuses_an_object_without_eval_grid_or_step():
+    with pytest.raises(TypeError, match="^not a graphon-like object: _GridOnly$"):
+        gl.evaluate(_GridOnly(), 0.5, 0.5)
+    mc = gl.mc_expected_graphon(gl.SamplerConfig(3, 5, gl.constant(0.5)), 2)
+    assert mc.step is not None
+    with pytest.raises(TypeError, match="^not a graphon-like object: McEstimate$"):
+        as_kernel(mc)
+
+
+_S3 = [[0.1, 0.9, 0.2], [0.9, 0.3, 0.6], [0.2, 0.6, 0.8]]
+
+
+@pytest.mark.parametrize("x, y", [(0.2, 0.7), (0.5, 0.1), (0.9, 0.95), (0.0, 1.0), (1.0, 0.3)])
+def test_point_read_of_a_lazy_product_integrates_z_on_its_factors_grain(x, y):
+    # (s3 (.) product)(x, y) = y sum_b s3[a, b] ((b+1)^2 - b^2) / 18: linear in z on each of
+    # the 3 cells, so a z-grid aligned to 3 is exact where an unaligned one never settles
+    s3 = gl.StepGraphon(3, _S3)
+    a = min(int(3 * x), 2)
+    want = y * sum(_S3[a][b] * ((b + 1) ** 2 - b ** 2) / 18 for b in range(3))
+    assert abs(gl.evaluate(gl.product(s3, gl.builtin("product")), x, y) - want) <= 1e-15
+    assert abs(gl.evaluate(gl.product(gl.builtin("product"), s3), y, x) - want) <= 1e-15
+
+
 def test_lazy_power_of_an_exact_asymmetric_product_integrates_on_its_lcm_grain():
-    a = random_step(2, key=21, signed=False)
-    b = random_step(3, key=22, signed=False)
-    ab = gl.product(a, b)
+    ab = _asym_2x3()
     p = ab.asym_values
     w = gl.power(ab, 2)
     assert w.left is ab and w.right is ab and grain_of(w) == 6

@@ -15,6 +15,14 @@ from graphonlab.experiments import (
 from conftest import blas_family, random_step
 
 
+def test_sweep_over_a_named_function_carries_its_name():
+    def tent(x, y):
+        return np.minimum(x, y) * (1.0 - np.maximum(x, y))
+
+    assert gl.power(tent, 2).label == "pow[tent,2]"
+    assert gl.run_theorem_sweep(tent, 1, [2, 4], seed=1).label == "tent"
+
+
 def test_theorem_constant_closed_form():
     r = gl.run_theorem_sweep(gl.constant(0.5), 1, [2, 4, 8], seed=7)
     es = [row.l1_expected_vs_limit for row in r.rows]
