@@ -9,16 +9,17 @@ That one doubling rule is `settle`, used by `integrate2d`, `cell_means`, lazy
 products and the sweep's limit distance: matrix estimates agree when no entry
 moves by more than the tolerance, and after QuadratureSpec.max_refinements
 doublings QuadratureError names the quantity that did not settle. Integrals,
-L1 distances and cell averages read kernels through one evaluator, `_row_blocks`,
-a few grid rows at a time; a lazy product is evaluated whole, once per grid
-level, and sliced. `_first_grid` is the one grid-alignment rule: every quadrature,
-a lazy product's z-integral at a point read included, starts on its grid. Cell
-averages over s x s grid blocks (`_row_means`) have the bytes of NumPy's
-``reshape(...).mean(axis=(1, 3))``; for 2 <= s < 8 and at least two cells a row
-they are whole-row strided adds in the order NumPy's reduction adds, which runs
-its inner loop over one cell side (s entries) and so spends its time on loop
-overhead. One cell a row (NumPy merges the axes into one pairwise sum) and
-s >= 8 (a pairwise inner loop) sum in other orders and keep NumPy's mean.
+L1 distances, cell averages and the sampler's edge draw read kernels through one
+evaluator, `_row_blocks`, a few rows at a time; a lazy product is evaluated whole,
+once per grid level or point read, and sliced. `_first_grid` is the one
+grid-alignment rule: every quadrature, a lazy product's z-integral at a point
+read included, starts on its grid. Cell averages over s x s grid blocks
+(`_row_means`) have the bytes of NumPy's ``reshape(...).mean(axis=(1, 3))``;
+for 2 <= s < 8 and at least two cells a row they are whole-row strided adds in
+the order NumPy's reduction adds, which runs its inner loop over one cell side
+(s entries) and so spends its time on loop overhead. One cell a row (NumPy
+merges the axes into one pairwise sum) and s >= 8 (a pairwise inner loop) sum
+in other orders and keep NumPy's mean.
 
 Products of analytic kernels are kept lazy: (a (.) b)(x, y) is evaluated by
 midpoint quadrature in z on demand, and grid evaluation contracts the factor
@@ -51,7 +52,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -143,15 +143,15 @@ def _first_grid(q: QuadratureSpec, need: int, *kernels) -> int:
     return ceil_to_multiple(q.base_grid, align if align <= LCM_GRID_CAP else need)
 
 
-def _row_blocks(kernel, g: int, rows: int):
-    """The kernel on the g-midpoint grid (z-grid g), ``rows`` grid rows at a time. A lazy
-    product is evaluated whole and sliced: its matmul needs the whole right factor."""
-    xs = midpoints(g)
+def _row_blocks(kernel, xs: np.ndarray, gz: int, rows: int):
+    """The kernel on xs x xs (z-grid gz), ``rows`` rows at a time. A lazy product is
+    evaluated whole and sliced: its matmul needs the whole right factor, and its point read
+    (gz = 0) settles its z-integral once per call."""
     lazy = isinstance(kernel, ProductGraphon) and kernel.asym_values is None
-    whole = kernel.eval_grid(xs, xs, g) if lazy else None
-    for lo in range(0, g, rows):
+    whole = kernel.eval_grid(xs, xs, gz) if lazy else None
+    for lo in range(0, len(xs), rows):
         hi = lo + rows
-        yield kernel.eval_grid(xs[lo:hi], xs, g) if whole is None else whole[lo:hi]
+        yield kernel.eval_grid(xs[lo:hi], xs, gz) if whole is None else whole[lo:hi]
 
 
 def _grid_mean(blocks, g: int) -> float:
@@ -173,7 +173,10 @@ def integrate2d(f, q: QuadratureSpec) -> QuadratureResult:
     q.tol after q.max_refinements doublings.
     """
     kernel = as_kernel(f)
-    blocks = partial(_row_blocks, kernel)
+
+    def blocks(g: int, rows: int):
+        return _row_blocks(kernel, midpoints(g), g, rows)
+
     return settle(q, _first_grid(q, 1, kernel), lambda g: _grid_mean(blocks, g), "integral")
 
 
@@ -400,7 +403,7 @@ def cell_means(w, m: int, q: QuadratureSpec, zero_diagonal: bool = False) -> np.
     def cells_at(g: int) -> np.ndarray:
         side = g // m  # grid rows per cell row
         rows = max(1, _BLOCK_ROWS // side)  # cell rows per block
-        cells = _cells(_row_blocks(kernel, g, rows * side), m, rows)
+        cells = _cells(_row_blocks(kernel, midpoints(g), g, rows * side), m, rows)
         if zero_diagonal:
             np.fill_diagonal(cells, 0.0)
         return cells

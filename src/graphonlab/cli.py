@@ -239,9 +239,7 @@ def _cmd_sample(args, cfg):
         path = glio.save_graph(g, cfg.out)
         print(f"graph with {g.edge_count} edge(s) written to {path}")
     else:
-        print(f"n={g.n}")
-        for u, v in g.pairs.tolist():
-            print(u, v)
+        glio.write_graph(g, sys.stdout)
     return 0
 
 

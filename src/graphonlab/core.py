@@ -17,8 +17,19 @@ from .errors import DomainError, ValidationError
 RANGE_TOL = 1e-12
 
 
+@dataclass(frozen=True)
+class _Owned:
+    """A new float64 matrix that no one else holds: StepGraphon keeps it as it is instead
+    of copying it, and still runs every check on it."""
+
+    matrix: np.ndarray
+
+
 def _as_square_float_matrix(values) -> np.ndarray:
-    m = np.array(values, dtype=np.float64)
+    if isinstance(values, _Owned):
+        m = np.asarray(values.matrix, dtype=np.float64)
+    else:
+        m = np.array(values, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -314,5 +325,5 @@ def evaluate(w, x: float, y: float) -> float:
 
 
 def canonical_graphon(g: SimpleGraph) -> StepGraphon:
-    """Step graphon whose block values are the adjacency matrix of g."""
-    return StepGraphon(g.n, g.adjacency(), 0.0, 1.0)
+    """Step graphon whose block values are the adjacency matrix of g, kept without a copy."""
+    return StepGraphon(g.n, _Owned(g.adjacency()), 0.0, 1.0)

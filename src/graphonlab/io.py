@@ -143,11 +143,21 @@ def load_step_matrix(path) -> StepGraphon:
 # ---------------------------------------------------------------------------
 
 
+_EDGE_CHUNK = 1 << 16  # edges formatted per write
+
+
+def write_graph(g: SimpleGraph, out) -> None:
+    """The edge list of g to the text stream ``out``: an ``n=<count>`` line, then one
+    ``u v`` line per edge, formatted and written _EDGE_CHUNK edges at a time."""
+    out.write(f"n={g.n}\n")
+    for lo in range(0, g.edge_count, _EDGE_CHUNK):
+        out.write("".join(f"{u} {v}\n" for u, v in g.pairs[lo : lo + _EDGE_CHUNK].tolist()))
+
+
 def save_graph(g: SimpleGraph, path) -> Path:
     p = resolve_out(path)
-    lines = [f"n={g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.pairs.tolist())
-    p.write_text("\n".join(lines) + "\n")
+    with p.open("w") as f:
+        write_graph(g, f)
     return p
 
 

@@ -41,7 +41,8 @@ from . import _kernels, rng
 # bound at import, so a patched `_kernels._half_pass` counts only the kernels' own passes
 from ._kernels import _half_pass
 from .algebra import (
-    LCM_GRID_CAP, QuadratureSpec, _first_grid, _grid_mean, _row_blocks, discretize, settle,
+    LCM_GRID_CAP, QuadratureSpec, _first_grid, _grid_mean, _row_blocks, discretize, midpoints,
+    settle,
 )
 from .core import StepGraphon, as_kernel
 from .errors import EnumerationBudgetError, ValidationError
@@ -125,7 +126,8 @@ def l1_distance(a, b, q: QuadratureSpec = QuadratureSpec()) -> float:
             return float(np.abs(av - bv).mean())
 
     def abs_diff(g: int, rows: int):
-        pairs = zip(_row_blocks(ka, g, rows), _row_blocks(kb, g, rows))
+        xs = midpoints(g)
+        pairs = zip(_row_blocks(ka, xs, g, rows), _row_blocks(kb, xs, g, rows))
         return (np.abs(x - y) for x, y in pairs)
 
     g0 = _first_grid(q, 1, ka, kb)

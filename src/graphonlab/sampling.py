@@ -14,16 +14,26 @@ generator in :mod:`graphonlab.rng`. Latents for a config use the stream
 ``derive_key(seed, 2)`` at counter i*n + j for the pair (i, j), i < j. Draw d
 of a Monte-Carlo run uses the sub-seed ``draw_seed(seed, d)``; latents are
 resampled every draw, since the expectation ranges over latents and edges.
+
+Edges are drawn a block of ``core._TILE`` = 128 rows at a time: W is read
+through `algebra._row_blocks` (a lazy product whole, once per draw, and
+sliced) and each block draws the uniforms of its own pairs at those same
+counters, so every variate and edge is the one a whole-matrix draw gives, and
+a draw holds about 15 MiB at n = 2048 instead of 112 MiB. A non-finite
+probability is named by its pair, and wins over an out-of-range one, wherever
+the blocks hold them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
+
 import numpy as np
 
 from . import rng
-from .algebra import QuadratureSpec, cell_means
-from .core import RANGE_TOL, LatentPoints, SimpleGraph, StepGraphon, as_kernel
+from .algebra import QuadratureSpec, _row_blocks, cell_means
+from .core import _TILE, RANGE_TOL, LatentPoints, SimpleGraph, StepGraphon, as_kernel
 from .errors import DomainError, ValidationError
 
 _TAG_LATENTS = 1
@@ -74,30 +84,53 @@ def sample_latents_iid(cfg: SamplerConfig) -> np.ndarray:
     return np.sort(rng.uniform_block(key, cfg.n))
 
 
-def _pair_probabilities(graphon, xs: np.ndarray) -> np.ndarray:
-    kernel = as_kernel(graphon)
-    p = kernel.eval_grid(xs, xs, 0)
-    if not (np.min(p) >= -RANGE_TOL and np.max(p) <= 1.0 + RANGE_TOL):  # False on NaN too
+def _probability_rows(graphon, xs: np.ndarray):
+    """(lo, p) for each block of _TILE rows, p[r, j] = W(x_{lo + r}, x_j), once every entry
+    of the block lies in [0, 1] within RANGE_TOL."""
+    blocks = zip(range(0, len(xs), _TILE), _row_blocks(as_kernel(graphon), xs, 0, _TILE))
+    for lo, p in blocks:
+        if not (np.min(p) >= -RANGE_TOL and np.max(p) <= 1.0 + RANGE_TOL):  # False on NaN too
+            _refuse(chain([(lo, p)], blocks))
+        yield lo, p
+
+
+def _refuse(blocks):
+    """Raise for the first non-finite probability in the blocks left, in row-major order as
+    on the whole matrix (so a NaN in a later block wins over an escape in this one), or
+    else for a probability outside [0, 1]."""
+    for lo, p in blocks:
         bad = np.argwhere(~np.isfinite(p))
         if len(bad):
             i, j = bad[0]
             raise ValidationError(
-                f"edge probability of pair ({i}, {j}) is {p[i, j]}, not a number in [0, 1]; "
-                "validate the graphon"
+                f"edge probability of pair ({lo + i}, {j}) is {p[i, j]}, not a number in "
+                "[0, 1]; validate the graphon"
             )
-        raise ValidationError("edge probabilities escape [0, 1]; validate the graphon")
-    return np.clip(p, 0.0, 1.0)
+    raise ValidationError("edge probabilities escape [0, 1]; validate the graphon")
+
+
+def _pair_probabilities(graphon, xs: np.ndarray) -> np.ndarray:
+    """The whole matrix of edge probabilities W(x_i, x_j), clipped to [0, 1]: the edge
+    draw's row blocks, stacked, whose bytes the tests compare at 1 and 2 BLAS threads."""
+    rows = [p for _, p in _probability_rows(graphon, xs)]
+    return np.clip(np.concatenate(rows), 0.0, 1.0)
 
 
 def _edge_draw(cfg: SamplerConfig, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint arrays (i, j), i < j in lexicographic order, of one edge draw."""
+    """Endpoint arrays (i, j), i < j in lexicographic order, of one edge draw, read and
+    drawn _TILE rows at a time: pair (i, j) is an edge when the uniform at counter
+    i*n + j is below W(x_i, x_j)."""
     n = cfg.n
-    p = _pair_probabilities(cfg.graphon, xs)
-    iu, ju = np.triu_indices(n, 1)
     key = rng.derive_key(cfg.seed, _TAG_EDGES)
-    u = rng.uniforms_at(key, iu.astype(np.uint64) * np.uint64(n) + ju.astype(np.uint64))
-    hit = u < p[iu, ju]
-    return iu[hit], ju[hit]
+    heads, tails = [], []
+    for lo, p in _probability_rows(cfg.graphon, xs):
+        i, j = np.triu_indices(len(p), lo + 1, n)  # the block's pairs lo + i < j
+        prob = p[i, j]  # 0 <= u < 1 compares with it as with its clip to [0, 1]
+        i += lo
+        hit = rng.uniforms_at(key, i * n + j) < prob
+        heads.append(i[hit])
+        tails.append(j[hit])
+    return np.concatenate(heads), np.concatenate(tails)
 
 
 def sample_graph(cfg: SamplerConfig, latents) -> SimpleGraph:

@@ -315,3 +315,21 @@ def test_evaluate_and_validate_plain_callable():
     gl.validate_graphon(f)
     with pytest.raises(ValidationError, match="^<lambda> is not symmetric"):
         gl.validate_graphon(lambda x, y: x - y)
+
+
+def test_canonical_graphon_keeps_its_adjacency_without_a_copy(peak_bytes):
+    c = gl.SamplerConfig(2048, 1, gl.builtin("minmax"))
+    g = gl.sample_graph(c, gl.sample_latents(c))
+    # the adjacency is 32 MiB and the finite check's mask 4 MiB; a copy was 32 MiB more
+    assert peak_bytes(lambda: gl.canonical_graphon(g)) < 40 * 2**20
+
+
+def test_an_owned_matrix_still_passes_every_check():
+    s = gl.canonical_graphon(gl.SimpleGraph(3, [(0, 1)]))
+    assert not s.values.flags.writeable
+    for values, msg in [([[0.0, 1.0], [0.0, 0.0]], r"not symmetric at \(0, 1\)"),
+                        ([[0.0, math.nan], [math.nan, 0.0]], r"non-finite entry at \(0, 1\)"),
+                        ([[0.0, 2.0], [2.0, 0.0]], "exceed declared range"),
+                        ([[0.0, 1.0]], "expected a square matrix")]:
+        with pytest.raises(ValidationError, match=msg):
+            gl.StepGraphon(len(values), core._Owned(np.array(values)))

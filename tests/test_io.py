@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -160,6 +161,18 @@ def test_graph_round_trip(tmp_path):
     p = glio.save_graph(g, tmp_path / "k3.txt")
     assert glio.load_graph(p).edges == g.edges
     assert p.read_text().splitlines()[0] == "n=3"
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 4, 5, 1 << 16])
+def test_graph_text_is_the_same_in_every_chunk_size(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(glio, "_EDGE_CHUNK", chunk)
+    g = gl.SimpleGraph(4, [(2, 3), (0, 1), (1, 3), (0, 3), (1, 2)])
+    want = "n=4\n0 1\n0 3\n1 2\n1 3\n2 3\n"
+    assert glio.save_graph(g, tmp_path / "g.txt").read_text() == want
+    out = io.StringIO()
+    glio.write_graph(g, out)
+    assert out.getvalue() == want
+    assert glio.save_graph(gl.SimpleGraph(3, []), tmp_path / "e.txt").read_text() == "n=3\n"
 
 
 def test_graph_self_loop(tmp_path):

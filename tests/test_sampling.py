@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphonlab as gl
-from graphonlab import rng
+from graphonlab import rng, sampling
+from graphonlab.core import as_kernel
 from graphonlab.errors import DomainError, ValidationError
+from conftest import random_step
 
 
 def cfg(n, seed, w=None):
@@ -242,3 +246,88 @@ def test_lazy_product_sampling_matches_its_edge_density():
 
     est = gl.mc_expected_graphon(cfg(16, 3, w), draws=20)
     assert np.isfinite(est.step.values).all() and est.step.values.sum() > 0
+
+
+# the first NaN of 0.5+0*exp(1000*x*y) is past the first 128-row block; 2*x*y escapes [0, 1]
+# from row 300 on, a block before the first NaN of its sum, which must still win; the
+# messages are those of the whole-matrix check the row blocks replaced
+@pytest.mark.parametrize("source, n, draw, pair", [
+    ("0.5+0*exp(1000*x*y)", 300, "sample", "(214, 298)"),
+    ("0.5+0*exp(1000*x*y)", 300, "mc", "(213, 299)"),
+    ("2*x*y+0*exp(1000*x*y)", 600, "sample", "(426, 599)"),
+    ("2*x*y+0*exp(1000*x*y)", 600, "iid", "(430, 599)"),
+])
+def test_a_non_finite_probability_is_named_by_its_pair_in_any_block(source, n, draw, pair):
+    c = cfg(n, 1, gl.from_expression(source))
+    msg = rf"^edge probability of pair {re.escape(pair)} is nan, not a number in \[0, 1\]; "
+    with pytest.raises(ValidationError, match=msg):
+        if draw == "mc":
+            gl.mc_expected_graphon(c, draws=2)
+        else:
+            latents = gl.sample_latents(c) if draw == "sample" else gl.sample_latents_iid(c)
+            gl.sample_graph(c, latents)
+
+
+def test_the_earlier_block_of_the_nan_case_escapes_the_unit_interval():
+    c = cfg(600, 1, gl.from_expression("2*x*y+0*exp(1000*x*y)"))
+    xs = gl.sample_latents(c).xs
+    early = c.graphon.eval_grid(xs[256:384], xs)  # the third block of rows
+    assert np.isfinite(early).all() and early.max() > 1.0
+
+
+def test_a_probability_outside_the_unit_interval_is_refused_in_any_block():
+    c = cfg(300, 1, gl.from_expression("2*x*y"))
+    with pytest.raises(ValidationError, match=r"^edge probabilities escape \[0, 1\]"):
+        gl.sample_graph(c, gl.sample_latents(c))
+
+
+def _whole_matrix_draw(c, xs):
+    """The edge draw on the whole n x n matrix of probabilities at once."""
+    n = c.n
+    p = np.clip(as_kernel(c.graphon).eval_grid(xs, xs, 0), 0.0, 1.0)
+    iu, ju = np.triu_indices(n, 1)
+    key = rng.derive_key(c.seed, sampling._TAG_EDGES)
+    u = rng.uniforms_at(key, iu.astype(np.uint64) * np.uint64(n) + ju.astype(np.uint64))
+    hit = u < p[iu, ju]
+    return iu[hit], ju[hit]
+
+
+_DRAW_KERNELS = {
+    "minmax": gl.builtin("minmax"),
+    "exp": gl.from_expression("exp(-abs(x-y))*x*y"),  # transcendental ufuncs on short rows
+    "step": random_step(5, key=7, signed=False),
+    "lazy_power": gl.power(gl.builtin("minmax"), 2),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
+@pytest.mark.parametrize("kernel, iid", [
+    *((name, False) for name in _DRAW_KERNELS), ("minmax", True),
+], ids=[*_DRAW_KERNELS, "minmax_iid"])
+def test_the_blocked_draw_gives_the_edges_of_the_whole_matrix_draw(n, kernel, iid):
+    c = cfg(n, 11, _DRAW_KERNELS[kernel])
+    xs = gl.sample_latents_iid(c) if iid else gl.sample_latents(c).xs
+    got, want = sampling._edge_draw(c, xs), _whole_matrix_draw(c, xs)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_the_blocked_mc_estimate_is_the_mean_of_whole_matrix_draws():
+    c = cfg(200, 8, gl.builtin("minmax"))
+    counts = np.zeros((200, 200))
+    for d in range(3):
+        sub = replace(c, seed=gl.draw_seed(c.seed, d))
+        i, j = _whole_matrix_draw(sub, gl.sample_latents(sub).xs)
+        counts[i, j] += 1.0
+        counts[j, i] += 1.0
+    mean = counts / 3
+    est = gl.mc_expected_graphon(c, draws=3)
+    assert est.step.values.tobytes() == mean.tobytes()
+    assert est.stderr.tobytes() == np.sqrt(mean * (1.0 - mean) / 2).tobytes()
+
+
+def test_a_draw_holds_no_full_grid(peak_bytes):
+    c = cfg(2048, 1, gl.builtin("minmax"))
+    pts = gl.sample_latents(c)
+    # the whole-matrix draw held about 28 bytes a pair: 112 MiB; a 128-row block is 15 MiB
+    assert peak_bytes(lambda: gl.sample_graph(c, pts)) < 24 * 2**20
