@@ -9,11 +9,11 @@ That one doubling rule is `settle`, used by `integrate2d`, `cell_means`, lazy
 products and the sweep's limit distance: matrix estimates agree when no entry
 moves by more than the tolerance, and after QuadratureSpec.max_refinements
 doublings QuadratureError names the quantity that did not settle. Integrals,
-L1 distances, cell averages and the sampler's edge draw read kernels through one
-evaluator, `_row_blocks`, a few rows at a time; a lazy product is evaluated whole,
-once per grid level or point read, and sliced. `_first_grid` is the one
-grid-alignment rule: every quadrature, a lazy product's z-integral at a point
-read included, starts on its grid. Cell averages over s x s grid blocks
+L1 distances, cell averages and the sampler's edge draw (the columns from each block's
+diagonal on) read kernels through one evaluator, `_row_blocks`, a few rows at a time; a
+lazy product is evaluated whole, once per grid level or point read, and sliced.
+`_first_grid` is the one grid-alignment rule: every quadrature, a lazy product's
+z-integral at a point read included, starts on its grid. Cell averages over s x s grid blocks
 (`_row_means`) have the bytes of NumPy's ``reshape(...).mean(axis=(1, 3))``;
 for 2 <= s < 8 and at least two cells a row they are whole-row strided adds in
 the order NumPy's reduction adds, which runs its inner loop over one cell side
@@ -143,15 +143,17 @@ def _first_grid(q: QuadratureSpec, need: int, *kernels) -> int:
     return ceil_to_multiple(q.base_grid, align if align <= LCM_GRID_CAP else need)
 
 
-def _row_blocks(kernel, xs: np.ndarray, gz: int, rows: int):
-    """The kernel on xs x xs (z-grid gz), ``rows`` rows at a time. A lazy product is
-    evaluated whole and sliced: its matmul needs the whole right factor, and its point read
-    (gz = 0) settles its z-integral once per call."""
+def _row_blocks(kernel, xs: np.ndarray, gz: int, rows: int, upper: bool = False):
+    """The kernel on xs x xs (z-grid gz), ``rows`` rows at a time; with ``upper``, the block
+    of rows [lo, lo + rows) holds the columns from lo on only (its diagonal tile and the
+    columns to its right). A lazy product is evaluated whole and sliced: its matmul needs
+    the whole right factor, and its point read (gz = 0) settles its z-integral once per
+    call."""
     lazy = isinstance(kernel, ProductGraphon) and kernel.asym_values is None
     whole = kernel.eval_grid(xs, xs, gz) if lazy else None
     for lo in range(0, len(xs), rows):
-        hi = lo + rows
-        yield kernel.eval_grid(xs[lo:hi], xs, gz) if whole is None else whole[lo:hi]
+        hi, left = lo + rows, lo if upper else 0
+        yield kernel.eval_grid(xs[lo:hi], xs[left:], gz) if whole is None else whole[lo:hi, left:]
 
 
 def _grid_mean(blocks, g: int) -> float:
@@ -418,7 +420,8 @@ def validate_graphon(w, q: QuadratureSpec = QuadratureSpec()) -> None:
     [0, 1] within RANGE_TOL. A step form is checked on its own values (symmetric by
     construction); any other kernel once on the q.base_grid midpoint grid. The grid holds
     no boundary line, so a violation within half a cell of the edge goes unseen here; the
-    sampler's [0, 1] check and StepGraphon's range check still refuse it downstream."""
+    sampler's [0, 1] check (on the pairs it reads: every block of rows from its diagonal
+    on) and StepGraphon's range check still refuse it downstream."""
     kernel = as_kernel(w)
     label = getattr(kernel, "label", "kernel")
     if getattr(kernel, "asym_values", None) is not None:

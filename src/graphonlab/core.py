@@ -19,15 +19,16 @@ RANGE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class _Owned:
-    """A new float64 matrix that no one else holds: StepGraphon keeps it as it is instead
-    of copying it, and still runs every check on it."""
+    """A new array that no one else holds: StepGraphon (a float64 matrix) and SimpleGraph
+    (an (E, 2) int64 edge array) keep it as it is instead of copying it, and still run
+    every check on it."""
 
-    matrix: np.ndarray
+    array: np.ndarray
 
 
 def _as_square_float_matrix(values) -> np.ndarray:
     if isinstance(values, _Owned):
-        m = np.asarray(values.matrix, dtype=np.float64)
+        m = np.asarray(values.array, dtype=np.float64)
     else:
         m = np.array(values, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
@@ -144,11 +145,40 @@ class StepGraphon:
         return StepGraphon(self.n * factor, big, self.lo, self.hi)
 
 
+def _is_normalized(e: np.ndarray, n: int) -> bool:
+    """Whether the (E, 2) int64 array e is what `_normalize` returns: edges 0 <= i < j < n
+    in strictly increasing lexicographic order. O(E), with boolean temporaries only."""
+    if len(e) == 0:
+        return True
+    i, j = e[:, 0], e[:, 1]
+    later = i[1:] > i[:-1]
+    later |= (i[1:] == i[:-1]) & (j[1:] > j[:-1])
+    return bool(i[0] >= 0 and (i < j).all() and (j < n).all() and later.all())
+
+
+def _normalize(e: np.ndarray, n: int) -> np.ndarray:
+    """The edges of e as (min, max) pairs, sorted and deduplicated; a self-loop or a vertex
+    outside [0, n) is refused."""
+    lo, hi = e.min(axis=1), e.max(axis=1)
+    loops = lo == hi
+    if loops.any():
+        raise ValidationError(f"self-loop at vertex {lo[loops.argmax()]}")
+    bad = (lo < 0) | (hi >= n)
+    if bad.any():
+        u, v = e[bad.argmax()]
+        raise ValidationError(f"edge ({u}, {v}) out of range for n={n}")
+    # sort-and-compare dedupe: np.unique would import numpy.ma on first use
+    keys = np.sort(lo * n + hi)
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    return np.stack((keys // n, keys % n), axis=1)
+
+
 @dataclass(frozen=True, eq=False)
 class SimpleGraph:
     """Undirected simple graph. ``pairs`` is a read-only (E, 2) int64 array of
     the edges (i, j), i < j, in lexicographic order; ``edges`` is its tuple view.
-    Any iterable of pairs or int array is accepted and normalized."""
+    Any iterable of pairs or int array is accepted and normalized; an array that is
+    already normalized (every edge draw is) is checked in O(E) and kept in its order."""
 
     n: int
     pairs: np.ndarray
@@ -156,20 +186,12 @@ class SimpleGraph:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError("graph needs at least one vertex")
-        raw = self.pairs if isinstance(self.pairs, np.ndarray) else list(self.pairs)
-        e = np.array(raw, dtype=np.int64).reshape(len(raw), 2)
-        lo, hi = e.min(axis=1), e.max(axis=1)
-        loops = lo == hi
-        if loops.any():
-            raise ValidationError(f"self-loop at vertex {lo[loops.argmax()]}")
-        bad = (lo < 0) | (hi >= self.n)
-        if bad.any():
-            u, v = e[bad.argmax()]
-            raise ValidationError(f"edge ({u}, {v}) out of range for n={self.n}")
-        # sort-and-compare dedupe: np.unique would import numpy.ma on first use
-        keys = np.sort(lo * self.n + hi)
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        pairs = np.stack((keys // self.n, keys % self.n), axis=1)
+        if isinstance(self.pairs, _Owned):
+            e = self.pairs.array
+        else:
+            raw = self.pairs if isinstance(self.pairs, np.ndarray) else list(self.pairs)
+            e = np.array(raw, dtype=np.int64).reshape(len(raw), 2)
+        pairs = e if _is_normalized(e, self.n) else _normalize(e, self.n)
         pairs.setflags(write=False)
         object.__setattr__(self, "pairs", pairs)
 

@@ -15,13 +15,19 @@ generator in :mod:`graphonlab.rng`. Latents for a config use the stream
 of a Monte-Carlo run uses the sub-seed ``draw_seed(seed, d)``; latents are
 resampled every draw, since the expectation ranges over latents and edges.
 
-Edges are drawn a block of ``core._TILE`` = 128 rows at a time: W is read
-through `algebra._row_blocks` (a lazy product whole, once per draw, and
-sliced) and each block draws the uniforms of its own pairs at those same
-counters, so every variate and edge is the one a whole-matrix draw gives, and
-a draw holds about 15 MiB at n = 2048 instead of 112 MiB. A non-finite
-probability is named by its pair, and wins over an out-of-range one, wherever
-the blocks hold them.
+Edges are drawn a block of ``core._TILE`` = 128 rows at a time, and only
+the pairs i < j enter the draw, so only they are read: the block of rows
+[lo, lo + 128) reads W(x[lo:lo + 128], x[lo:]) through `algebra._row_blocks`
+(a lazy product whole, once per draw, and sliced), its diagonal tile and the
+columns to the tile's right, about n^2/2 points in all. It draws the tile's
+pairs above the diagonal and the whole rectangle to its right at those same
+counters, so every variate and edge is the one a whole-matrix draw gives, in
+the same order, and a draw holds about 8 MiB at n = 2048. The draw's edge
+array is already sorted and distinct, so `SimpleGraph` keeps it after an O(E)
+check. A non-finite probability is named by its pair, and wins over an
+out-of-range one, wherever the blocks hold them; a value below the diagonal
+outside the diagonal tiles is never read, and `validate_graphon`, not the
+sampler, refuses a kernel that is bad only there.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import numpy as np
 
 from . import rng
 from .algebra import QuadratureSpec, _row_blocks, cell_means
-from .core import _TILE, RANGE_TOL, LatentPoints, SimpleGraph, StepGraphon, as_kernel
+from .core import _TILE, RANGE_TOL, LatentPoints, SimpleGraph, StepGraphon, _Owned, as_kernel
 from .errors import DomainError, ValidationError
 
 _TAG_LATENTS = 1
@@ -85,9 +91,10 @@ def sample_latents_iid(cfg: SamplerConfig) -> np.ndarray:
 
 
 def _probability_rows(graphon, xs: np.ndarray):
-    """(lo, p) for each block of _TILE rows, p[r, j] = W(x_{lo + r}, x_j), once every entry
-    of the block lies in [0, 1] within RANGE_TOL."""
-    blocks = zip(range(0, len(xs), _TILE), _row_blocks(as_kernel(graphon), xs, 0, _TILE))
+    """(lo, p) for each block of _TILE rows on and above the diagonal, p[r, c] =
+    W(x_{lo + r}, x_{lo + c}) for c < n - lo, once every entry of the block lies in [0, 1]
+    within RANGE_TOL."""
+    blocks = zip(range(0, len(xs), _TILE), _row_blocks(as_kernel(graphon), xs, 0, _TILE, True))
     for lo, p in blocks:
         if not (np.min(p) >= -RANGE_TOL and np.max(p) <= 1.0 + RANGE_TOL):  # False on NaN too
             _refuse(chain([(lo, p)], blocks))
@@ -103,33 +110,37 @@ def _refuse(blocks):
         if len(bad):
             i, j = bad[0]
             raise ValidationError(
-                f"edge probability of pair ({lo + i}, {j}) is {p[i, j]}, not a number in "
+                f"edge probability of pair ({lo + i}, {lo + j}) is {p[i, j]}, not a number in "
                 "[0, 1]; validate the graphon"
             )
     raise ValidationError("edge probabilities escape [0, 1]; validate the graphon")
 
 
 def _pair_probabilities(graphon, xs: np.ndarray) -> np.ndarray:
-    """The whole matrix of edge probabilities W(x_i, x_j), clipped to [0, 1]: the edge
-    draw's row blocks, stacked, whose bytes the tests compare at 1 and 2 BLAS threads."""
-    rows = [p for _, p in _probability_rows(graphon, xs)]
-    return np.clip(np.concatenate(rows), 0.0, 1.0)
+    """The whole matrix of edge probabilities W(x_i, x_j), read as one block and clipped to
+    [0, 1]: the tests compare its bytes at 1 and 2 BLAS threads."""
+    return np.clip(next(_row_blocks(as_kernel(graphon), xs, 0, len(xs))), 0.0, 1.0)
 
 
 def _edge_draw(cfg: SamplerConfig, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint arrays (i, j), i < j in lexicographic order, of one edge draw, read and
     drawn _TILE rows at a time: pair (i, j) is an edge when the uniform at counter
-    i*n + j is below W(x_i, x_j)."""
+    i*n + j is below W(x_i, x_j). A block's pairs are those of its diagonal tile above the
+    diagonal and the whole rectangle to the tile's right; 0 <= u < 1 compares with an
+    unclipped p as with its clip to [0, 1]."""
     n = cfg.n
     key = rng.derive_key(cfg.seed, _TAG_EDGES)
     heads, tails = [], []
     for lo, p in _probability_rows(cfg.graphon, xs):
-        i, j = np.triu_indices(len(p), lo + 1, n)  # the block's pairs lo + i < j
-        prob = p[i, j]  # 0 <= u < 1 compares with it as with its clip to [0, 1]
-        i += lo
-        hit = rng.uniforms_at(key, i * n + j) < prob
-        heads.append(i[hit])
-        tails.append(j[hit])
+        rows = len(p)
+        hit = np.zeros(p.shape, dtype=bool)  # hit[r, c]: the pair (lo + r, lo + c) is an edge
+        r, c = np.triu_indices(rows, 1)  # the diagonal tile's pairs
+        hit[r, c] = rng.uniforms_at(key, (lo + r) * n + (lo + c)) < p[r, c]
+        r, c = np.arange(lo, lo + rows, dtype=np.uint64), np.arange(lo + rows, n, dtype=np.uint64)
+        hit[:, rows:] = rng.uniforms_at(key, r[:, None] * np.uint64(n) + c) < p[:, rows:]
+        r, c = np.nonzero(hit)  # in row-major order, so lexicographic
+        heads.append(r + lo)
+        tails.append(c + lo)
     return np.concatenate(heads), np.concatenate(tails)
 
 
@@ -144,7 +155,7 @@ def sample_graph(cfg: SamplerConfig, latents) -> SimpleGraph:
         if not inside.all():
             bad = int(np.argmin(inside))
             raise DomainError(f"latent {bad} = {xs[bad]} outside [0, 1]")
-    return SimpleGraph(cfg.n, np.stack(_edge_draw(cfg, xs), axis=1))
+    return SimpleGraph(cfg.n, _Owned(np.stack(_edge_draw(cfg, xs), axis=1)))
 
 
 def expected_graphon(w, n: int, q: QuadratureSpec = QuadratureSpec()) -> StepGraphon:

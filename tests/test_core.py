@@ -237,6 +237,61 @@ def test_simple_graph_array_input_equals_iterable_input():
     assert np.array_equal(from_iter.adjacency(), from_array.adjacency())
 
 
+def _drawn_pairs(n: int) -> np.ndarray:
+    """A writable copy of the sorted edges of a minmax draw."""
+    c = gl.SamplerConfig(n, 3, gl.builtin("minmax"))
+    return np.array(gl.sample_graph(c, gl.sample_latents(c)).pairs)
+
+
+@pytest.mark.parametrize("kind", ["sorted", "unsorted", "duplicated", "reversed", "frozenset",
+                                  "empty"])
+def test_normalized_edges_keep_the_bytes_of_the_sort(kind, monkeypatch):
+    n, e = 60, _drawn_pairs(60)
+    raw = {
+        "sorted": e,
+        "unsorted": e[np.random.default_rng(1).permutation(len(e))],
+        "duplicated": np.concatenate([e, e[::3]]),
+        "reversed": e[:, ::-1],  # every pair as (j, i), in the sorted order
+        "frozenset": frozenset(map(tuple, e.tolist())),
+        "empty": np.zeros((0, 2), dtype=np.int64),
+    }[kind]
+    sorts = []
+    normalize = core._normalize
+    monkeypatch.setattr(core, "_normalize", lambda e, n: sorts.append(n) or normalize(e, n))
+    got = gl.SimpleGraph(n, raw).pairs
+    want = np.array(sorted({(min(u, v), max(u, v)) for u, v in np.array(list(raw)).tolist()}),
+                    dtype=np.int64).reshape(-1, 2)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert not sorts if kind in ("sorted", "empty") else sorts == [n]
+
+
+@pytest.mark.parametrize("pairs, msg", [
+    ([(0, 1), (2, 2), (3, 4)], r"^self-loop at vertex 2$"),
+    ([(0, 1), (1, 5)], r"^edge \(1, 5\) out of range for n=5$"),
+    ([(-1, 0), (0, 1)], r"^edge \(-1, 0\) out of range for n=5$"),
+])
+def test_a_sorted_edge_list_is_still_checked(pairs, msg):
+    for raw in (pairs, np.array(pairs)):
+        with pytest.raises(ValidationError, match=msg):
+            gl.SimpleGraph(5, raw)
+
+
+def test_a_callers_edge_array_is_neither_aliased_nor_made_read_only():
+    e = _drawn_pairs(40)
+    g = gl.SimpleGraph(40, e)
+    assert not np.shares_memory(g.pairs, e) and not g.pairs.flags.writeable
+    assert e.flags.writeable
+    e[0] = (38, 39)  # the graph does not see it
+    assert g.pairs[0].tolist() != [38, 39]
+
+
+def test_a_normalized_edge_array_costs_one_copy(peak_bytes):
+    e = _drawn_pairs(2048)
+    # the sort path held about 4.6 times the input: a copy, lo/hi, the keys, the pairs
+    assert peak_bytes(lambda: gl.SimpleGraph(2048, e)) <= 1.5 * e.nbytes
+
+
 def test_simple_graph_pairs_read_only_and_edges_sorted_view():
     g = gl.SimpleGraph(4, {(3, 2), (1, 0), (0, 3)})
     with pytest.raises(ValueError):

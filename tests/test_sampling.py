@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import graphonlab as gl
 from graphonlab import rng, sampling
-from graphonlab.core import as_kernel
+from graphonlab.core import _TILE, as_kernel
 from graphonlab.errors import DomainError, ValidationError
 from conftest import random_step
 
@@ -300,7 +300,7 @@ _DRAW_KERNELS = {
 }
 
 
-@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 255, 256, 257, 300])
 @pytest.mark.parametrize("kernel, iid", [
     *((name, False) for name in _DRAW_KERNELS), ("minmax", True),
 ], ids=[*_DRAW_KERNELS, "minmax_iid"])
@@ -331,3 +331,46 @@ def test_a_draw_holds_no_full_grid(peak_bytes):
     pts = gl.sample_latents(c)
     # the whole-matrix draw held about 28 bytes a pair: 112 MiB; a 128-row block is 15 MiB
     assert peak_bytes(lambda: gl.sample_graph(c, pts)) < 24 * 2**20
+
+
+class _CountingMinmax:
+    """minmax through the kernel protocol, counting the points it is read at."""
+
+    step = None
+
+    def __init__(self):
+        self.points = 0
+
+    def eval_grid(self, xs, ys, gz):
+        self.points += len(xs) * len(ys)
+        return gl.builtin("minmax").eval_grid(xs, ys, gz)
+
+
+@pytest.mark.parametrize("n", [300, 2048])
+def test_a_draw_reads_the_diagonal_tiles_and_the_columns_to_their_right(variates, n):
+    w = _CountingMinmax()
+    c = cfg(n, 4, w)
+    pts = gl.sample_latents(c)
+    variates.clear()
+    g = gl.sample_graph(c, pts)
+    # a whole-matrix read is n * n points; a block of _TILE rows reads from its diagonal on
+    assert w.points <= n * (n + 1) // 2 + n * _TILE // 2
+    assert sum(variates) == n * (n - 1) // 2  # one uniform per pair i < j, and no other
+    want = gl.sample_graph(cfg(n, 4, gl.builtin("minmax")), pts)
+    assert g.pairs.tobytes() == want.pairs.tobytes()
+
+
+@pytest.mark.parametrize("bad", [2.0, math.nan])
+def test_a_kernel_bad_only_far_below_the_diagonal_is_drawn_and_refused_by_validation(bad):
+    # pairs more than 127 rows below the diagonal lie in no block's read, so the draw never
+    # sees them; validate_graphon, which every command runs first, still refuses the kernel
+    def below(x, y):
+        return np.where(x > y + 0.5, bad, 0.5)
+
+    c = cfg(300, 1, below)
+    xs = gl.sample_latents(c).xs
+    got, want = sampling._edge_draw(c, xs), _whole_matrix_draw(c, xs)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    with pytest.raises(ValidationError, match="^below is not"):
+        gl.validate_graphon(below)
