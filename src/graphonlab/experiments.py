@@ -11,8 +11,8 @@ otherwise. Each row also records, for one seeded sample graph per n, the L1
 distance of the sampled power to the limit and the cut norm of its signed
 difference to the discretized limit. At k = 1 the sampled L1 distance does not
 decay (its mean tends to 2 * integral of W(1 - W)); at k >= 2 it does, more
-slowly than e_n: in the theorem-large sweep (minmax, k = 2) the one-draw column
-falls from 0.008-0.009 at n = 64 to 0.0021 at n = 1024. The counterexample
+slowly than e_n: in theorem-large sweeps (minmax, k = 2) the one-draw column
+falls from 0.008-0.010 at n = 64 to 0.0021 at n = 1024. The counterexample
 sweep makes the k = 1 contrast exact: its sampled columns are the same two
 numbers at W = constant(p), k = 1, averaged over several draws.
 

@@ -94,7 +94,8 @@ def _probability_rows(graphon, xs: np.ndarray):
     """(lo, p) for each block of _TILE rows on and above the diagonal, p[r, c] =
     W(x_{lo + r}, x_{lo + c}) for c < n - lo, once every entry of the block lies in [0, 1]
     within RANGE_TOL."""
-    blocks = zip(range(0, len(xs), _TILE), _row_blocks(as_kernel(graphon), xs, 0, _TILE, True))
+    read = _row_blocks(as_kernel(graphon), xs, 0, _TILE, upper=True)
+    blocks = zip(range(0, len(xs), _TILE), read)
     for lo, p in blocks:
         if not (np.min(p) >= -RANGE_TOL and np.max(p) <= 1.0 + RANGE_TOL):  # False on NaN too
             _refuse(chain([(lo, p)], blocks))
@@ -102,9 +103,9 @@ def _probability_rows(graphon, xs: np.ndarray):
 
 
 def _refuse(blocks):
-    """Raise for the first non-finite probability in the blocks left, in row-major order as
-    on the whole matrix (so a NaN in a later block wins over an escape in this one), or
-    else for a probability outside [0, 1]."""
+    """Raise for the first non-finite probability in the blocks left, in row-major order (so
+    a NaN in a later block wins over an escape in this one), or else for a probability
+    outside [0, 1]. For a symmetric kernel that is the first NaN of the whole matrix."""
     for lo, p in blocks:
         bad = np.argwhere(~np.isfinite(p))
         if len(bad):
