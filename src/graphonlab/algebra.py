@@ -57,7 +57,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    RANGE_TOL, StepGraphon, as_kernel, asymmetry, cell_index, is_symmetric, sym_mean,
+    _TILE, RANGE_TOL, StepGraphon, as_kernel, asymmetry, cell_index, is_symmetric, sym_mean,
 )
 from .errors import QuadratureError, ValidationError
 
@@ -69,7 +69,6 @@ SYMMETRY_TOL = 1e-12
 # to k = 985; with one wrapper frame around each eval_grid (as a tracer installs) power ran
 # up to k = 492. The bound keeps 92 products of margin under such a wrapper.
 MAX_LAZY_POWER = 400
-_BLOCK_ROWS = 128  # grid rows per block in cell_means (a kernel evaluation) and block_means
 
 
 @dataclass(frozen=True)
@@ -385,7 +384,7 @@ def block_means(vals: np.ndarray, m: int) -> np.ndarray:
     block of cell rows at a time as `cell_means` reads a kernel, so that the temporaries
     of `_row_means` stay a block's size."""
     side = vals.shape[0] // m  # grid rows per cell row
-    rows = max(1, _BLOCK_ROWS // side)  # cell rows per block
+    rows = max(1, _TILE // side)  # cell rows per block
     return _cells((vals[lo * side : (lo + rows) * side] for lo in range(0, m, rows)), m, rows)
 
 
@@ -395,7 +394,7 @@ def cell_means(w, m: int, q: QuadratureSpec, zero_diagonal: bool = False) -> np.
     Convergence is measured as the max absolute change of any cell entry
     between successive grid doublings (a zeroed diagonal never changes).
     The kernel is read through `_row_blocks` in whole cell rows, about
-    _BLOCK_ROWS grid rows at a time (a lazy product whole, once per grid level).
+    _TILE grid rows at a time (a lazy product whole, once per grid level).
     """
     kernel = as_kernel(w)
     s = kernel.step
@@ -404,7 +403,7 @@ def cell_means(w, m: int, q: QuadratureSpec, zero_diagonal: bool = False) -> np.
 
     def cells_at(g: int) -> np.ndarray:
         side = g // m  # grid rows per cell row
-        rows = max(1, _BLOCK_ROWS // side)  # cell rows per block
+        rows = max(1, _TILE // side)  # cell rows per block
         cells = _cells(_row_blocks(kernel, midpoints(g), g, rows * side), m, rows)
         if zero_diagonal:
             np.fill_diagonal(cells, 0.0)

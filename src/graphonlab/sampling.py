@@ -15,15 +15,18 @@ generator in :mod:`graphonlab.rng`. Latents for a config use the stream
 of a Monte-Carlo run uses the sub-seed ``draw_seed(seed, d)``; latents are
 resampled every draw, since the expectation ranges over latents and edges.
 
-Edges are drawn a block of ``core._TILE`` = 128 rows at a time, and only
-the pairs i < j enter the draw, so only they are read: the block of rows
-[lo, lo + 128) reads W(x[lo:lo + 128], x[lo:]) through `algebra._row_blocks`
-(a lazy product whole, once per draw, and sliced), its diagonal tile and the
-columns to the tile's right, about n^2/2 points in all. It draws the tile's
-pairs above the diagonal and the whole rectangle to its right at those same
-counters, so every variate and edge is the one a whole-matrix draw gives, in
-the same order, and a draw holds about 8 MiB at n = 2048. The draw's edge
-array is already sorted and distinct, so `SimpleGraph` keeps it after an O(E)
+`sample_graph` is the one edge draw: `mc_expected_graphon`, the CLI and the
+sweeps all take its ``SimpleGraph.pairs``, the (E, 2) int64 array of the edges
+in lexicographic order. Edges are drawn a block of ``core._TILE`` = 128 rows at
+a time, and only the pairs i < j enter the draw, so only they are read: the
+block of rows [lo, lo + 128) reads W(x[lo:lo + 128], x[lo:]) through
+`algebra._row_blocks` (a lazy product whole, once per draw, and sliced), its
+diagonal tile and the columns to the tile's right, about n^2/2 points in all.
+It draws the tile's pairs above the diagonal and the whole rectangle to its
+right at those same counters, so every variate and edge is the one a
+whole-matrix draw gives, in the same order, and a draw holds about 8 MiB at
+n = 2048. The blocks' hits, read in row-major order, join into an edge array
+that is already sorted and distinct, so `SimpleGraph` keeps it after an O(E)
 check. A non-finite probability is named by its pair, and wins over an
 out-of-range one, wherever the blocks hold them; a value below the diagonal
 outside the diagonal tiles is never read, and `validate_graphon`, not the
@@ -90,18 +93,6 @@ def sample_latents_iid(cfg: SamplerConfig) -> np.ndarray:
     return np.sort(rng.uniform_block(key, cfg.n))
 
 
-def _probability_rows(graphon, xs: np.ndarray):
-    """(lo, p) for each block of _TILE rows on and above the diagonal, p[r, c] =
-    W(x_{lo + r}, x_{lo + c}) for c < n - lo, once every entry of the block lies in [0, 1]
-    within RANGE_TOL."""
-    read = _row_blocks(as_kernel(graphon), xs, 0, _TILE, upper=True)
-    blocks = zip(range(0, len(xs), _TILE), read)
-    for lo, p in blocks:
-        if not (np.min(p) >= -RANGE_TOL and np.max(p) <= 1.0 + RANGE_TOL):  # False on NaN too
-            _refuse(chain([(lo, p)], blocks))
-        yield lo, p
-
-
 def _refuse(blocks):
     """Raise for the first non-finite probability in the blocks left, in row-major order (so
     a NaN in a later block wins over an escape in this one), or else for a probability
@@ -117,36 +108,12 @@ def _refuse(blocks):
     raise ValidationError("edge probabilities escape [0, 1]; validate the graphon")
 
 
-def _pair_probabilities(graphon, xs: np.ndarray) -> np.ndarray:
-    """The whole matrix of edge probabilities W(x_i, x_j), read as one block and clipped to
-    [0, 1]: the tests compare its bytes at 1 and 2 BLAS threads."""
-    return np.clip(next(_row_blocks(as_kernel(graphon), xs, 0, len(xs))), 0.0, 1.0)
-
-
-def _edge_draw(cfg: SamplerConfig, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint arrays (i, j), i < j in lexicographic order, of one edge draw, read and
-    drawn _TILE rows at a time: pair (i, j) is an edge when the uniform at counter
-    i*n + j is below W(x_i, x_j). A block's pairs are those of its diagonal tile above the
-    diagonal and the whole rectangle to the tile's right; 0 <= u < 1 compares with an
-    unclipped p as with its clip to [0, 1]."""
-    n = cfg.n
-    key = rng.derive_key(cfg.seed, _TAG_EDGES)
-    heads, tails = [], []
-    for lo, p in _probability_rows(cfg.graphon, xs):
-        rows = len(p)
-        hit = np.zeros(p.shape, dtype=bool)  # hit[r, c]: the pair (lo + r, lo + c) is an edge
-        r, c = np.triu_indices(rows, 1)  # the diagonal tile's pairs
-        hit[r, c] = rng.uniforms_at(key, (lo + r) * n + (lo + c)) < p[r, c]
-        r, c = np.arange(lo, lo + rows, dtype=np.uint64), np.arange(lo + rows, n, dtype=np.uint64)
-        hit[:, rows:] = rng.uniforms_at(key, r[:, None] * np.uint64(n) + c) < p[:, rows:]
-        r, c = np.nonzero(hit)  # in row-major order, so lexicographic
-        heads.append(r + lo)
-        tails.append(c + lo)
-    return np.concatenate(heads), np.concatenate(tails)
-
-
 def sample_graph(cfg: SamplerConfig, latents) -> SimpleGraph:
-    """Independent Bernoulli edges with probability W(x_i, x_j), i < j."""
+    """Independent Bernoulli edges with probability W(x_i, x_j), i < j: pair (i, j) is an
+    edge when the uniform at counter i*n + j is below W(x_i, x_j). Read and drawn _TILE
+    rows at a time: a block's pairs are those of its diagonal tile above the diagonal and
+    the whole rectangle to the tile's right, once every probability the block read lies in
+    [0, 1] within RANGE_TOL; 0 <= u < 1 compares with an unclipped p as with its clip."""
     stratified = isinstance(latents, LatentPoints)
     xs = latents.xs if stratified else np.asarray(latents, float)
     if xs.shape != (cfg.n,):
@@ -156,7 +123,23 @@ def sample_graph(cfg: SamplerConfig, latents) -> SimpleGraph:
         if not inside.all():
             bad = int(np.argmin(inside))
             raise DomainError(f"latent {bad} = {xs[bad]} outside [0, 1]")
-    return SimpleGraph(cfg.n, _Owned(np.stack(_edge_draw(cfg, xs), axis=1)))
+    n = cfg.n
+    key = rng.derive_key(cfg.seed, _TAG_EDGES)
+    read = _row_blocks(as_kernel(cfg.graphon), xs, 0, _TILE, upper=True)
+    blocks = zip(range(0, n, _TILE), read)
+    edges = []
+    for lo, p in blocks:
+        if not (np.min(p) >= -RANGE_TOL and np.max(p) <= 1.0 + RANGE_TOL):  # False on NaN too
+            _refuse(chain([(lo, p)], blocks))
+        rows = len(p)
+        hit = np.zeros(p.shape, dtype=bool)  # hit[r, c]: the pair (lo + r, lo + c) is an edge
+        r, c = np.triu_indices(rows, 1)  # the diagonal tile's pairs
+        hit[r, c] = rng.uniforms_at(key, (lo + r) * n + (lo + c)) < p[r, c]
+        r, c = np.arange(lo, lo + rows, dtype=np.uint64), np.arange(lo + rows, n, dtype=np.uint64)
+        hit[:, rows:] = rng.uniforms_at(key, r[:, None] * np.uint64(n) + c) < p[:, rows:]
+        edges.append(np.argwhere(hit) + lo)  # in row-major order, so lexicographic
+    edges = np.concatenate(edges)  # the blocks' hits go before SimpleGraph checks the join
+    return SimpleGraph(n, _Owned(edges))
 
 
 def expected_graphon(w, n: int, q: QuadratureSpec = QuadratureSpec()) -> StepGraphon:
@@ -186,8 +169,7 @@ def mc_expected_graphon(cfg: SamplerConfig, draws: int) -> McEstimate:
     counts = np.zeros((n, n))
     for d in range(draws):
         sub = replace(cfg, seed=draw_seed(cfg.seed, d))
-        xs = sample_latents(sub).xs
-        i, j = _edge_draw(sub, xs)
+        i, j = sample_graph(sub, sample_latents(sub)).pairs.T
         counts[i, j] += 1.0
         counts[j, i] += 1.0
     mean = counts / draws

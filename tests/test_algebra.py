@@ -319,8 +319,7 @@ _THREAD_PROBE = """
 import hashlib
 import numpy as np
 import graphonlab as gl
-from graphonlab.algebra import _matmul, midpoints
-from graphonlab.sampling import _pair_probabilities
+from graphonlab.algebra import _matmul, _row_blocks, midpoints
 
 def digest(m):
     return hashlib.sha256(m.tobytes()).hexdigest()[:16]
@@ -337,7 +336,7 @@ for rows in (1, 3, 100, 270, 517):
 cube = gl.power(gl.builtin("minmax"), 3)
 for n in (100, 270):
     xs = gl.sample_latents(gl.SamplerConfig(n, 1, cube)).xs
-    print("cube", n, digest(_pair_probabilities(cube, xs)))
+    print("cube", n, digest(np.clip(next(_row_blocks(cube, xs, 0, n)), 0.0, 1.0)))
 """
 
 

@@ -612,7 +612,7 @@ def _refuse_to_draw(*args, **kwargs):
 def test_sampling_commands_refuse_an_asymmetric_kernel(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("GRAPHON_LAB_OUT", raising=False)
-    for target in ("graphonlab.sampling.cell_means", "graphonlab.sampling._edge_draw"):
+    for target in ("graphonlab.sampling.cell_means", "graphonlab.sampling._row_blocks"):
         monkeypatch.setattr(target, _refuse_to_draw)
     code, out, err = run(capsys, *argv, "--graphon-expr", "x", "--seed", "1")
     assert code == 2 and out == ""
@@ -645,7 +645,7 @@ def test_every_command_gives_one_verdict_on_a_kernel(tmp_path, monkeypatch, caps
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("GRAPHON_LAB_OUT", raising=False)
     if not graphon:  # refused before any cell or draw
-        for target in ("graphonlab.sampling.cell_means", "graphonlab.sampling._edge_draw",
+        for target in ("graphonlab.sampling.cell_means", "graphonlab.sampling._row_blocks",
                        "graphonlab.algebra.cell_means"):
             monkeypatch.setattr(target, _refuse_to_draw)
     codes = {name: _exit_code([*argv, *source]) for name, argv in _GRAPHON_COMMANDS.items()}

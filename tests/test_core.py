@@ -94,6 +94,23 @@ def test_step_graphon_rejects_non_finite_entries(bad):
         gl.StepGraphon(2, [[0.1, bad], [bad, 0.2]])
 
 
+# one min and one max find every NaN and infinity; the checks still run non-finite first,
+# then symmetry, then range, whatever else the matrix holds
+@pytest.mark.parametrize("values, msg", [
+    ([[0.1, math.inf], [0.3, 0.2]], r"^non-finite entry at \(0, 1\)$"),
+    ([[0.1, 0.3], [-math.inf, 0.2]], r"^non-finite entry at \(1, 0\)$"),
+    ([[-math.inf, math.inf], [math.inf, 0.2]], r"^non-finite entry at \(0, 0\)$"),
+    ([[0.1, 0.3], [math.nan, 0.2]], r"^non-finite entry at \(1, 0\)$"),
+    ([[0.1, -math.inf], [math.nan, 0.2]], r"^non-finite entry at \(0, 1\)$"),
+    ([[0.1, 2.0], [0.3, 0.2]], r"^matrix not symmetric at \(0, 1\)$"),
+    ([[0.1, 0.3], [0.4, -0.5]], r"^matrix not symmetric at \(0, 1\)$"),
+], ids=["inf", "-inf", "both-infs", "asymmetric-nan", "nan-and-inf", "asymmetric-high",
+        "asymmetric-low"])
+def test_step_graphon_checks_finite_then_symmetric_then_range(values, msg):
+    with pytest.raises(ValidationError, match=msg):
+        gl.StepGraphon(2, values)
+
+
 def _symmetric(n: int) -> np.ndarray:
     u = np.random.default_rng(n).random((n, n))
     return 0.5 * (u + u.T)
@@ -375,7 +392,7 @@ def test_evaluate_and_validate_plain_callable():
 def test_canonical_graphon_keeps_its_adjacency_without_a_copy(peak_bytes):
     c = gl.SamplerConfig(2048, 1, gl.builtin("minmax"))
     g = gl.sample_graph(c, gl.sample_latents(c))
-    # the adjacency is 32 MiB and the finite check's mask 4 MiB; a copy was 32 MiB more
+    # the adjacency is 32 MiB; a copy was 32 MiB more
     assert peak_bytes(lambda: gl.canonical_graphon(g)) < 40 * 2**20
 
 

@@ -307,9 +307,8 @@ _DRAW_KERNELS = {
 def test_the_blocked_draw_gives_the_edges_of_the_whole_matrix_draw(n, kernel, iid):
     c = cfg(n, 11, _DRAW_KERNELS[kernel])
     xs = gl.sample_latents_iid(c) if iid else gl.sample_latents(c).xs
-    got, want = sampling._edge_draw(c, xs), _whole_matrix_draw(c, xs)
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+    got, want = gl.sample_graph(c, xs).pairs, np.stack(_whole_matrix_draw(c, xs), axis=1)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_the_blocked_mc_estimate_is_the_mean_of_whole_matrix_draws():
@@ -324,6 +323,19 @@ def test_the_blocked_mc_estimate_is_the_mean_of_whole_matrix_draws():
     est = gl.mc_expected_graphon(c, draws=3)
     assert est.step.values.tobytes() == mean.tobytes()
     assert est.stderr.tobytes() == np.sqrt(mean * (1.0 - mean) / 2).tobytes()
+
+
+def test_the_mc_estimate_draws_through_sample_graph(monkeypatch):
+    draw, seeds = sampling.sample_graph, []
+
+    def counting(cfg, latents):
+        seeds.append(cfg.seed)
+        return draw(cfg, latents)
+
+    monkeypatch.setattr(sampling, "sample_graph", counting)
+    c = cfg(40, 5, gl.builtin("minmax"))
+    gl.mc_expected_graphon(c, draws=3)
+    assert seeds == [gl.draw_seed(c.seed, d) for d in range(3)]
 
 
 def test_a_draw_holds_no_full_grid(peak_bytes):
@@ -369,8 +381,7 @@ def test_a_kernel_bad_only_far_below_the_diagonal_is_drawn_and_refused_by_valida
 
     c = cfg(300, 1, below)
     xs = gl.sample_latents(c).xs
-    got, want = sampling._edge_draw(c, xs), _whole_matrix_draw(c, xs)
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
+    got, want = gl.sample_graph(c, xs).pairs, np.stack(_whole_matrix_draw(c, xs), axis=1)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
     with pytest.raises(ValidationError, match="^below is not"):
         gl.validate_graphon(below)
