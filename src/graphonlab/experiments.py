@@ -102,6 +102,7 @@ class _LimitDistance:
         self.kw = as_kernel(power(w, k, q))
         self.limit_step = self.kw.step
         self.cache = {}
+        self.step_cells = (None, None)  # (n, cell averages of the step limit on the n-grid)
         if self.limit_step is None:
             lip = getattr(w, "lipschitz", None) or 1.0
             sup = getattr(w, "sup_bound", 1.0)
@@ -126,7 +127,10 @@ class _LimitDistance:
     def limit_cells(self, n: int) -> np.ndarray:
         """Cell averages of the limit power on the n-grid."""
         if self.limit_step is not None:
-            return cell_means(self.kw, n, self.q)
+            # a function of n alone, kept for the draws at n, which the sweeps take in a row
+            if self.step_cells[0] != n:
+                self.step_cells = (n, cell_means(self.kw, n, self.q))
+            return self.step_cells[1]
         # called after distance() at this n, which cached levels that n divides
         return block_means(self._limit_at(max(g for g in self.cache if g % n == 0)), n)
 

@@ -325,3 +325,13 @@ def test_limit_cells_are_bitwise_symmetric(limit):
         dist.distance(gl.constant(0.1).step.refine(n))  # caches the levels n divides
         cells = dist.limit_cells(n)
         assert np.array_equal(cells, cells.T)
+
+
+def test_counterexample_sweep_averages_the_limit_once_per_n(monkeypatch):
+    from graphonlab import experiments
+    calls = []
+    cell_means = experiments.cell_means
+    monkeypatch.setattr(experiments, "cell_means",
+                        lambda kw, n, q: calls.append(n) or cell_means(kw, n, q))
+    gl.run_counterexample_sweep(0.5, [4, 8], 5)
+    assert calls == [4, 8]

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphonlab as gl
 from graphonlab import _kernels, rng
@@ -127,6 +129,115 @@ def test_enum_best_mask_allocates_no_full_subset_array(peak_bytes):
     values = random_step(20, key=9).values
     peak = peak_bytes(lambda: _kernels.enum_best_mask(values))
     assert peak < (1 << 20) * 8 // 4  # a quarter of one float per subset
+
+
+def _unpruned_best_mask(values):
+    """Reference: the float32 meet-in-the-middle scan with no bound, every high
+    against every low in ascending mask order, each chunk's near-best masks
+    rescored in float64; argmax within a chunk and strict `>` across chunks."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if not values.any():
+        return 0
+    n = values.shape[0]
+    nlo = max((n + 1) // 2, min(n, _kernels._MIN_LOW_BITS))
+    ext = np.column_stack([values, values.sum(axis=1)])
+    lo, hi = _kernels._subset_sums(ext[:nlo]), _kernels._subset_sums(ext[nlo:])
+    e = int(np.frexp(max(lo.max(), -lo.min(), hi.max(), -hi.min()))[1])
+    lo, hi = np.ldexp(lo, -e).astype(np.float32), np.ldexp(hi, -e).astype(np.float32)
+    hb = max(1, _kernels._SCAN_CHUNK // lo.shape[1])
+    tol = 32.0 * (n + 1) * _kernels._EPS32 * float(np.abs(np.ldexp(values, -e)).sum())
+    running = best_val = 0.0
+    best_mask = 0
+    for h0 in range(0, hi.shape[1], hb):
+        a = np.zeros((min(hb, hi.shape[1] - h0), lo.shape[1]), dtype=np.float32)
+        for j in range(len(lo)):
+            a += np.abs(hi[j, h0:h0 + hb, None] + lo[j])
+        running = max(running, float(a.max()))
+        masks = (h0 << nlo) + np.flatnonzero(a >= np.float32(max(running - tol, _kernels._TINY32)))
+        if masks.size:
+            est = _kernels._subset_estimate(values, masks)
+            i = int(np.argmax(est))
+            if est[i] > best_val:
+                best_val, best_mask = float(est[i]), int(masks[i])
+    return best_mask
+
+
+def _sym(u):
+    return np.triu(u) + np.triu(u, 1).T
+
+
+def _er(n, g, p):
+    adj = np.triu(g.uniform(size=(n, n)) < p, 1).astype(float)
+    return adj + adj.T - p
+
+
+def _hadamard(n):
+    h = np.ones((1, 1))
+    while len(h) < n:
+        h = np.block([[h, h], [h, -h]])
+    return h[:n, :n]
+
+
+def _pruned_oracle_cases():
+    g = np.random.default_rng(2431)
+    for n in (21, 24):
+        yield pytest.param(_er(n, g, 0.1), id=f"er-0.1-{n}")
+        yield pytest.param(_quantized(n, g), id=f"quantized-{n}")
+        yield pytest.param(_hadamard(n), id=f"hadamard-{n}")
+    for n in (22, 23, 24):
+        yield pytest.param(_er(n, g, 0.5), id=f"er-0.5-{n}")
+    yield pytest.param(_sym(g.uniform(0, 1, (22, 22))), id="nonnegative-22")
+    yield pytest.param(g.uniform(0, 1, (24, 24)), id="nonnegative-nonsymmetric-24")
+    s = np.where(g.uniform(size=23) < 0.5, -1.0, 1.0)
+    yield pytest.param(np.outer(s, s), id="rank-one-23")
+    yield pytest.param(np.full((24, 24), -0.3), id="constant-24")
+    # a row and column at 2^-160 of the rest, which sits at 2^0 or at 2^130
+    for n, k in ((22, 0), (24, 130)):
+        v = np.ldexp(_sym(g.uniform(-1, 1, (n, n))), k)
+        v[7] *= 2.0 ** -160
+        v[:, 7] *= 2.0 ** -160
+        yield pytest.param(v, id=f"row-and-column-2^-160-of-2^{k}-{n}")
+    # sparse: the winner's bound is tight, and its float64 value sits just below the
+    # float32 scan maximum, so the winner is kept only by the bound's margin
+    g = np.random.default_rng(1726)
+    v = g.uniform(-1, 1, (21, 21)) * (g.uniform(size=(21, 21)) < 0.2)
+    yield pytest.param(_sym(v), id="sparse-21")
+
+
+def _count_scanned_pairs(monkeypatch):
+    """Wrap the per-chunk scan; the returned list collects the pairs of every chunk."""
+    pairs = []
+    scan = _kernels._scan_pairs
+    monkeypatch.setattr(_kernels, "_scan_pairs",
+                        lambda hi, lo, acc, tmp: pairs.append(hi.shape[1] * lo.shape[1])
+                        or scan(hi, lo, acc, tmp))
+    return pairs
+
+
+@pytest.mark.parametrize("values", list(_pruned_oracle_cases()))
+def test_pruned_scan_matches_the_unpruned_scan(monkeypatch, values):
+    pairs = _count_scanned_pairs(monkeypatch)
+    assert _kernels.enum_best_mask(values) == _unpruned_best_mask(values)
+    assert 0 < sum(pairs) <= 1 << len(values)
+
+
+def test_the_bound_prunes_most_pairs_of_er_draws(monkeypatch):
+    pairs = _count_scanned_pairs(monkeypatch)
+    g = np.random.default_rng(18)
+    for _ in range(5):
+        _kernels.enum_best_mask(_er_half(20, g))
+    assert sum(pairs) <= 5 * (1 << 20) // 4
+
+
+@given(n=st.integers(1, 12), symmetric=st.booleans(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_enum_best_mask_matches_full_scan_on_small_dyadic_matrices(n, symmetric, data):
+    # eighths in [-1, 1] add up without rounding, so ties are exact and frequent
+    eighths = data.draw(st.lists(st.integers(-8, 8), min_size=n * n, max_size=n * n))
+    values = np.array(eighths, dtype=float).reshape(n, n) / 8
+    if symmetric:
+        values = _sym(values)
+    assert _kernels.enum_best_mask(values) == _full_scan_best_mask(values)
 
 
 def _gather_altmax_best_rows(values, restarts, key):
