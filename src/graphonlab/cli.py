@@ -9,6 +9,7 @@ field's name, and explicit flags override file values.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, fields
@@ -61,6 +62,7 @@ def _add_common(p):
     p.add_argument("--out", default=None)
 
 
+@functools.cache  # one parser per process: parsing leaves it as it was
 def _build_parser():
     ap = argparse.ArgumentParser(prog="graphon", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)

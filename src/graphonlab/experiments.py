@@ -205,7 +205,9 @@ def _sampled(w, k: int, n: int, q: QuadratureSpec, dist: _LimitDistance,
     """The sampled columns at n: the L1 distance of the k-th power of the graph drawn
     under graph_key to the limit, and the cut norm of its signed difference to the
     limit's cell averages. Each n x n array (8 MiB at n = 1024) lives only inside the
-    stage that uses it: the power is dead before the cut norm runs."""
+    stage that uses it: the power is dead before the cut norm runs. A step limit's cell
+    averages are the exception: `limit_cells` keeps them until the sweep moves on to the
+    next n."""
     cfg = SamplerConfig(n, graph_key, w)
     ak = power(canonical_graphon(sample_graph(cfg, sample_latents(cfg))), k, q)
     l1 = dist.distance(ak)

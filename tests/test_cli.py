@@ -795,3 +795,17 @@ def test_lazy_power_past_its_depth_bound_exits_2(tmp_path, argv, k):
         f"error: lazy power k={k} of minmax: at most k={MAX_LAZY_POWER}, the deepest product "
         "chain that evaluates within Python's recursion limit\n"
     )
+
+
+def test_main_builds_no_parser_after_its_first_call(monkeypatch, capsys):
+    import argparse
+    assert main(["validate", "--graphon-builtin", "minmax"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    assert main(["validate", "--graphon-builtin", "minmax"]) == 0
+    with pytest.raises(SystemExit):  # a refused flag leaves the parser as it was
+        main(["validate", "--graphon-builtin", "minmax", "--no-such-flag"])
+    assert main(["validate", "--graphon-builtin", "product", "--seed", "3"]) == 0
+    assert built == []
