@@ -100,19 +100,26 @@ from .rng import uniforms_at, words_at
 # whose values are all zero returns mask 0 before any scaling.
 
 _SCAN_CHUNK = 1 << 16
+_RESCORE_BLOCK = 1 << 11
 _MIN_LOW_BITS = 12
 _EPS32 = float(np.finfo(np.float32).eps)
 _TINY32 = float(np.finfo(np.float32).tiny)
 
 
 def _subset_estimate(values, masks):
-    """est = max(pos, neg) of each row mask; r sums the rows of S in ascending order."""
-    r = np.zeros((len(masks), values.shape[1]))
-    for i, row in enumerate(values):
-        r += ((masks >> i) & 1).astype(np.float64)[:, None] * row
-    pos = np.where(r > 0.0, r, 0.0).sum(axis=1)
-    neg = np.where(r < 0.0, -r, 0.0).sum(axis=1)
-    return np.maximum(pos, neg)
+    """est = max(pos, neg) of each row mask; r sums the rows of S in ascending order.
+    Masks go _RESCORE_BLOCK at a time, so a chunk that nominates all its pairs holds
+    no (pairs, n) array."""
+    est = np.empty(len(masks))
+    for b in range(0, len(masks), _RESCORE_BLOCK):
+        block = masks[b:b + _RESCORE_BLOCK]
+        r = np.zeros((len(block), values.shape[1]))
+        for i, row in enumerate(values):
+            r += ((block >> i) & 1).astype(np.float64)[:, None] * row
+        pos = np.where(r > 0.0, r, 0.0).sum(axis=1)
+        neg = np.where(r < 0.0, -r, 0.0).sum(axis=1)
+        est[b:b + len(block)] = np.maximum(pos, neg)
+    return est
 
 
 def _subset_sums(rows):
@@ -135,7 +142,7 @@ def _scan_pairs(hi, lo, acc, tmp):
 
 
 def enum_best_mask(values: np.ndarray) -> int:
-    """Bitmask of the smallest row subset S among those of largest value max(pos, neg)."""
+    """The smallest bitmask among the row subsets S of largest value max(pos, neg)."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     if not values.any():
         return 0
