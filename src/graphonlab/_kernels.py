@@ -133,8 +133,9 @@ def _subset_sums(rows):
 
 def _scan_pairs(hi, lo, acc, tmp):
     """acc[h, a] = sum_j |hi[j, h] + lo[j, a]|, added over the rows j in order."""
-    acc.fill(0.0)
-    for j in range(len(lo)):
+    np.add(hi[0, :, None], lo[0], out=acc)
+    np.abs(acc, out=acc)
+    for j in range(1, len(lo)):
         np.add(hi[j, :, None], lo[j], out=tmp)
         np.abs(tmp, out=tmp)
         acc += tmp

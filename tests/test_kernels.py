@@ -204,17 +204,6 @@ def _pruned_oracle_cases():
     yield pytest.param(_sym(v), id="sparse-21")
 
 
-def test_a_chunk_of_near_ties_is_rescored_in_bounded_memory(peak_bytes):
-    # row and column 7 outweigh the rest by 2^130, so every mask that holds row 7 scans
-    # within rounding of the maximum and is rescored: half of each chunk's 2^16 pairs
-    v = _sym(np.random.default_rng(3).uniform(-1, 1, (16, 16)))
-    v[7] *= 2.0 ** 130
-    v[:, 7] *= 2.0 ** 130
-    assert _kernels.enum_best_mask(v) == _unpruned_best_mask(v)
-    peak = peak_bytes(lambda: _kernels.enum_best_mask(v))
-    assert peak < (1 << 16) * 16 * 8 // 2  # half of one float per pair and row
-
-
 def _count_scanned_pairs(monkeypatch):
     """Wrap the per-chunk scan; the returned list collects the pairs of every chunk."""
     pairs = []
@@ -249,6 +238,17 @@ def test_enum_best_mask_matches_full_scan_on_small_dyadic_matrices(n, symmetric,
     if symmetric:
         values = _sym(values)
     assert _kernels.enum_best_mask(values) == _full_scan_best_mask(values)
+
+
+def test_a_chunk_of_near_ties_is_rescored_in_bounded_memory(peak_bytes):
+    # row and column 7 outweigh the rest by 2^130, so every mask that holds row 7 scans
+    # within rounding of the maximum and is rescored: half of each chunk's 2^16 pairs
+    v = _sym(np.random.default_rng(3).uniform(-1, 1, (16, 16)))
+    v[7] *= 2.0 ** 130
+    v[:, 7] *= 2.0 ** 130
+    assert _kernels.enum_best_mask(v) == _unpruned_best_mask(v)
+    peak = peak_bytes(lambda: _kernels.enum_best_mask(v))
+    assert peak < (1 << 16) * 16 * 8 // 2  # half of one float per pair and row
 
 
 def _gather_altmax_best_rows(values, restarts, key):
