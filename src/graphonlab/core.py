@@ -17,23 +17,16 @@ from .errors import DomainError, ValidationError
 RANGE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class _Owned:
-    """A new array that no one else holds: StepGraphon (a float64 matrix) and SimpleGraph
-    (an (E, 2) int64 edge array) keep it as it is instead of copying it, and still run
-    every check on it."""
-
-    array: np.ndarray
-
-
-def _as_square_float_matrix(values) -> np.ndarray:
-    if isinstance(values, _Owned):
-        m = np.asarray(values.array, dtype=np.float64)
-    else:
-        m = np.array(values, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    return m
+def _trusted(cls, **fields):
+    """A frozen core value built from fields that are valid by construction, without its
+    __post_init__ checks; its array fields are made read-only, as the checks would leave
+    them. Only for values built here from already checked ones, never from outside input."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 # Side of the square tiles in which a transposed pass reads a matrix. A transposed tile
@@ -105,7 +98,9 @@ class StepGraphon:
     hi: float = 1.0
 
     def __post_init__(self):
-        m = _as_square_float_matrix(self.values)
+        m = np.array(self.values, dtype=np.float64)
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+            raise ValidationError(f"expected a square matrix, got shape {m.shape}")
         if m.shape[0] != self.n:
             raise ValidationError(f"declared n={self.n} but matrix is {m.shape[0]}x{m.shape[0]}")
         if not (-1.0 <= self.lo <= self.hi <= 1.0):
@@ -138,13 +133,16 @@ class StepGraphon:
         return self
 
     def refine(self, factor: int) -> "StepGraphon":
-        """Exact representation on the (n*factor)-grid."""
+        """Exact representation on the (n*factor)-grid: each value repeated in a factor x
+        factor block, so still finite, symmetric and in range."""
+        if not isinstance(factor, (int, np.integer)):
+            raise ValidationError(f"refine factor must be an integer, got {factor!r}")
         if factor < 1:
             raise ValidationError("refine factor must be >= 1")
         if factor == 1:
             return self
         big = np.kron(self.values, np.ones((factor, factor)))
-        return StepGraphon(self.n * factor, big, self.lo, self.hi)
+        return _trusted(StepGraphon, n=self.n * factor, values=big, lo=self.lo, hi=self.hi)
 
 
 def _is_normalized(e: np.ndarray, n: int) -> bool:
@@ -179,8 +177,9 @@ def _normalize(e: np.ndarray, n: int) -> np.ndarray:
 class SimpleGraph:
     """Undirected simple graph. ``pairs`` is a read-only (E, 2) int64 array of
     the edges (i, j), i < j, in lexicographic order; ``edges`` is its tuple view.
-    Any iterable of pairs or int array is accepted and normalized; an array that is
-    already normalized (every edge draw is) is checked in O(E) and kept in its order."""
+    Any iterable of integer pairs or (E, 2) integer array is accepted and normalized; one
+    that is already normalized is checked in O(E) and kept in its order. The edge draw
+    builds its graph without these checks: its edges are normalized by construction."""
 
     n: int
     pairs: np.ndarray
@@ -188,11 +187,19 @@ class SimpleGraph:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError("graph needs at least one vertex")
-        if isinstance(self.pairs, _Owned):
-            e = self.pairs.array
-        else:
-            raw = self.pairs if isinstance(self.pairs, np.ndarray) else list(self.pairs)
-            e = np.array(raw, dtype=np.int64).reshape(len(raw), 2)
+        try:
+            e = np.array(self.pairs if isinstance(self.pairs, np.ndarray) else list(self.pairs))
+        except ValueError:  # pairs of unequal lengths
+            raise ValidationError(
+                "expected (E, 2) vertex pairs, got pairs of unequal lengths"
+            ) from None
+        if e.shape[:1] == (0,):  # no pairs, whatever the input's dtype
+            e = np.empty((0, 2), dtype=np.int64)
+        elif e.ndim != 2 or e.shape[1] != 2:
+            raise ValidationError(f"expected (E, 2) vertex pairs, got shape {e.shape}")
+        elif e.dtype.kind not in "iu":
+            raise ValidationError(f"vertices must be integers, got dtype {e.dtype}")
+        e = e.astype(np.int64, copy=False)
         pairs = e if _is_normalized(e, self.n) else _normalize(e, self.n)
         pairs.setflags(write=False)
         object.__setattr__(self, "pairs", pairs)
@@ -349,5 +356,6 @@ def evaluate(w, x: float, y: float) -> float:
 
 
 def canonical_graphon(g: SimpleGraph) -> StepGraphon:
-    """Step graphon whose block values are the adjacency matrix of g, kept without a copy."""
-    return StepGraphon(g.n, _Owned(g.adjacency()), 0.0, 1.0)
+    """Step graphon whose block values are the adjacency matrix of g, kept without a copy
+    and not re-checked: the 0/1 adjacency of a simple graph is symmetric by construction."""
+    return _trusted(StepGraphon, n=g.n, values=g.adjacency(), lo=0.0, hi=1.0)

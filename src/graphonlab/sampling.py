@@ -25,10 +25,12 @@ diagonal tile and the columns to the tile's right, about n^2/2 points in all.
 It draws the tile's pairs above the diagonal and the whole rectangle to its
 right at those same counters, so every variate and edge is the one a
 whole-matrix draw gives, in the same order, and a draw holds about 8 MiB at
-n = 2048. The blocks' hits, read in row-major order, join into an edge array
-that is already sorted and distinct, so `SimpleGraph` keeps it after an O(E)
-check. A non-finite probability is named by its pair, and wins over an
-out-of-range one, wherever the blocks hold them; a value below the diagonal
+n = 2048. Each block keeps its hits as flat offsets into the block, in
+row-major order, and they are expanded once into one (E, 2) array, so the edge
+list is held once (20 bytes an edge at the peak). Its edges are sorted and
+distinct by construction, so the draw builds its `SimpleGraph` without
+re-checking them. A non-finite probability is named by its pair, and wins over
+an out-of-range one, wherever the blocks hold them; a value below the diagonal
 outside the diagonal tiles is never read, and `validate_graphon`, not the
 sampler, refuses a kernel that is bad only there.
 """
@@ -42,7 +44,7 @@ import numpy as np
 
 from . import rng
 from .algebra import QuadratureSpec, _row_blocks, cell_means
-from .core import _TILE, RANGE_TOL, LatentPoints, SimpleGraph, StepGraphon, _Owned, as_kernel
+from .core import _TILE, RANGE_TOL, LatentPoints, SimpleGraph, StepGraphon, _trusted, as_kernel
 from .errors import DomainError, ValidationError
 
 _TAG_LATENTS = 1
@@ -127,7 +129,8 @@ def sample_graph(cfg: SamplerConfig, latents) -> SimpleGraph:
     key = rng.derive_key(cfg.seed, _TAG_EDGES)
     read = _row_blocks(as_kernel(cfg.graphon), xs, 0, _TILE, upper=True)
     blocks = zip(range(0, n, _TILE), read)
-    edges = []
+    offset = np.int32 if _TILE * n < 2**31 else np.int64  # a block's offsets lie below _TILE * n
+    hits = []
     for lo, p in blocks:
         if not (np.min(p) >= -RANGE_TOL and np.max(p) <= 1.0 + RANGE_TOL):  # False on NaN too
             _refuse(chain([(lo, p)], blocks))
@@ -137,9 +140,15 @@ def sample_graph(cfg: SamplerConfig, latents) -> SimpleGraph:
         hit[r, c] = rng.uniforms_at(key, (lo + r) * n + (lo + c)) < p[r, c]
         r, c = np.arange(lo, lo + rows, dtype=np.uint64), np.arange(lo + rows, n, dtype=np.uint64)
         hit[:, rows:] = rng.uniforms_at(key, r[:, None] * np.uint64(n) + c) < p[:, rows:]
-        edges.append(np.argwhere(hit) + lo)  # in row-major order, so lexicographic
-    edges = np.concatenate(edges)  # the blocks' hits go before SimpleGraph checks the join
-    return SimpleGraph(n, _Owned(edges))
+        hits.append(np.flatnonzero(hit).astype(offset, copy=False))  # row-major: lexicographic
+    pairs = np.empty((sum(map(len, hits)), 2), dtype=np.int64)
+    at = 0
+    for lo, off in zip(range(0, n, _TILE), hits):
+        edges = pairs[at:at + len(off)]
+        np.divmod(off, n - lo, out=(edges[:, 0], edges[:, 1]))  # the block is n - lo wide
+        edges += lo
+        at += len(off)
+    return _trusted(SimpleGraph, n=n, pairs=pairs)
 
 
 def expected_graphon(w, n: int, q: QuadratureSpec = QuadratureSpec()) -> StepGraphon:

@@ -234,7 +234,7 @@ def test_simple_graph_matches_set_reference(n, data):
 
 
 def test_simple_graph_empty():
-    for pairs in ([], frozenset(), np.zeros((0, 2), dtype=np.int64)):
+    for pairs in ([], frozenset(), np.zeros((0, 2), dtype=np.int64), np.zeros((0, 2))):
         g = gl.SimpleGraph(3, pairs)
         assert g.edges == () and g.edge_count == 0 and g.pairs.shape == (0, 2)
         assert np.array_equal(g.adjacency(), np.zeros((3, 3)))
@@ -396,12 +396,70 @@ def test_canonical_graphon_keeps_its_adjacency_without_a_copy(peak_bytes):
     assert peak_bytes(lambda: gl.canonical_graphon(g)) < 40 * 2**20
 
 
-def test_an_owned_matrix_still_passes_every_check():
+def test_the_public_step_constructor_still_runs_every_check():
     s = gl.canonical_graphon(gl.SimpleGraph(3, [(0, 1)]))
     assert not s.values.flags.writeable
     for values, msg in [([[0.0, 1.0], [0.0, 0.0]], r"not symmetric at \(0, 1\)"),
                         ([[0.0, math.nan], [math.nan, 0.0]], r"non-finite entry at \(0, 1\)"),
                         ([[0.0, 2.0], [2.0, 0.0]], "exceed declared range"),
                         ([[0.0, 1.0]], "expected a square matrix")]:
-        with pytest.raises(ValidationError, match=msg):
-            gl.StepGraphon(len(values), core._Owned(np.array(values)))
+        for raw in (values, np.array(values)):
+            with pytest.raises(ValidationError, match=msg):
+                gl.StepGraphon(len(values), raw)
+
+
+def _built_from_checked_values():
+    """(build, the public constructor's value) for each step value that core builds from
+    already checked ones without re-checking it."""
+    c = gl.SamplerConfig(300, 3, gl.builtin("minmax"))
+    g = gl.sample_graph(c, gl.sample_latents(c))
+    e = gl.expected_graphon(gl.builtin("minmax"), 7)
+    signed = gl.StepGraphon(3, [[0.0, -0.5, 0.25], [-0.5, -0.0, 1.0], [0.25, 1.0, -1.0]],
+                            -1.0, 1.0)
+    yield pytest.param(lambda: gl.canonical_graphon(g), gl.StepGraphon(300, g.adjacency()),
+                       id="canonical")
+    yield pytest.param(lambda: e.refine(3),
+                       gl.StepGraphon(21, np.kron(e.values, np.ones((3, 3)))), id="refine")
+    yield pytest.param(lambda: signed.refine(np.int64(2)),
+                       gl.StepGraphon(6, np.kron(signed.values, np.ones((2, 2))), -1.0, 1.0),
+                       id="refine-signed")
+
+
+@pytest.mark.parametrize("build, want", _built_from_checked_values())
+def test_values_built_from_checked_ones_match_the_public_constructor_unchecked(
+        build, want, monkeypatch):
+    calls = []
+    post = core.StepGraphon.__post_init__
+    monkeypatch.setattr(core.StepGraphon, "__post_init__",
+                        lambda self: calls.append("__post_init__") or post(self))
+    monkeypatch.setattr(core, "is_symmetric", lambda m: calls.append("is_symmetric") or True)
+    got = build()
+    assert calls == []
+    assert type(got) is gl.StepGraphon and (got.n, got.lo, got.hi) == (want.n, want.lo, want.hi)
+    assert got.values.dtype == want.values.dtype and got.values.shape == want.values.shape
+    assert got.values.tobytes() == want.values.tobytes()
+    assert not got.values.flags.writeable
+    gl.StepGraphon(2, [[0.0, 1.0], [1.0, 0.0]])  # the counters see the public constructor
+    assert calls == ["__post_init__", "is_symmetric"]
+
+
+@pytest.mark.parametrize("factor", [2.5, 2.0, "2", None])
+def test_refine_refuses_a_factor_that_is_not_an_integer(factor):
+    with pytest.raises(ValidationError, match=r"^refine factor must be an integer, got "):
+        gl.constant(0.5).step.refine(factor)
+
+
+@pytest.mark.parametrize("raw, msg", [
+    ([(0, 1.7)], r"^vertices must be integers, got dtype float64$"),
+    (np.array([[0.5, 1.9]]), r"^vertices must be integers, got dtype float64$"),
+    ([(True, False)], r"^vertices must be integers, got dtype bool$"),
+    (np.array([[0, 1]], dtype=bool), r"^vertices must be integers, got dtype bool$"),
+    ([(0, 1, 2)], r"^expected \(E, 2\) vertex pairs, got shape \(1, 3\)$"),
+    (np.zeros((2, 3), int), r"^expected \(E, 2\) vertex pairs, got shape \(2, 3\)$"),
+    (np.array([0, 1]), r"^expected \(E, 2\) vertex pairs, got shape \(2,\)$"),
+    ([(0, 1), (2,)], r"^expected \(E, 2\) vertex pairs, got pairs of unequal lengths$"),
+], ids=["float-list", "float-array", "bool-list", "bool-array", "triple-list", "triple-array",
+        "flat-array", "ragged-list"])
+def test_simple_graph_refuses_edges_that_are_not_integer_pairs(raw, msg):
+    with pytest.raises(ValidationError, match=msg):
+        gl.SimpleGraph(3, raw)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphonlab as gl
-from graphonlab import rng, sampling
+from graphonlab import core, rng, sampling
 from graphonlab.core import _TILE, as_kernel
 from graphonlab.errors import DomainError, ValidationError
 from conftest import random_step
@@ -343,6 +343,39 @@ def test_a_draw_holds_no_full_grid(peak_bytes):
     pts = gl.sample_latents(c)
     # the whole-matrix draw held about 28 bytes a pair: 112 MiB; a 128-row block is 15 MiB
     assert peak_bytes(lambda: gl.sample_graph(c, pts)) < 24 * 2**20
+
+
+def test_a_draw_holds_its_edge_list_once(peak_bytes):
+    c = cfg(8192, 3, gl.builtin("minmax"))
+    pts = gl.sample_latents(c)
+    graphs = []
+    peak = peak_bytes(lambda: graphs.append(gl.sample_graph(c, pts)))
+    # each block's hits are int32 offsets until one expansion: 20 bytes an edge; the join of
+    # the blocks' (E, 2) hits held two edge lists, 2.0 times the edges' bytes
+    assert peak <= 1.5 * graphs[0].pairs.nbytes
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
+@pytest.mark.parametrize("kernel", ["constant(0)", "constant(1)", "minmax"])
+def test_a_draw_builds_a_normalized_edge_array_without_checking_it(n, kernel, monkeypatch):
+    w = {"constant(0)": gl.constant(0.0), "constant(1)": gl.constant(1.0),
+         "minmax": gl.builtin("minmax")}[kernel]
+    c = cfg(n, 3, w)
+    xs = gl.sample_latents(c)
+    calls = []
+    post, normalized = core.SimpleGraph.__post_init__, core._is_normalized
+    monkeypatch.setattr(core.SimpleGraph, "__post_init__",
+                        lambda self: calls.append("__post_init__") or post(self))
+    monkeypatch.setattr(core, "_is_normalized",
+                        lambda e, n: calls.append("_is_normalized") or normalized(e, n))
+    pairs = gl.sample_graph(c, xs).pairs
+    assert calls == []
+    assert pairs.dtype == np.int64 and pairs.ndim == 2 and pairs.shape[1] == 2
+    assert pairs.flags.c_contiguous and not pairs.flags.writeable
+    assert normalized(pairs, n)
+    assert pairs.tobytes() == core._normalize(pairs, n).tobytes()
+    if kernel != "minmax":
+        assert len(pairs) == (n * (n - 1) // 2 if kernel == "constant(1)" else 0)
 
 
 class _CountingMinmax:
