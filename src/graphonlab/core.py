@@ -98,7 +98,10 @@ class StepGraphon:
     hi: float = 1.0
 
     def __post_init__(self):
-        m = np.array(self.values, dtype=np.float64)
+        try:
+            m = np.array(self.values, dtype=np.float64)
+        except (TypeError, ValueError) as exc:  # a string, a complex or a ragged row
+            raise ValidationError(f"expected a matrix of real numbers: {exc}") from None
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValidationError(f"expected a square matrix, got shape {m.shape}")
         if m.shape[0] != self.n:
@@ -141,8 +144,20 @@ class StepGraphon:
             raise ValidationError("refine factor must be >= 1")
         if factor == 1:
             return self
-        big = np.kron(self.values, np.ones((factor, factor)))
+        big = spread(self.values, factor)
         return _trusted(StepGraphon, n=self.n * factor, values=big, lo=self.lo, hi=self.hi)
+
+
+def spread(values: np.ndarray, factor: int) -> np.ndarray:
+    """The (n*factor)-square matrix that repeats each value in a factor x factor block: the
+    bits of ``np.kron(values, np.ones((factor, factor)))`` for float64 values, by one
+    broadcast copy into a new C-ordered array. Returns values itself at factor 1."""
+    if factor == 1:
+        return values
+    n = len(values)
+    out = np.empty((n * factor, n * factor))
+    out.reshape(n, factor, n, factor)[...] = values[:, None, :, None]
+    return out
 
 
 def _is_normalized(e: np.ndarray, n: int) -> bool:
@@ -193,6 +208,8 @@ class SimpleGraph:
             raise ValidationError(
                 "expected (E, 2) vertex pairs, got pairs of unequal lengths"
             ) from None
+        except TypeError:  # not iterable: a number, None
+            raise ValidationError(f"expected (E, 2) vertex pairs, got {self.pairs!r}") from None
         if e.shape[:1] == (0,):  # no pairs, whatever the input's dtype
             e = np.empty((0, 2), dtype=np.int64)
         elif e.ndim != 2 or e.shape[1] != 2:

@@ -47,7 +47,7 @@ from .algebra import (
     LCM_GRID_CAP, QuadratureSpec, _first_grid, _grid_mean, _row_blocks, discretize, midpoints,
     settle,
 )
-from .core import StepGraphon, as_kernel
+from .core import StepGraphon, as_kernel, spread
 from .errors import EnumerationBudgetError, ValidationError
 
 ENUMERATION_CAP = 24
@@ -124,9 +124,8 @@ def l1_distance(a, b, q: QuadratureSpec = QuadratureSpec()) -> float:
     if sa is not None and sb is not None:
         m = math.lcm(sa.n, sb.n)
         if m <= LCM_GRID_CAP:
-            av = sa.refine(m // sa.n).values
-            bv = sb.refine(m // sb.n).values
-            return float(np.abs(av - bv).mean())
+            d = spread(sa.values, m // sa.n) - spread(sb.values, m // sb.n)
+            return float(np.abs(d, out=d).mean())
 
     def abs_diff(g: int, rows: int):
         xs = midpoints(g)

@@ -25,7 +25,9 @@ diagonal tile and the columns to the tile's right, about n^2/2 points in all.
 It draws the tile's pairs above the diagonal and the whole rectangle to its
 right at those same counters, so every variate and edge is the one a
 whole-matrix draw gives, in the same order, and a draw holds about 8 MiB at
-n = 2048. Each block keeps its hits as flat offsets into the block, in
+n = 2048. The tile's pairs (i, j), i < j, are built once per tile size and
+kept, not once per draw, and the last block, which has no rectangle to its
+right, draws none, so a draw at n <= 128 is one tile. Each block keeps its hits as flat offsets into the block, in
 row-major order, and they are expanded once into one (E, 2) array, so the edge
 list is held once (20 bytes an edge at the peak). Its edges are sorted and
 distinct by construction, so the draw builds its `SimpleGraph` without
@@ -38,6 +40,7 @@ sampler, refuses a kernel that is bad only there.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -110,6 +113,16 @@ def _refuse(blocks):
     raise ValidationError("edge probabilities escape [0, 1]; validate the graphon")
 
 
+@lru_cache(maxsize=16)
+def _tile_pairs_above(rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (r, c), r < c, of a rows x rows tile in row-major order (read-only), built
+    once per tile size: a draw has at most two sizes, _TILE and n % _TILE."""
+    r, c = np.triu_indices(rows, 1)
+    r.setflags(write=False)
+    c.setflags(write=False)
+    return r, c
+
+
 def sample_graph(cfg: SamplerConfig, latents) -> SimpleGraph:
     """Independent Bernoulli edges with probability W(x_i, x_j), i < j: pair (i, j) is an
     edge when the uniform at counter i*n + j is below W(x_i, x_j). Read and drawn _TILE
@@ -136,10 +149,12 @@ def sample_graph(cfg: SamplerConfig, latents) -> SimpleGraph:
             _refuse(chain([(lo, p)], blocks))
         rows = len(p)
         hit = np.zeros(p.shape, dtype=bool)  # hit[r, c]: the pair (lo + r, lo + c) is an edge
-        r, c = np.triu_indices(rows, 1)  # the diagonal tile's pairs
+        r, c = _tile_pairs_above(rows)
         hit[r, c] = rng.uniforms_at(key, (lo + r) * n + (lo + c)) < p[r, c]
-        r, c = np.arange(lo, lo + rows, dtype=np.uint64), np.arange(lo + rows, n, dtype=np.uint64)
-        hit[:, rows:] = rng.uniforms_at(key, r[:, None] * np.uint64(n) + c) < p[:, rows:]
+        if lo + rows < n:  # the rectangle right of the tile; the last block has none
+            r = np.arange(lo, lo + rows, dtype=np.uint64)[:, None] * np.uint64(n)
+            c = np.arange(lo + rows, n, dtype=np.uint64)
+            hit[:, rows:] = rng.uniforms_at(key, r + c) < p[:, rows:]
         hits.append(np.flatnonzero(hit).astype(offset, copy=False))  # row-major: lexicographic
     pairs = np.empty((sum(map(len, hits)), 2), dtype=np.int64)
     at = 0

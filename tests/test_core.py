@@ -402,7 +402,10 @@ def test_the_public_step_constructor_still_runs_every_check():
     for values, msg in [([[0.0, 1.0], [0.0, 0.0]], r"not symmetric at \(0, 1\)"),
                         ([[0.0, math.nan], [math.nan, 0.0]], r"non-finite entry at \(0, 1\)"),
                         ([[0.0, 2.0], [2.0, 0.0]], "exceed declared range"),
-                        ([[0.0, 1.0]], "expected a square matrix")]:
+                        ([[0.0, 1.0]], "expected a square matrix"),
+                        ([[0.1, "a"], ["a", 0.1]],
+                         r"^expected a matrix of real numbers: could not convert string to "
+                         r"float: .*'a'")]:
         for raw in (values, np.array(values)):
             with pytest.raises(ValidationError, match=msg):
                 gl.StepGraphon(len(values), raw)
@@ -423,6 +426,13 @@ def _built_from_checked_values():
     yield pytest.param(lambda: signed.refine(np.int64(2)),
                        gl.StepGraphon(6, np.kron(signed.values, np.ones((2, 2))), -1.0, 1.0),
                        id="refine-signed")
+    yield pytest.param(lambda: signed.refine(5),
+                       gl.StepGraphon(15, np.kron(signed.values, np.ones((5, 5))), -1.0, 1.0),
+                       id="refine-signed-5")
+    one = gl.StepGraphon(1, [[-0.0]], -1.0, 1.0)
+    yield pytest.param(lambda: one.refine(5),
+                       gl.StepGraphon(5, np.kron(one.values, np.ones((5, 5))), -1.0, 1.0),
+                       id="refine-one-block-5")
 
 
 @pytest.mark.parametrize("build, want", _built_from_checked_values())
@@ -438,7 +448,7 @@ def test_values_built_from_checked_ones_match_the_public_constructor_unchecked(
     assert type(got) is gl.StepGraphon and (got.n, got.lo, got.hi) == (want.n, want.lo, want.hi)
     assert got.values.dtype == want.values.dtype and got.values.shape == want.values.shape
     assert got.values.tobytes() == want.values.tobytes()
-    assert not got.values.flags.writeable
+    assert got.values.flags.c_contiguous and not got.values.flags.writeable
     gl.StepGraphon(2, [[0.0, 1.0], [1.0, 0.0]])  # the counters see the public constructor
     assert calls == ["__post_init__", "is_symmetric"]
 
@@ -458,8 +468,10 @@ def test_refine_refuses_a_factor_that_is_not_an_integer(factor):
     (np.zeros((2, 3), int), r"^expected \(E, 2\) vertex pairs, got shape \(2, 3\)$"),
     (np.array([0, 1]), r"^expected \(E, 2\) vertex pairs, got shape \(2,\)$"),
     ([(0, 1), (2,)], r"^expected \(E, 2\) vertex pairs, got pairs of unequal lengths$"),
+    (5, r"^expected \(E, 2\) vertex pairs, got 5$"),
+    (None, r"^expected \(E, 2\) vertex pairs, got None$"),
 ], ids=["float-list", "float-array", "bool-list", "bool-array", "triple-list", "triple-array",
-        "flat-array", "ragged-list"])
+        "flat-array", "ragged-list", "int", "none"])
 def test_simple_graph_refuses_edges_that_are_not_integer_pairs(raw, msg):
     with pytest.raises(ValidationError, match=msg):
         gl.SimpleGraph(3, raw)

@@ -251,6 +251,35 @@ def test_a_chunk_of_near_ties_is_rescored_in_bounded_memory(peak_bytes):
     assert peak < (1 << 16) * 16 * 8 // 2  # half of one float per pair and row
 
 
+def _row_at_a_time_estimate(values, masks):
+    """Reference: r summed from zeros, one row of values at a time in ascending order, for
+    every mask at once; then est = max(pos, neg)."""
+    r = np.zeros((len(masks), values.shape[1]))
+    for i, row in enumerate(values):
+        r += ((masks >> i) & 1).astype(np.float64)[:, None] * row
+    pos = np.where(r > 0.0, r, 0.0).sum(axis=1)
+    neg = np.where(r < 0.0, -r, 0.0).sum(axis=1)
+    return np.maximum(pos, neg)
+
+
+@given(n=st.integers(1, 24), count=st.integers(1, 2 * _kernels._RESCORE_BLOCK + 1),
+       dyadic=st.booleans(), scale=st.sampled_from([-130, 0, 130]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_subset_estimate_matches_the_row_at_a_time_sum_bit_for_bit(n, count, dyadic, scale,
+                                                                    seed):
+    g = np.random.default_rng(seed)
+    if dyadic:  # eighths add up without rounding, so masks tie exactly
+        values = g.integers(-8, 9, (n, n)) / 8
+    else:  # sums that round, so the order of the rows shows
+        values = g.uniform(-1, 1, (n, n))
+    values[g.random((n, n)) < 0.25] = -0.0
+    values = np.ldexp(values, scale)
+    masks = g.integers(0, 1 << n, count)
+    got = _kernels._subset_estimate(values, masks)
+    assert got.tobytes() == _row_at_a_time_estimate(values, masks).tobytes()
+
+
 def _gather_altmax_best_rows(values, restarts, key):
     """Reference: the heuristic with fancy-index gathers and per-row Python
     restart starts; column sums add the columns of T in ascending order."""

@@ -235,3 +235,17 @@ def test_result_matches_the_old_witness_pass(values, sel):
     assert np.float64(r.value).tobytes() == np.float64(value).tobytes()
     assert (r.witness_s, r.witness_t, r.n, r.exact) == (ws, wt, values.shape[0], False)
     assert all(type(i) is int for i in r.witness_s + r.witness_t)
+
+
+@pytest.mark.parametrize("na, nb", [(6, 4), (1, 20), (20, 1), (128, 3), (5, 35)])
+def test_step_l1_distance_matches_the_refined_difference_bit_for_bit(na, nb):
+    a, b = random_step(na, key=1), random_step(nb, key=2)
+    values = np.array(a.values)
+    values[0, 0] = -0.0
+    a = gl.StepGraphon(na, values, -1.0, 1.0)
+    m = np.lcm(na, nb)
+    av = np.kron(a.values, np.ones((m // na, m // na)))
+    bv = np.kron(b.values, np.ones((m // nb, m // nb)))
+    want = float(np.abs(av - bv).mean())
+    assert gl.l1_distance(a, b).hex() == want.hex()
+    assert gl.l1_distance(b, a).hex() == float(np.abs(bv - av).mean()).hex()
