@@ -104,12 +104,11 @@ from .rng import uniforms_at, words_at
 # its first axis by `np.add.reduce`. The reduction's inner loop runs across
 # the contiguous (masks, columns) plane and adds the rows of S to each r_j one
 # row at a time, in ascending order. NumPy sums pairwise, in an order of its
-# own, only along an axis that its inner loop reduces, so the order is the one
-# of the row-at-a-time loop that this replaced, which started r at zeros: the
-# reduction starts at its first row instead, which can only turn a zero r_j
-# into -0.0, and a zero r_j counts in neither pos nor neg, so each estimate
-# keeps its bits. A block holds _RESCORE_BLOCK masks, at most 1.2 MiB of
-# products at n = 24.
+# own, only along an axis that its inner loop reduces, so the order is that of
+# a row-at-a-time sum from zeros (the tests' reference): the reduction starts
+# at its first row instead, which can only turn a zero r_j into -0.0, and a
+# zero r_j counts in neither pos nor neg, so each estimate keeps its bits. A
+# block holds _RESCORE_BLOCK masks, at most 1.2 MiB of products at n = 24.
 
 _SCAN_CHUNK = 1 << 16
 _RESCORE_BLOCK = 1 << 8

@@ -27,9 +27,10 @@ right at those same counters, so every variate and edge is the one a
 whole-matrix draw gives, in the same order, and a draw holds about 8 MiB at
 n = 2048. The tile's pairs (i, j), i < j, are built once per tile size and
 kept, not once per draw, and the last block, which has no rectangle to its
-right, draws none, so a draw at n <= 128 is one tile. Each block keeps its hits as flat offsets into the block, in
-row-major order, and they are expanded once into one (E, 2) array, so the edge
-list is held once (20 bytes an edge at the peak). Its edges are sorted and
+right, draws none, so a draw at n <= 128 is one tile. Each block keeps its
+hits as flat offsets into the block, in row-major order, and they are
+expanded once into one (E, 2) array, so the edge list is held once (20 bytes
+an edge at the peak). Its edges are sorted and
 distinct by construction, so the draw builds its `SimpleGraph` without
 re-checking them. A non-finite probability is named by its pair, and wins over
 an out-of-range one, wherever the blocks hold them; a value below the diagonal
