@@ -7,11 +7,12 @@ for step functions whenever the grid is aligned with the step grain, which is
 why grids are always rounded up to a multiple of the relevant block counts.
 That one doubling rule is `settle`, used by `integrate2d`, `cell_means`, lazy
 products and the sweep's limit distance: matrix estimates agree when no entry
-moves by more than the tolerance, and after QuadratureSpec.max_refinements
-doublings QuadratureError names the quantity that did not settle. Integrals,
-L1 distances, cell averages and the sampler's edge draw (the columns from each block's
-diagonal on) read kernels through one evaluator, `_row_blocks`, a few rows at a time; a
-lazy product is evaluated whole, once per grid level or point read, and sliced.
+moves by more than the tolerance (read 128 rows at a time, with no difference as large as
+the estimate), and after QuadratureSpec.max_refinements doublings QuadratureError names the
+quantity that did not settle. Integrals, L1 distances, cell averages and the sampler's
+edge draw (the columns from each block's diagonal on) read kernels through one evaluator,
+`_row_blocks`, a few rows at a time; a lazy product is evaluated whole, once per grid level
+or point read, and sliced.
 `_first_grid` is the one grid-alignment rule: every quadrature, a lazy product's
 z-integral at a point read included, starts on its grid. Cell averages over s x s grid blocks
 (`_row_means`) have the bytes of NumPy's ``reshape(...).mean(axis=(1, 3))``;
@@ -30,14 +31,21 @@ power of steps is the exact matrix formula (1/n) A B on the common (lcm) grid: a
 StepGraphon when symmetric, or else a ProductGraphon holding the asymmetric matrix.
 Every kernel matrix product is `_matmul`, whose bytes do not depend on the thread count
 (it pads an unaligned row count on both of its routes).
-A self-product `_matmul(a, a)` (a lazy product's square on its own z-grid, a step power's
-squarings, a step times itself) multiplies by `a.T` when a is exactly symmetric. The values
-are the same. On `_matmul`'s plain route NumPy hands `a @ a.T` over one buffer to BLAS
+A self-product `_matmul(a, a)` (a step power's squarings, a step times itself) multiplies
+by `a.T` when a is exactly symmetric. The values are the same. On `_matmul`'s plain route NumPy hands `a @ a.T` over one buffer to BLAS
 syrk, which computes one triangle (half a gemm's flops) that NumPy mirrors; the bytes are
 kept because that triangle equals the gemm's and the gemm of an exactly symmetric factor is
 exactly symmetric on that route (the tests check this on the default, Haswell and Prescott
 kernels at 1 and 2 threads). On the padded route the transposed factor is copied, so the
-product is the gemm. Every symmetrization is `core.sym_mean`, which hands back an input
+product is the gemm. A lazy product's square on its own z-grid (W (.) W, the sweep's
+limit) fills its factor grid F once, 128 rows at a time, and when F is bitwise symmetric
+squares it in place (`_square_in_place`): 512 rows of the upper part at a time, a syrk
+for the diagonal block and a gemm to its right, into one panel buffer, then the lower
+triangle mirrored, with syrk's flops in all. Those bytes are
+`_matmul(F, F)`'s, syrk's triangle included (the tests check four BLAS kernels at 1 and
+2 threads), and the square holds F and the buffer, 1.25 grids at g = 2048, where a
+separate product and the whole-grid temporaries of evaluating F held 4. Any other F keeps
+`_matmul(F, F)`, whose F F differs from F F.T in its last bits. Every symmetrization is `core.sym_mean`, which hands back an input
 that is already bitwise symmetric as it is (in a theorem sweep every input is); the
 transposed passes (`core.is_symmetric`, `core.sym_mean`, `core.asymmetry`) read a matrix
 in cache-sized tiles.
@@ -58,6 +66,7 @@ import numpy as np
 
 from .core import (
     _TILE, RANGE_TOL, StepGraphon, as_kernel, asymmetry, cell_index, is_symmetric, sym_mean,
+    tile_pairs,
 )
 from .errors import QuadratureError, ValidationError
 
@@ -69,6 +78,9 @@ SYMMETRY_TOL = 1e-12
 # to k = 985; with one wrapper frame around each eval_grid (as a tracer installs) power ran
 # up to k = 492. The bound keeps 92 products of margin under such a wrapper.
 MAX_LAZY_POWER = 400
+# rows of the panel buffer in which `_square_in_place` computes a self-product's upper part:
+# a multiple of the 64 rows to which `_matmul` aligns, so no panel pads but the last
+_PANEL_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -105,13 +117,25 @@ def settle(q: QuadratureSpec, g0: int, estimate, what: str, tol: Optional[float]
         g = g0 << r
         prev, cur = cur, estimate(g)
         if prev is not None:
-            d = np.asarray(cur - prev)  # 0-d for a scalar estimate
-            change = float(np.abs(d, out=d).max(initial=0.0))
+            change = _largest_change(cur, prev)
             if change <= tol:
                 return QuadratureResult(cur, change, g, r)
     raise QuadratureError(
         f"{what} did not settle within tol={tol} at grid {g}", last_estimates=(prev, cur)
     )
+
+
+def _largest_change(cur, prev) -> float:
+    """max |cur - prev| of two scalar or matrix estimates, a matrix _TILE rows at a time:
+    no estimate-sized difference. The max does not depend on the order, and a NaN anywhere
+    makes it NaN."""
+    if np.ndim(cur) == 0:
+        return abs(float(cur - prev))
+    gaps = []
+    for lo in range(0, len(cur), _TILE):
+        d = cur[lo : lo + _TILE] - prev[lo : lo + _TILE]
+        gaps.append(np.abs(d, out=d).max(initial=0.0))
+    return float(np.max(gaps, initial=0.0))
 
 
 def midpoints(g: int) -> np.ndarray:
@@ -236,6 +260,10 @@ class ProductGraphon:
     ``left`` and ``right``. ``q`` settles the z-integral of a lazy product
     evaluated without a z-grid (gz == 0), from the grid `_first_grid` aligns to the
     factors' grains. ``step`` is None: no product held here is a step.
+
+    On a grid, a lazy product allocates its result before its factors, so that the factors
+    are freed above it on the heap. A self-product (``left is right``) on its own z-grid
+    is `_own_square`: its factor grid, squared in place when it is bitwise symmetric.
     """
 
     label: str
@@ -255,22 +283,64 @@ class ProductGraphon:
                 lambda g: self.eval_grid(xs, ys, g),
                 f"z-integral of {self.label}",
             ).value
+        zm = midpoints(gz)
+        if self.left is self.right and np.array_equal(xs, zm) and np.array_equal(ys, zm):
+            return _own_square(self.left, zm)
         # the result first, so that the factors are freed above it on the heap, not below it
         out = np.empty((len(xs), len(ys)))
-        zm = midpoints(gz)
-        lhs = self.left.eval_grid(xs, zm, gz)
-        # a self-product on its own z-grid: both factors are one grid, which _matmul squares
-        own_grid = self.left is self.right and np.array_equal(xs, zm) and np.array_equal(ys, zm)
-        _matmul(lhs, lhs if own_grid else self.right.eval_grid(zm, ys, gz), out)
+        _matmul(self.left.eval_grid(xs, zm, gz), self.right.eval_grid(zm, ys, gz), out)
         out /= gz  # in place: no second full-size grid
         return out
 
 
+def _own_square(kernel, zm: np.ndarray) -> np.ndarray:
+    """kernel (.) kernel on its own z-grid zm: the factor grid F, filled _TILE rows at a
+    time, times itself over len(zm). A bitwise symmetric F is squared in place; any other
+    keeps `_matmul(F, F)`, whose F F is not F F.T to the bit."""
+    g = len(zm)
+    f = np.empty((g, g))
+    for lo, block in zip(range(0, g, _TILE), _row_blocks(kernel, zm, g, _TILE)):
+        f[lo : lo + _TILE] = block
+    del block  # the last row block would otherwise live through the square
+    if is_symmetric(f):
+        _square_in_place(f)
+    else:
+        f = _matmul(f, f)
+    f /= g
+    return f
+
+
+def _square_in_place(f: np.ndarray) -> None:
+    """Overwrite the bitwise symmetric square f with f @ f.T, to the bytes of `_matmul(f, f)`
+    (BLAS syrk's upper triangle, mirrored). For each panel p = f[lo:hi] of _PANEL_ROWS rows,
+    the upper part of its rows goes into one buffer as the diagonal block `_matmul(p, p.T)`
+    (syrk on the plain route) and the gemm `_matmul(p, f[hi:].T)` to its right, and is
+    copied over rows that no later panel reads; then the lower triangle takes the upper's
+    transpose, a tile pair at a time. Every entry equals the whole product's (the tests
+    check this on four BLAS kernels at 1 and 2 threads)."""
+    g = f.shape[0]
+    buf = np.empty(min(g, _PANEL_ROWS) * g)
+    for lo in range(0, g, _PANEL_ROWS):
+        hi = min(lo + _PANEL_ROWS, g)
+        p, rows = f[lo:hi], hi - lo
+        diag = _matmul(p, p.T, buf[: rows * rows].reshape(rows, rows))
+        right = _matmul(p, f[hi:].T, buf[rows * rows : rows * (g - lo)].reshape(rows, g - hi))
+        f[lo:hi, lo:hi], f[lo:hi, hi:] = diag, right
+    for r, c in tile_pairs(g):
+        if r != c:
+            f[c, r] = f[r, c].T
+        else:
+            t = f[r, r]
+            lower = np.tri(len(t), k=-1, dtype=bool)
+            t[lower] = t.T[lower]
+
+
 def _clip_to(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    # matrix products of in-range factors can overshoot by float rounding only
+    # matrix products of in-range factors can overshoot by float rounding only; every caller
+    # hands over a matrix it owns, which is clipped in place
     if values.min() < lo - 1e-9 or values.max() > hi + 1e-9:
         raise ValidationError("product values escape the expected range")
-    return np.clip(values, lo, hi)
+    return np.clip(values, lo, hi, out=values)
 
 
 def _step_range(*steps: StepGraphon) -> tuple[float, float]:
@@ -319,7 +389,8 @@ def power(w, k: int, q: QuadratureSpec = QuadratureSpec()):
             raise ValidationError(
                 f"power k={k} of an n={s.n} step: n^(k-1) overflows a float"
             ) from None
-        vals = _matrix_power(s.values, k) / scale
+        vals = _matrix_power(s.values, k)
+        vals /= scale  # in place, as the clip below: a new n x n array only to symmetrize
         vals = sym_mean(vals)  # reassigned so that at most two n x n arrays live
         lo, hi = _step_range(s)
         vals = _clip_to(vals, lo, hi)

@@ -211,9 +211,11 @@ def _sampled(w, k: int, n: int, q: QuadratureSpec, dist: _LimitDistance,
     cfg = SamplerConfig(n, graph_key, w)
     ak = power(canonical_graphon(sample_graph(cfg, sample_latents(cfg))), k, q)
     l1 = dist.distance(ak)
-    # both terms are symmetric; StepGraphon copies, so the clipped difference dies here
-    signed = StepGraphon(n, np.clip(ak.values - dist.limit_cells(n), -1.0, 1.0), -1.0, 1.0)
+    diff = np.subtract(ak.values, dist.limit_cells(n))
     del ak
+    # both terms are symmetric; StepGraphon copies the difference, clipped in place
+    signed = StepGraphon(n, np.clip(diff, -1.0, 1.0, out=diff), -1.0, 1.0)
+    del diff
     return l1, cut_norm_auto(signed, seed=cut_key).value
 
 

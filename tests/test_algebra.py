@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -13,9 +14,9 @@ from graphonlab.algebra import (
     settle, validate_graphon,
 )
 from graphonlab.algebra import MAX_LAZY_POWER, _matmul, _matrix_power, _row_means
-from graphonlab.core import as_kernel, asymmetry
+from graphonlab.core import as_kernel, asymmetry, is_symmetric
 from graphonlab.errors import QuadratureError, ValidationError
-from conftest import brute_force_product_cell, random_step
+from conftest import blas_family, brute_force_product_cell, random_step
 
 
 def test_quadrature_spec_validation():
@@ -385,6 +386,77 @@ def test_sampled_powers_have_the_same_bytes_on_every_blas_kernel_and_thread_coun
     assert len(runs) == 1 and len(runs.pop().splitlines()) == 6
 
 
+# a lazy self-product on its own grid squares its factor grid F in place by row panels when
+# F is bitwise symmetric: every panel is a gemm, which must keep the bytes of _matmul(F, F)
+# (BLAS syrk on the plain route, a padded gemm on the other) on every kernel and thread count
+_IN_PLACE_SQUARES = """
+import numpy as np
+import graphonlab as gl
+from graphonlab.algebra import _matmul, _square_in_place, midpoints
+bad = []
+for g in (300, 768, 1000, 1024, 2048):
+    kinds = {"minmax": gl.builtin("minmax").eval_grid(midpoints(g), midpoints(g))}
+    if g in (300, 1000):
+        u = np.random.default_rng(g).random((g, g))
+        kinds["random"] = 0.5 * (u + u.T)
+    for kind, a in kinds.items():
+        f = a.copy()
+        _square_in_place(f)
+        if f.tobytes() != _matmul(a, a).tobytes():
+            bad.append(f"{kind} at g={g}")
+print("; ".join(bad) or "ok")
+"""
+
+
+@pytest.mark.parametrize("core", ["default", "Haswell", "Prescott", "Sandybridge"])
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_the_in_place_square_keeps_the_bytes_of_the_product_on_every_blas_kernel(core, threads):
+    assert _in_child(_IN_PLACE_SQUARES, core, threads).strip() == "ok"
+
+
+@pytest.mark.parametrize("g", [300, 1024])
+def test_a_lazy_square_on_its_own_grid_is_its_factor_squared(g):
+    xs = midpoints(g)
+    f = gl.builtin("minmax").eval_grid(xs, xs)
+    got = gl.power(gl.builtin("minmax"), 2).eval_grid(xs, xs, g)
+    assert got.tobytes() == (_matmul(f, f) / g).tobytes()
+
+
+def test_a_lazy_square_holds_its_factor_grid_and_one_panel(peak_bytes):
+    w, xs = gl.power(gl.builtin("minmax"), 2), midpoints(1024)
+    # the grid squared in place, plus its 512-row panel buffer (half a grid at g = 1024) and
+    # a tile's temporaries; a separate product with whole-grid factor temporaries took 4 grids
+    assert peak_bytes(lambda: w.eval_grid(xs, xs, 1024)) < 1.6 * 1024 * 1024 * 8
+
+
+# sha256 of the square of exp(-abs(x-y))*x*y on its own g-grid, per BLAS family: its factor
+# grid is not bitwise symmetric (x*y and y*x round differently), so it keeps the product
+# F F, whose bytes differ from F F.T
+_ASYMMETRIC_SQUARE_SHA = {
+    "default": {
+        256: "e033ed01e632abcc1f8493800298e1cbf6e468389add19b5bb881a53cbf94dd6",
+        300: "599e44d351ddb5120109166c6b6cd8a912101e29f98fa27e3662b6f5cd7083de",
+    },
+    "Prescott": {
+        256: "2c29d4b7fc820aab3f1d74bb3a86c05e1110e427a5515c741508d976d4e318dc",
+        300: "3648ba30c008a7e61ebfe23dadc47e2f380e3f879fadb6f3c79761b963e2cf48",
+    },
+    "Sandybridge": {
+        256: "9c2b1b236b1468be623c4378b5f1ae80da2b3ae8efea9dfffcbf089810a4ea65",
+        300: "e3f6117b859ac23d5d41b4fb9f63257501e2f4f72d1ac41178ea33f7fdf74118",
+    },
+}
+
+
+@pytest.mark.parametrize("g", [256, 300])
+def test_a_lazy_square_of_a_factor_that_is_not_symmetric_keeps_its_bytes(g):
+    e = gl.from_expression("exp(-abs(x-y))*x*y")
+    xs = midpoints(g)
+    assert not is_symmetric(e.eval_grid(xs, xs))
+    got = gl.power(e, 2).eval_grid(xs, xs, g)
+    assert hashlib.sha256(got.tobytes()).hexdigest() == _ASYMMETRIC_SQUARE_SHA[blas_family()][g]
+
+
 def test_discretize_examples():
     assert np.all(gl.discretize(gl.constant(0.3), 5).values == 0.3)
     d = gl.discretize(gl.builtin("product"), 2)
@@ -639,6 +711,24 @@ def test_row_means_of_blocks_in_other_layouts_are_numpys_block_means(s):
         assert _row_means(vals, 8).tobytes() == _numpy_row_means(vals, 8).tobytes()
 
 
+def test_settle_compares_matrix_estimates_without_an_estimate_sized_difference(peak_bytes):
+    q = gl.QuadratureSpec(max_refinements=1, tol=1e-9)
+    prev, cur = np.zeros((1024, 1024)), np.zeros((1024, 1024))
+    cur[700, 3] = 2e-9
+    estimates = {4: prev, 8: cur}
+    with pytest.raises(QuadratureError) as err:
+        settle(q, 4, estimates.get, "x")
+    assert err.value.last_estimates[0] is prev and err.value.last_estimates[1] is cur
+    cur[700, 3], cur[5, 1000] = 1e-9, np.nan  # a NaN never settles
+    with pytest.raises(QuadratureError):
+        settle(q, 4, estimates.get, "x")
+    cur[5, 1000] = 0.0
+    # cur - prev would take 8 MiB; 128 rows of it take 1 MiB, and at most two are alive
+    res = []
+    assert peak_bytes(lambda: res.append(settle(q, 4, estimates.get, "x"))) < 3 * 2**20
+    assert res[0].value is cur and res[0].error == 1e-9 and not prev.any()
+
+
 def test_cell_means_holds_no_full_grid(peak_bytes):
     w = gl.from_expression("min(x,y)*(1-max(x,y))")
     q = gl.QuadratureSpec()
@@ -671,12 +761,18 @@ class _ShapeRecordingKernel(_CountingKernel):
         return super().eval_grid(xs, ys, gz)
 
 
+def _factor_tiles(g: int) -> list:
+    """The shapes in which a self-product on its own g-grid reads its factor: the grid once,
+    128 rows at a time."""
+    return [(128, g, g)] * (g // 128)
+
+
 def test_cell_means_of_a_lazy_power_evaluates_its_factor_once_per_grid_level():
     w = _ShapeRecordingKernel("w", lambda x, y: np.minimum(x, y) * (1.0 - np.maximum(x, y)))
     q = gl.QuadratureSpec(base_grid=512, max_refinements=1, tol=1e-3)
     cells = cell_means(gl.power(w, 2, q), 4, q)
-    # two levels (512 and 1024); each evaluates the whole factor grid once
-    assert w.shapes == [(512, 512, 512), (1024, 1024, 1024)]
+    # two levels (512 and 1024); each evaluates the factor grid once, in 128-row tiles
+    assert w.shapes == _factor_tiles(512) + _factor_tiles(1024)
     assert cells.tobytes() == _full_grid_cell_means(gl.power(w, 2, q), 4, q).tobytes()
 
 
@@ -686,8 +782,9 @@ def test_integrals_and_l1_distances_of_a_lazy_power_evaluate_its_factor_once_per
     for measure in (lambda k: gl.integrate2d(k, q), lambda k: gl.l1_distance(k, step, q)):
         w = _ShapeRecordingKernel("w", lambda x, y: np.minimum(x, y) * (1.0 - np.maximum(x, y)))
         measure(gl.power(w, 2, q))
-        # one factor grid per level; reading the product in 512-row blocks takes 8 at 2048
-        assert w.shapes == [(1024, 1024, 1024), (2048, 2048, 2048)]
+        # one factor grid per level, in 128-row tiles, however many row blocks of the
+        # product the measure reads
+        assert w.shapes == _factor_tiles(1024) + _factor_tiles(2048)
 
 
 # The whole-grid reductions as they were before one row-block evaluator served
