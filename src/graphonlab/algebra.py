@@ -32,23 +32,24 @@ StepGraphon when symmetric, or else a ProductGraphon holding the asymmetric matr
 Every kernel matrix product is `_matmul`, whose bytes do not depend on the thread count
 (it pads an unaligned row count on both of its routes).
 A self-product `_matmul(a, a)` (a step power's squarings, a step times itself) multiplies
-by `a.T` when a is exactly symmetric. The values are the same. On `_matmul`'s plain route NumPy hands `a @ a.T` over one buffer to BLAS
-syrk, which computes one triangle (half a gemm's flops) that NumPy mirrors; the bytes are
-kept because that triangle equals the gemm's and the gemm of an exactly symmetric factor is
-exactly symmetric on that route (the tests check this on the default, Haswell and Prescott
-kernels at 1 and 2 threads). On the padded route the transposed factor is copied, so the
-product is the gemm. A lazy product's square on its own z-grid (W (.) W, the sweep's
-limit) fills its factor grid F once, 128 rows at a time, and when F is bitwise symmetric
-squares it in place (`_square_in_place`): 512 rows of the upper part at a time, a syrk
-for the diagonal block and a gemm to its right, into one panel buffer, then the lower
-triangle mirrored, with syrk's flops in all. Those bytes are
-`_matmul(F, F)`'s, syrk's triangle included (the tests check four BLAS kernels at 1 and
-2 threads), and the square holds F and the buffer, 1.25 grids at g = 2048, where a
-separate product and the whole-grid temporaries of evaluating F held 4. Any other F keeps
-`_matmul(F, F)`, whose F F differs from F F.T in its last bits. Every symmetrization is `core.sym_mean`, which hands back an input
-that is already bitwise symmetric as it is (in a theorem sweep every input is); the
-transposed passes (`core.is_symmetric`, `core.sym_mean`, `core.asymmetry`) read a matrix
-in cache-sized tiles.
+by `a.T` when a is exactly symmetric. The values are the same. On `_matmul`'s plain route
+NumPy hands `a @ a.T` over one buffer to BLAS syrk, which computes one triangle (half a
+gemm's flops) that NumPy mirrors; the bytes are kept because that triangle equals the
+gemm's and the gemm of an exactly symmetric factor is exactly symmetric on that route (the
+tests check this on the default, Haswell and Prescott kernels at 1 and 2 threads). On the
+padded route the transposed factor is copied, so the product is the gemm. A lazy product's
+square on its own z-grid (W (.) W, the sweep's limit) fills its factor grid F once, 128
+rows at a time, and when F is bitwise symmetric squares it in place (`_square_in_place`):
+512 rows of the upper part at a time, a syrk for the diagonal block and a gemm to its
+right, into one panel buffer, then the lower triangle mirrored, with syrk's flops in all.
+Those bytes are `_matmul(F, F)`'s, syrk's triangle included (the tests check four BLAS
+kernels at 1 and 2 threads), and the square holds F and the buffer, 1.25 grids at
+g = 2048, where a separate product and the whole-grid temporaries of evaluating F held 4.
+Any other F keeps `_matmul(F, F)`, whose F F differs from F F.T in its last bits. Every
+symmetrization is `core.sym_mean`, which hands back an input that is already bitwise
+symmetric as it is (in a theorem sweep every input is); the transposed passes
+(`core.is_symmetric`, `core.sym_mean`, `core.asymmetry`) read a matrix in cache-sized
+tiles.
 The kernel protocol is two attributes: `eval_grid(xs, ys, gz)` and `step`, the exact
 StepGraphon or None. `grain_of` reads `step`, or a ProductGraphon's matrix or factors, and
 `core.evaluate` is the one point read. `validate_graphon` is the one rule for being a
@@ -79,7 +80,8 @@ SYMMETRY_TOL = 1e-12
 # up to k = 492. The bound keeps 92 products of margin under such a wrapper.
 MAX_LAZY_POWER = 400
 # rows of the panel buffer in which `_square_in_place` computes a self-product's upper part:
-# a multiple of the 64 rows to which `_matmul` aligns, so no panel pads but the last
+# a multiple of the 64 rows to which `_matmul` aligns, so no panel pads but the last, and of
+# _TILE, so every diagonal tile of the mirror lies in a panel's diagonal block
 _PANEL_ROWS = 512
 
 
@@ -315,8 +317,8 @@ def _square_in_place(f: np.ndarray) -> None:
     (BLAS syrk's upper triangle, mirrored). For each panel p = f[lo:hi] of _PANEL_ROWS rows,
     the upper part of its rows goes into one buffer as the diagonal block `_matmul(p, p.T)`
     (syrk on the plain route) and the gemm `_matmul(p, f[hi:].T)` to its right, and is
-    copied over rows that no later panel reads; then the lower triangle takes the upper's
-    transpose, a tile pair at a time. Every entry equals the whole product's (the tests
+    copied over rows that no later panel reads; then each tile below the diagonal takes
+    the transpose of its mirror above. Every entry equals the whole product's (the tests
     check this on four BLAS kernels at 1 and 2 threads)."""
     g = f.shape[0]
     buf = np.empty(min(g, _PANEL_ROWS) * g)
@@ -327,12 +329,8 @@ def _square_in_place(f: np.ndarray) -> None:
         right = _matmul(p, f[hi:].T, buf[rows * rows : rows * (g - lo)].reshape(rows, g - hi))
         f[lo:hi, lo:hi], f[lo:hi, hi:] = diag, right
     for r, c in tile_pairs(g):
-        if r != c:
+        if r != c:  # a diagonal tile lies in a panel's diagonal block, computed whole
             f[c, r] = f[r, c].T
-        else:
-            t = f[r, r]
-            lower = np.tri(len(t), k=-1, dtype=bool)
-            t[lower] = t.T[lower]
 
 
 def _clip_to(values: np.ndarray, lo: float, hi: float) -> np.ndarray:

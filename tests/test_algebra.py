@@ -247,12 +247,12 @@ def _nearly_symmetric(x, y):
 def test_lazy_self_product_keeps_the_bytes_of_the_plain_product(label, fn):
     w = gl.GraphonSpec(label=label, fn=fn)
     validate_graphon(w)
-    g = 512
-    zm = midpoints(g)
-    lhs = np.asarray(w.eval_grid(zm, zm))
-    assert np.array_equal(lhs, lhs.T) == (label == "minmax")
-    want = _matmul(lhs, lhs.copy()) / g
-    assert gl.product(w, w).eval_grid(zm, zm, g).tobytes() == want.tobytes()
+    for g in (300, 512, 1024):  # the minmax grids are squared in place, by panels past 512
+        zm = midpoints(g)
+        lhs = np.asarray(w.eval_grid(zm, zm))
+        assert np.array_equal(lhs, lhs.T) == (label == "minmax")
+        want = _matmul(lhs, lhs.copy()) / g
+        assert gl.product(w, w).eval_grid(zm, zm, g).tobytes() == want.tobytes(), g
 
 
 def test_asymmetry_is_the_largest_gap_to_the_transpose():
@@ -387,7 +387,7 @@ def test_sampled_powers_have_the_same_bytes_on_every_blas_kernel_and_thread_coun
 
 
 # a lazy self-product on its own grid squares its factor grid F in place by row panels when
-# F is bitwise symmetric: every panel is a gemm, which must keep the bytes of _matmul(F, F)
+# F is bitwise symmetric: each panel's syrk and gemm must keep the bytes of _matmul(F, F)
 # (BLAS syrk on the plain route, a padded gemm on the other) on every kernel and thread count
 _IN_PLACE_SQUARES = """
 import numpy as np
@@ -412,14 +412,6 @@ print("; ".join(bad) or "ok")
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_the_in_place_square_keeps_the_bytes_of_the_product_on_every_blas_kernel(core, threads):
     assert _in_child(_IN_PLACE_SQUARES, core, threads).strip() == "ok"
-
-
-@pytest.mark.parametrize("g", [300, 1024])
-def test_a_lazy_square_on_its_own_grid_is_its_factor_squared(g):
-    xs = midpoints(g)
-    f = gl.builtin("minmax").eval_grid(xs, xs)
-    got = gl.power(gl.builtin("minmax"), 2).eval_grid(xs, xs, g)
-    assert got.tobytes() == (_matmul(f, f) / g).tobytes()
 
 
 def test_a_lazy_square_holds_its_factor_grid_and_one_panel(peak_bytes):
