@@ -30,26 +30,21 @@ settles its z-integral under the QuadratureSpec it was built with. A product or
 power of steps is the exact matrix formula (1/n) A B on the common (lcm) grid: a
 StepGraphon when symmetric, or else a ProductGraphon holding the asymmetric matrix.
 Every kernel matrix product is `_matmul`, whose bytes do not depend on the thread count
-(it pads an unaligned row count on both of its routes).
-A self-product `_matmul(a, a)` (a step power's squarings, a step times itself) multiplies
-by `a.T` when a is exactly symmetric. The values are the same. On `_matmul`'s plain route
-NumPy hands `a @ a.T` over one buffer to BLAS syrk, which computes one triangle (half a
-gemm's flops) that NumPy mirrors; the bytes are kept because that triangle equals the
-gemm's and the gemm of an exactly symmetric factor is exactly symmetric on that route (the
-tests check this on the default, Haswell and Prescott kernels at 1 and 2 threads). On the
-padded route the transposed factor is copied, so the product is the gemm. A lazy product's
-square on its own z-grid (W (.) W, the sweep's limit) fills its factor grid F once, 128
-rows at a time, and when F is bitwise symmetric squares it in place (`_square_in_place`):
-512 rows of the upper part at a time, a syrk for the diagonal block and a gemm to its
-right, into one panel buffer, then the lower triangle mirrored, with syrk's flops in all.
-Those bytes are `_matmul(F, F)`'s, syrk's triangle included (the tests check four BLAS
-kernels at 1 and 2 threads), and the square holds F and the buffer, 1.25 grids at
-g = 2048, where a separate product and the whole-grid temporaries of evaluating F held 4.
-Any other F keeps `_matmul(F, F)`, whose F F differs from F F.T in its last bits. Every
-symmetrization is `core.sym_mean`, which hands back an input that is already bitwise
-symmetric as it is (in a theorem sweep every input is); the transposed passes
-(`core.is_symmetric`, `core.sym_mean`, `core.asymmetry`) read a matrix in cache-sized
-tiles.
+(it pads an unaligned row count on both of its routes), and every square of a bitwise
+symmetric matrix is `_square_in_place`: a step power's squarings and a step times itself
+square a copy of their operand (step values are symmetric by construction, and so is each
+square), and a lazy product's square on its own z-grid (W (.) W, the sweep's limit)
+squares its factor grid F, filled 128 rows at a time. It squares 512 rows of the upper part
+at a time, a syrk for the diagonal block and a gemm to its right into one panel buffer,
+then mirrors the lower triangle: syrk's flops, and the bytes of `_matmul(F, F)`, since on
+the plain route syrk's triangle equals the gemm's and that gemm of an exactly symmetric F
+is exactly symmetric (the tests check four BLAS kernels at 1 and 2 threads). It holds F
+and the buffer, 1.25 grids at g = 2048. Only the lazy square tests F: an F that is not
+bitwise symmetric (a kernel whose two argument orders round apart) keeps the gemm
+`_matmul(F, F)`, whose F F differs from F F.T in its last bits. Every symmetrization is
+`core.sym_mean`, which hands back an input that is already bitwise symmetric as it is (in
+a theorem sweep every input is); the transposed passes (`core.is_symmetric`,
+`core.sym_mean`, `core.asymmetry`) read a matrix in cache-sized tiles.
 The kernel protocol is two attributes: `eval_grid(xs, ys, gz)` and `step`, the exact
 StepGraphon or None. `grain_of` reads `step`, or a ProductGraphon's matrix or factors, and
 `core.evaluate` is the one point read. `validate_graphon` is the one rule for being a
@@ -66,8 +61,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    _TILE, RANGE_TOL, StepGraphon, as_kernel, asymmetry, cell_index, is_symmetric, sym_mean,
-    tile_pairs,
+    _TILE, RANGE_TOL, StepGraphon, _trusted, as_kernel, asymmetry, cell_index, is_symmetric,
+    sym_mean, tile_pairs,
 )
 from .errors import QuadratureError, ValidationError
 
@@ -217,11 +212,7 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> n
     inside an unaligned edge rounds differently. So a's rows are padded with zeros to a
     multiple of 64 on every route. An inner dimension that is a multiple of 256 with a column
     count that is a multiple of 64 then takes the plain product; any other also pads b's
-    columns to a multiple of 64 and adds 256-row inner panels in ascending order. A
-    self-product (b is a) of an exactly symmetric a is a @ a.T: the same values, and on the
-    plain route NumPy hands it over one buffer to BLAS syrk, half the work."""
-    if b is a and is_symmetric(a):
-        b = a.T
+    columns to a multiple of 64 and adds 256-row inner panels in ascending order."""
     (rows, inner), cols = a.shape, b.shape[1]
     plain = inner % 256 == 0 and cols % 64 == 0
     if plain and rows % 64 == 0:
@@ -242,13 +233,15 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> n
 
 
 def _matrix_power(a: np.ndarray, k: int) -> np.ndarray:
-    """a^k, k >= 2, in np.linalg.matrix_power's order with every product by _matmul:
-    (a a) a at k = 3, else squarings multiplied in from the lowest bit (a a at k = 2)."""
+    """a^k, k >= 2, of the bitwise symmetric a, in np.linalg.matrix_power's order: (a a) a
+    at k = 3, else squarings multiplied in from the lowest bit (a a at k = 2). Each square
+    is `_square_in_place` on a copy, so bitwise symmetric in turn; every other product is
+    `_matmul`."""
     if k == 3:
-        return _matmul(_matmul(a, a), a)
+        return _matmul(_square_in_place(a.copy()), a)
     z = result = None
     while k:
-        z = a if z is None else _matmul(z, z)
+        z = a if z is None else _square_in_place(z.copy())
         k, bit = divmod(k, 2)
         if bit:
             result = z if result is None else _matmul(result, z)
@@ -297,29 +290,29 @@ class ProductGraphon:
 
 def _own_square(kernel, zm: np.ndarray) -> np.ndarray:
     """kernel (.) kernel on its own z-grid zm: the factor grid F, filled _TILE rows at a
-    time, times itself over len(zm). A bitwise symmetric F is squared in place; any other
-    keeps `_matmul(F, F)`, whose F F is not F F.T to the bit."""
+    time, times itself over len(zm). F is the one square whose symmetry is tested: a
+    bitwise symmetric F is squared in place; any other (the grid of a kernel such as
+    exp(-abs(x-y))*x*y, whose two argument orders round apart) keeps the gemm
+    `_matmul(F, F)`, whose F F is not F F.T to the bit."""
     g = len(zm)
     f = np.empty((g, g))
     for lo, block in zip(range(0, g, _TILE), _row_blocks(kernel, zm, g, _TILE)):
         f[lo : lo + _TILE] = block
     del block  # the last row block would otherwise live through the square
-    if is_symmetric(f):
-        _square_in_place(f)
-    else:
-        f = _matmul(f, f)
+    f = _square_in_place(f) if is_symmetric(f) else _matmul(f, f)
     f /= g
     return f
 
 
-def _square_in_place(f: np.ndarray) -> None:
-    """Overwrite the bitwise symmetric square f with f @ f.T, to the bytes of `_matmul(f, f)`
-    (BLAS syrk's upper triangle, mirrored). For each panel p = f[lo:hi] of _PANEL_ROWS rows,
+def _square_in_place(f: np.ndarray) -> np.ndarray:
+    """Overwrite the bitwise symmetric square f with f @ f.T, to the bytes of
+    `_matmul(f, f.T)` (BLAS syrk's upper triangle, mirrored, on the plain route): the one
+    square of a symmetric matrix. For each panel p = f[lo:hi] of _PANEL_ROWS rows,
     the upper part of its rows goes into one buffer as the diagonal block `_matmul(p, p.T)`
     (syrk on the plain route) and the gemm `_matmul(p, f[hi:].T)` to its right, and is
     copied over rows that no later panel reads; then each tile below the diagonal takes
     the transpose of its mirror above. Every entry equals the whole product's (the tests
-    check this on four BLAS kernels at 1 and 2 threads)."""
+    check this on four BLAS kernels at 1 and 2 threads). Returns f."""
     g = f.shape[0]
     buf = np.empty(min(g, _PANEL_ROWS) * g)
     for lo in range(0, g, _PANEL_ROWS):
@@ -331,6 +324,7 @@ def _square_in_place(f: np.ndarray) -> None:
     for r, c in tile_pairs(g):
         if r != c:  # a diagonal tile lies in a panel's diagonal block, computed whole
             f[c, r] = f[r, c].T
+    return f
 
 
 def _clip_to(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -347,16 +341,17 @@ def _step_range(*steps: StepGraphon) -> tuple[float, float]:
 
 def _step_product(sa: StepGraphon, sb: StepGraphon, label: str):
     """(1/m) A B on the lcm grid m: a step when symmetric within SYMMETRY_TOL,
-    otherwise the exact asymmetric matrix."""
+    otherwise the exact asymmetric matrix. A step times itself squares a copy in place."""
     m = math.lcm(sa.n, sb.n)
     a = sa.refine(m // sa.n).values
-    b = sb.refine(m // sb.n).values
+    vals = _square_in_place(a.copy()) if sa is sb else _matmul(a, sb.refine(m // sb.n).values)
+    vals /= m  # in place, as the clip
     lo, hi = _step_range(sa, sb)
-    vals = _clip_to(_matmul(a, b) / m, lo, hi)
+    vals = _clip_to(vals, lo, hi)
     if asymmetry(vals) > SYMMETRY_TOL:
         return ProductGraphon(label=label, asym_values=vals)
-    vals = sym_mean(vals)  # reassigned: the unsymmetrized matrix dies here
-    return StepGraphon(m, vals, lo, hi)
+    # symmetric, finite and in range by construction: no re-check, no copy
+    return _trusted(StepGraphon, n=m, values=sym_mean(vals), lo=lo, hi=hi)
 
 
 def product(a, b, q: QuadratureSpec = QuadratureSpec()):
@@ -389,10 +384,10 @@ def power(w, k: int, q: QuadratureSpec = QuadratureSpec()):
             ) from None
         vals = _matrix_power(s.values, k)
         vals /= scale  # in place, as the clip below: a new n x n array only to symmetrize
-        vals = sym_mean(vals)  # reassigned so that at most two n x n arrays live
         lo, hi = _step_range(s)
-        vals = _clip_to(vals, lo, hi)
-        return StepGraphon(s.n, vals, lo, hi)
+        vals = _clip_to(sym_mean(vals), lo, hi)
+        # symmetric, finite and in range by construction: no re-check, no copy
+        return _trusted(StepGraphon, n=s.n, values=vals, lo=lo, hi=hi)
     name = getattr(kw, "label", "?")
     if k > MAX_LAZY_POWER:
         raise ValidationError(

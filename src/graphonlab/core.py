@@ -79,6 +79,17 @@ def sym_mean(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _as_reals(values, what: str) -> np.ndarray:
+    """values as a float64 array, or a ValidationError naming ``what`` for entries that are
+    not real numbers: a string, a complex or a ragged row."""
+    try:
+        if np.iscomplexobj(values):  # NumPy would drop an array's imaginary part
+            raise TypeError("got complex values")
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be real numbers: {exc}") from None
+
+
 def cell_index(x, n: int):
     """Block index of x in the uniform n-grid (last block closed at 1)."""
     return np.minimum(np.floor(np.asarray(x) * n).astype(np.int64), n - 1)
@@ -244,7 +255,7 @@ class LatentPoints:
     xs: np.ndarray
 
     def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=np.float64)
+        xs = _as_reals(self.xs, "latent points")
         if xs.shape != (self.n,):
             raise ValidationError(f"expected {self.n} latent points, got shape {xs.shape}")
         lo = np.arange(self.n) / self.n

@@ -346,6 +346,11 @@ def row_summary(row: SweepRow) -> str:
     return "  ".join(cells)
 
 
+def _xml_text(text: str) -> str:
+    """text as XML character data: &, < and > escaped (a callable's label is <lambda>)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_svg(report: ConvergenceReport) -> str:
     pts = {name: [] for name in _SERIES}
     for row in report.rows:
@@ -387,8 +392,9 @@ def render_svg(report: ConvergenceReport) -> str:
         f'<rect x="0" y="0" width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#333"/>',
-        f'<text x="{_MARGIN_L}" y="{_MARGIN_T - 12}">{report.kind} sweep: '
-        f'{report.label}, k={report.k} (log-log)</text>',
+        f'<text x="{_MARGIN_L}" y="{_MARGIN_T - 12}">'
+        + _xml_text(f"{report.kind} sweep: {report.label}, k={report.k} (log-log)")
+        + "</text>",
     ]
     for n in ns:
         x = sx(n)

@@ -48,7 +48,9 @@ import numpy as np
 
 from . import rng
 from .algebra import QuadratureSpec, _row_blocks, cell_means
-from .core import _TILE, RANGE_TOL, LatentPoints, SimpleGraph, StepGraphon, _trusted, as_kernel
+from .core import (
+    _TILE, RANGE_TOL, LatentPoints, SimpleGraph, StepGraphon, _as_reals, _trusted, as_kernel,
+)
 from .errors import DomainError, ValidationError
 
 _TAG_LATENTS = 1
@@ -131,7 +133,7 @@ def sample_graph(cfg: SamplerConfig, latents) -> SimpleGraph:
     the whole rectangle to the tile's right, once every probability the block read lies in
     [0, 1] within RANGE_TOL; 0 <= u < 1 compares with an unclipped p as with its clip."""
     stratified = isinstance(latents, LatentPoints)
-    xs = latents.xs if stratified else np.asarray(latents, float)
+    xs = latents.xs if stratified else _as_reals(latents, "latents")
     if xs.shape != (cfg.n,):
         raise ValidationError(f"latents have shape {xs.shape}, expected ({cfg.n},)")
     if not stratified:  # stratified points lie in their strata by construction

@@ -24,6 +24,15 @@ def test_quadrature_spec_validation():
         gl.QuadratureSpec(base_grid=1)
     with pytest.raises(ValidationError):
         gl.QuadratureSpec(tol=0.0)
+    with pytest.raises(ValidationError) as info:
+        gl.QuadratureSpec(max_refinements=-1)
+    assert str(info.value) == "max_refinements must be >= 0"
+
+
+def test_power_refuses_an_exponent_below_1():
+    with pytest.raises(ValidationError) as info:
+        gl.power(gl.builtin("minmax"), 0)
+    assert str(info.value) == "power exponent must be >= 1"
 
 
 def test_ceil_to_multiple():
@@ -184,8 +193,8 @@ def _symmetric_kinds(n: int):
 
 
 # 256, 512 and 1024 take the plain product, which NumPy hands to BLAS syrk for a @ a.T;
-# the others pad, so their transposed factor is a copy and the product a gemm. A copy of
-# the second factor keeps a self-product a gemm: _matmul takes a.T only when b is a.
+# the others pad, so their transposed factor is a copy and the product a gemm. _matmul(a, a)
+# is always the gemm: a square of a symmetric matrix takes a.T only in _square_in_place.
 @pytest.mark.parametrize("n", [1, 30, 100, 270, 256, 512, 1024])
 def test_the_transposed_square_keeps_the_bytes_of_the_product(n):
     for kind, a in _symmetric_kinds(n).items():
@@ -275,7 +284,7 @@ from graphonlab.algebra import _matmul, _matrix_power
 sys.path.insert(0, sys.argv[1])
 from test_algebra import _old_matrix_power, _symmetric_kinds
 bad = []
-for n in (1, 30, 100, 256, 270, 512, 1024):
+for n in (1, 30, 100, 256, 270, 512, 600, 1024):
     for kind, a in _symmetric_kinds(n).items():
         want = _matmul(a, a.copy())
         into = np.empty((n, n))
@@ -283,7 +292,9 @@ for n in (1, 30, 100, 256, 270, 512, 1024):
                 or _matmul(a, a.T, into).tobytes() != want.tobytes()
                 or _matmul(a, a).tobytes() != want.tobytes()):
             bad.append(f"a a.T at n={n} {kind}")
-        if n <= 270 and _matrix_power(a, 4).tobytes() != _old_matrix_power(a, 4).tobytes():
+        # 600 rows are two panels of the in-place square, neither aligned to 256
+        if (n <= 270 or n == 600) and (
+                _matrix_power(a, 4).tobytes() != _old_matrix_power(a, 4).tobytes()):
             bad.append(f"a^4 at n={n} {kind}")
 print("; ".join(bad) or "ok")
 """
@@ -307,8 +318,8 @@ def _in_child(script: str, core: str, threads: str) -> str:
 @pytest.mark.parametrize("core", ["Haswell", "Prescott"])
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_transposed_squares_keep_the_bytes_on_other_blas_kernels(core, threads):
-    # a^4 squares a^2, whose transpose _matmul takes only when a^2 is exactly symmetric;
-    # either way a^4 must keep the bytes of the all-gemm power
+    # a^4 squares a and then a^2 in place, by panels past 512 rows: it must keep the bytes
+    # of the all-gemm power
     assert _in_child(_BLAS_SQUARES, core, threads).strip() == "ok"
 
 
@@ -1038,6 +1049,13 @@ def test_lazy_power_of_an_exact_asymmetric_product_integrates_on_its_lcm_grain()
     res = gl.integrate2d(w, gl.QuadratureSpec())
     assert res.grid % 6 == 0
     assert abs(res.value - float(np.mean(p @ p / 6))) <= 1e-15
+
+
+def test_a_step_square_holds_its_result_and_one_panel(peak_bytes):
+    e = gl.expected_graphon(gl.builtin("minmax"), 1024)  # its matrix is 8 MiB
+    # a copy of the matrix squared in place beside a 512-row panel buffer (half a matrix),
+    # kept as the result without a copy; a separate product and a checked copy held two
+    assert peak_bytes(lambda: gl.power(e, 2)) < 1.6 * 1024 * 1024 * 8
 
 
 def test_step_products_and_powers_hold_at_most_two_matrices_at_once(peak_bytes):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -809,3 +810,31 @@ def test_main_builds_no_parser_after_its_first_call(monkeypatch, capsys):
         main(["validate", "--graphon-builtin", "minmax", "--no-such-flag"])
     assert main(["validate", "--graphon-builtin", "product", "--seed", "3"]) == 0
     assert built == []
+
+
+# each command's check for a missing input, pinned by one input: exit 2 and one error line
+@pytest.mark.parametrize("argv, message", [
+    (("sample", "--graphon-builtin", "minmax"), "missing required option --n"),
+    (("product", "--graphon-builtin", "minmax"),
+     "product needs a second kernel (--with-builtin/expr/step)"),
+    (("norm", "--l1", "--graphon-builtin", "minmax"),
+     "--l1 needs a second kernel (--with-builtin/expr/step)"),
+    (("norm", "--cut", "--graphon-step", "{a}", "--with-step", "{b}"),
+     "--cut with --with needs two step kernels on one grid"),
+    (("sweep", "theorem", "--graphon-builtin", "minmax", "--out", "{r}"), "missing --ns"),
+], ids=["sample-n", "product-with", "l1-with", "cut-two-grids", "sweep-ns"])
+def test_a_missing_input_exits_2_with_its_message(tmp_path, capsys, argv, message):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("0,1\n1,0\n")
+    b.write_text("0,0,0\n0,0,0\n0,0,0\n")
+    argv = [arg.format(a=a, b=b, r=tmp_path / "r") for arg in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
+
+
+def test_python_m_graphonlab_runs_the_cli(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["graphonlab", "sample", "--graphon-builtin", "minmax"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("graphonlab", run_name="__main__")
+    assert info.value.code == 2
+    assert capsys.readouterr().err == "error: missing required option --n\n"

@@ -475,3 +475,31 @@ def test_refine_refuses_a_factor_that_is_not_an_integer(factor):
 def test_simple_graph_refuses_edges_that_are_not_integer_pairs(raw, msg):
     with pytest.raises(ValidationError, match=msg):
         gl.SimpleGraph(3, raw)
+
+
+@pytest.mark.parametrize("xs, why", [
+    (["a", 0.75], "could not convert string to float: 'a'"),
+    ([1j, 0.75], "got complex values"),
+    (np.array([0.25 + 0j, 0.75]), "got complex values"),  # NumPy would drop the 0j
+    ([0.25, [0.75]], "setting an array element with a sequence"),
+], ids=["string", "complex", "complex-array", "ragged"])
+def test_latent_points_that_are_not_real_numbers_are_refused(xs, why):
+    with pytest.raises(ValidationError) as info:
+        gl.LatentPoints(2, xs)
+    assert str(info.value).startswith(f"latent points must be real numbers: {why}")
+
+
+# each constructor check that no other test reaches, pinned by one input and its message
+@pytest.mark.parametrize("make, message", [
+    (lambda: gl.StepGraphon(3, np.zeros((2, 2))), "declared n=3 but matrix is 2x2"),
+    (lambda: gl.StepGraphon(1, [[0.0]], -2.0, 1.0),
+     "declared range [-2.0, 1.0] not inside [-1, 1]"),
+    (lambda: gl.StepGraphon(1, [[0.0]]).refine(0), "refine factor must be >= 1"),
+    (lambda: gl.SimpleGraph(0, []), "graph needs at least one vertex"),
+    (lambda: gl.LatentPoints(2, [0.25]), "expected 2 latent points, got shape (1,)"),
+    (lambda: gl.builtin("constant"), "builtin 'constant' takes exactly the parameter p"),
+], ids=["step-n", "step-range", "refine-0", "graph-0", "latent-count", "constant-no-p"])
+def test_core_constructors_refuse_bad_fields(make, message):
+    with pytest.raises(ValidationError) as info:
+        make()
+    assert str(info.value) == message

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -156,6 +157,33 @@ def test_report_row_ordering_enforced():
     rows = [gl.SweepRow(8, 0.1, None, None), gl.SweepRow(4, 0.2, None, None)]
     with pytest.raises(ValidationError):
         gl.ConvergenceReport("x", "theorem", 1, 0, gl.QuadratureSpec(), rows)
+
+
+def test_report_refuses_a_negative_distance():
+    rows = [gl.SweepRow(4, -0.1, None, None)]
+    with pytest.raises(ValidationError) as info:
+        gl.ConvergenceReport("x", "theorem", 1, 0, gl.QuadratureSpec(), rows)
+    assert str(info.value) == "negative distance in row n=4"
+
+
+def test_svg_of_a_callable_sweep_is_well_formed():
+    # a plain callable's label is <lambda>, which the title must escape
+    svg = render_svg(gl.run_theorem_sweep(lambda x, y: x * y, 1, [4, 8]))
+    title = minidom.parseString(svg).getElementsByTagName("text")[0]
+    assert title.firstChild.data == "theorem sweep: <lambda>, k=1 (log-log)"
+
+
+@pytest.mark.parametrize("rows, circles", [
+    ([gl.SweepRow(4, 0.25, None, None)], 1),  # one n: the x range is widened to a decade
+    ([gl.SweepRow(4, 0.0, None, None), gl.SweepRow(8, None, None, 0.0)], 0),  # nothing > 0
+], ids=["one-n", "no-positive-value"])
+def test_svg_of_degenerate_rows_is_well_formed(rows, circles):
+    r = gl.ConvergenceReport("x", "theorem", 1, 0, gl.QuadratureSpec(), rows)
+    doc = minidom.parseString(render_svg(r))
+    assert len(doc.getElementsByTagName("circle")) == circles
+    ticks = [t.firstChild.data for t in doc.getElementsByTagName("text")]
+    assert [str(row.n) for row in rows] == [t for t in ticks if t.isdigit()]
+    assert ("reference 1/n" in ticks) == (circles > 0)
 
 
 def test_svg_handles_single_series():

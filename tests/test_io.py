@@ -237,3 +237,35 @@ def test_config_load_and_validation(tmp_path):
     p.write_text('{"step_file": "/nonexistent/m.csv"}')
     with pytest.raises(ValidationError, match="not found"):
         glio.load_config(p)
+
+
+# each loader branch pinned by one input: the error type and the whole message
+@pytest.mark.parametrize("name, text, error, message", [
+    ("m.csv", None, ValidationError, "matrix file not found: {p}"),
+    ("m.csv", "\n \n", ValidationError, "m.csv: empty matrix file"),
+    ("m.json", '[[0.5]]', ValidationError, "m.json: expected an object with a 'values' field"),
+    ("m.json", '{"n": 1}', ValidationError, "m.json: expected an object with a 'values' field"),
+    ("g.txt", None, glio.GraphFormatError, "graph file not found: {p}"),
+    ("g.txt", "n=abc\n", glio.GraphFormatError, "g.txt: bad vertex count 'abc'"),
+    ("g.txt", "n=0\n", glio.GraphFormatError, "g.txt: vertex count must be positive"),
+    ("g.txt", "n=3\n0 1 2\n", glio.GraphFormatError, "g.txt:2: expected 'u v', got '0 1 2'"),
+    ("g.txt", "n=3\n0 x\n", glio.GraphFormatError, "g.txt:2: non-integer vertex"),
+    ("c.json", None, ValidationError, "config file not found: {p}"),
+    ("c.json", "[1, 2]", ValidationError, "c.json: config must be a JSON object"),
+], ids=["matrix-missing", "csv-blank", "json-list", "json-no-values", "graph-missing",
+        "graph-bad-count", "graph-zero-count", "graph-three-fields", "graph-non-integer",
+        "config-missing", "config-list"])
+def test_loaders_refuse_each_bad_file_with_its_message(tmp_path, name, text, error, message):
+    p = tmp_path / name
+    if text is not None:
+        p.write_text(text)
+    load = {"m": glio.load_step_matrix, "g": glio.load_graph, "c": glio.load_config}[name[0]]
+    with pytest.raises(error) as info:
+        load(p)
+    assert type(info.value) is error and str(info.value) == message.format(p=p)
+
+
+def test_csv_blank_lines_are_skipped(tmp_path):
+    p = tmp_path / "m.csv"
+    p.write_text("\n0,0.5\n  \n0.5,0\n\n")
+    assert glio.load_step_matrix(p).values.tolist() == [[0.0, 0.5], [0.5, 0.0]]

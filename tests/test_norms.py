@@ -249,3 +249,9 @@ def test_step_l1_distance_matches_the_refined_difference_bit_for_bit(na, nb):
     want = float(np.abs(av - bv).mean())
     assert gl.l1_distance(a, b).hex() == want.hex()
     assert gl.l1_distance(b, a).hex() == float(np.abs(bv - av).mean()).hex()
+
+
+def test_cut_norm_lower_bound_refuses_restarts_below_1():
+    with pytest.raises(ValidationError) as info:
+        gl.cut_norm_lower_bound(gl.constant(0.5).step, restarts=0)
+    assert str(info.value) == "restarts must be >= 1"

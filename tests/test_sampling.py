@@ -64,6 +64,24 @@ def test_raw_latents_outside_the_unit_interval_are_refused(xs, bad):
         gl.sample_graph(c, np.array(xs))
 
 
+@pytest.mark.parametrize("xs, why", [
+    (["a", 0.7], "could not convert string to float: 'a'"),
+    ([1j, 0.7], "got complex values"),
+    (np.array([0.2 + 0j, 0.7]), "got complex values"),  # NumPy would drop the 0j
+], ids=["string", "complex", "complex-array"])
+def test_raw_latents_that_are_not_real_numbers_are_refused(xs, why):
+    c = cfg(2, 1, gl.StepGraphon(2, [[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(ValidationError) as info:
+        gl.sample_graph(c, xs)
+    assert str(info.value) == f"latents must be real numbers: {why}"
+
+
+def test_expected_graphon_refuses_n_below_1():
+    with pytest.raises(ValidationError) as info:
+        gl.expected_graphon(gl.builtin("minmax"), 0)
+    assert str(info.value) == "expected graphon needs n >= 1"
+
+
 def test_raw_latents_may_lie_on_the_ends_of_the_unit_interval():
     c = cfg(2, 1, gl.StepGraphon(2, [[0.0, 1.0], [1.0, 0.0]]))
     assert gl.sample_graph(c, np.array([0.0, 1.0])).edges == ((0, 1),)
