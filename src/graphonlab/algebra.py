@@ -7,12 +7,14 @@ for step functions whenever the grid is aligned with the step grain, which is
 why grids are always rounded up to a multiple of the relevant block counts.
 That one doubling rule is `settle`, used by `integrate2d`, `cell_means`, lazy
 products and the sweep's limit distance: matrix estimates agree when no entry
-moves by more than the tolerance (read 128 rows at a time, with no difference as large as
-the estimate), and after QuadratureSpec.max_refinements doublings QuadratureError names the
+moves by more than the tolerance (read in row blocks, with no difference as large as the
+estimate), and after QuadratureSpec.max_refinements doublings QuadratureError names the
 quantity that did not settle. Integrals, L1 distances, cell averages and the sampler's
 edge draw (the columns from each block's diagonal on) read kernels through one evaluator,
 `_row_blocks`, a few rows at a time; a lazy product is evaluated whole, once per grid level
-or point read, and sliced.
+or point read, and sliced. Every row-block pass but the integrals' (whose 512-row blocks fix
+their bytes) takes as many rows as fit in one budget, `core.block_rows`: 256 KiB a block,
+16 rows at g = 2048, so that its few temporaries stay in L2 at once.
 `_first_grid` is the one grid-alignment rule: every quadrature, a lazy product's
 z-integral at a point read included, starts on its grid. Cell averages over s x s grid blocks
 (`_row_means`) have the bytes of NumPy's ``reshape(...).mean(axis=(1, 3))``;
@@ -34,7 +36,7 @@ Every kernel matrix product is `_matmul`, whose bytes do not depend on the threa
 symmetric matrix is `_square_in_place`: a step power's squarings and a step times itself
 square a copy of their operand (step values are symmetric by construction, and so is each
 square), and a lazy product's square on its own z-grid (W (.) W, the sweep's limit)
-squares its factor grid F, filled 128 rows at a time. It squares 512 rows of the upper part
+squares its factor grid F, filled a row block at a time. It squares 512 rows of the upper part
 at a time, a syrk for the diagonal block and a gemm to its right into one panel buffer,
 then mirrors the lower triangle: syrk's flops, and the bytes of `_matmul(F, F)`, since on
 the plain route syrk's triangle equals the gemm's and that gemm of an exactly symmetric F
@@ -42,8 +44,8 @@ is exactly symmetric (the tests check four BLAS kernels at 1 and 2 threads). It 
 and the buffer, 1.25 grids at g = 2048. Only the lazy square tests F: an F that is not
 bitwise symmetric (a kernel whose two argument orders round apart) keeps the gemm
 `_matmul(F, F)`, whose F F differs from F F.T in its last bits. Every symmetrization is
-`core.sym_mean`, which hands back an input that is already bitwise symmetric as it is (in
-a theorem sweep every input is); the transposed passes (`core.is_symmetric`,
+`core.sym_mean` in place, on a matrix its caller owns: an input that is already bitwise
+symmetric is left as it is; the transposed passes (`core.is_symmetric`,
 `core.sym_mean`, `core.asymmetry`) read a matrix in cache-sized tiles.
 The kernel protocol is two attributes: `eval_grid(xs, ys, gz)` and `step`, the exact
 StepGraphon or None. `grain_of` reads `step`, or a ProductGraphon's matrix or factors, and
@@ -61,8 +63,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    _TILE, RANGE_TOL, StepGraphon, _trusted, as_kernel, asymmetry, cell_index, is_symmetric,
-    sym_mean, tile_pairs,
+    RANGE_TOL, StepGraphon, _trusted, as_kernel, asymmetry, block_rows, cell_index,
+    is_symmetric, sym_mean, tile_pairs,
 )
 from .errors import QuadratureError, ValidationError
 
@@ -76,7 +78,7 @@ SYMMETRY_TOL = 1e-12
 MAX_LAZY_POWER = 400
 # rows of the panel buffer in which `_square_in_place` computes a self-product's upper part:
 # a multiple of the 64 rows to which `_matmul` aligns, so no panel pads but the last, and of
-# _TILE, so every diagonal tile of the mirror lies in a panel's diagonal block
+# core._TILE, so every diagonal tile of the mirror lies in a panel's diagonal block
 _PANEL_ROWS = 512
 
 
@@ -123,14 +125,15 @@ def settle(q: QuadratureSpec, g0: int, estimate, what: str, tol: Optional[float]
 
 
 def _largest_change(cur, prev) -> float:
-    """max |cur - prev| of two scalar or matrix estimates, a matrix _TILE rows at a time:
-    no estimate-sized difference. The max does not depend on the order, and a NaN anywhere
-    makes it NaN."""
+    """max |cur - prev| of two scalar or matrix estimates, a matrix `core.block_rows` rows
+    at a time: no estimate-sized difference. The max does not depend on the order, and a
+    NaN anywhere makes it NaN."""
     if np.ndim(cur) == 0:
         return abs(float(cur - prev))
     gaps = []
-    for lo in range(0, len(cur), _TILE):
-        d = cur[lo : lo + _TILE] - prev[lo : lo + _TILE]
+    rows = block_rows(cur.shape[1])
+    for lo in range(0, len(cur), rows):
+        d = cur[lo : lo + rows] - prev[lo : lo + rows]
         gaps.append(np.abs(d, out=d).max(initial=0.0))
     return float(np.max(gaps, initial=0.0))
 
@@ -289,15 +292,15 @@ class ProductGraphon:
 
 
 def _own_square(kernel, zm: np.ndarray) -> np.ndarray:
-    """kernel (.) kernel on its own z-grid zm: the factor grid F, filled _TILE rows at a
-    time, times itself over len(zm). F is the one square whose symmetry is tested: a
-    bitwise symmetric F is squared in place; any other (the grid of a kernel such as
-    exp(-abs(x-y))*x*y, whose two argument orders round apart) keeps the gemm
-    `_matmul(F, F)`, whose F F is not F F.T to the bit."""
-    g = len(zm)
+    """kernel (.) kernel on its own z-grid zm: the factor grid F, filled `core.block_rows`
+    rows at a time (16 at g = 2048), times itself over len(zm). F is the one square whose
+    symmetry is tested: a bitwise symmetric F is squared in place; any other (the grid of a
+    kernel such as exp(-abs(x-y))*x*y, whose two argument orders round apart) keeps the
+    gemm `_matmul(F, F)`, whose F F is not F F.T to the bit."""
+    g, rows = len(zm), block_rows(len(zm))
     f = np.empty((g, g))
-    for lo, block in zip(range(0, g, _TILE), _row_blocks(kernel, zm, g, _TILE)):
-        f[lo : lo + _TILE] = block
+    for lo, block in zip(range(0, g, rows), _row_blocks(kernel, zm, g, rows)):
+        f[lo : lo + rows] = block
     del block  # the last row block would otherwise live through the square
     f = _square_in_place(f) if is_symmetric(f) else _matmul(f, f)
     f /= g
@@ -351,7 +354,7 @@ def _step_product(sa: StepGraphon, sb: StepGraphon, label: str):
     if asymmetry(vals) > SYMMETRY_TOL:
         return ProductGraphon(label=label, asym_values=vals)
     # symmetric, finite and in range by construction: no re-check, no copy
-    return _trusted(StepGraphon, n=m, values=sym_mean(vals), lo=lo, hi=hi)
+    return _trusted(StepGraphon, n=m, values=sym_mean(vals, in_place=True), lo=lo, hi=hi)
 
 
 def product(a, b, q: QuadratureSpec = QuadratureSpec()):
@@ -383,9 +386,9 @@ def power(w, k: int, q: QuadratureSpec = QuadratureSpec()):
                 f"power k={k} of an n={s.n} step: n^(k-1) overflows a float"
             ) from None
         vals = _matrix_power(s.values, k)
-        vals /= scale  # in place, as the clip below: a new n x n array only to symmetrize
+        vals /= scale  # in place, as the symmetrization and the clip below
         lo, hi = _step_range(s)
-        vals = _clip_to(sym_mean(vals), lo, hi)
+        vals = _clip_to(sym_mean(vals, in_place=True), lo, hi)
         # symmetric, finite and in range by construction: no re-check, no copy
         return _trusted(StepGraphon, n=s.n, values=vals, lo=lo, hi=hi)
     name = getattr(kw, "label", "?")
@@ -434,21 +437,26 @@ def _row_means(vals: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
+def _cell_rows(g: int, m: int) -> int:
+    """Whole cell rows of the m-grid per block of a g-grid pass: as many as fit in
+    `core.block_rows`, and at least one."""
+    return max(1, block_rows(g) // (g // m))
+
+
 def _cells(blocks, m: int, rows: int) -> np.ndarray:
-    """Symmetrized means over the m-grid of the blocks of ``rows`` whole cell rows (the
-    last may be shorter) that ``blocks`` yields in order."""
+    """Means over the m-grid of the blocks of ``rows`` whole cell rows (the last may be
+    shorter) that ``blocks`` yields in order, symmetrized in place."""
     cells = np.empty((m, m))
     for lo, block in zip(range(0, m, rows), blocks):
         cells[lo : lo + rows] = _row_means(block, m)
-    return sym_mean(cells)
+    return sym_mean(cells, in_place=True)
 
 
 def block_means(vals: np.ndarray, m: int) -> np.ndarray:
     """Symmetrized means of the m x m blocks of a square grid whose side m divides, read a
     block of cell rows at a time as `cell_means` reads a kernel, so that the temporaries
     of `_row_means` stay a block's size."""
-    side = vals.shape[0] // m  # grid rows per cell row
-    rows = max(1, _TILE // side)  # cell rows per block
+    side, rows = vals.shape[0] // m, _cell_rows(vals.shape[0], m)
     return _cells((vals[lo * side : (lo + rows) * side] for lo in range(0, m, rows)), m, rows)
 
 
@@ -457,8 +465,9 @@ def cell_means(w, m: int, q: QuadratureSpec, zero_diagonal: bool = False) -> np.
 
     Convergence is measured as the max absolute change of any cell entry
     between successive grid doublings (a zeroed diagonal never changes).
-    The kernel is read through `_row_blocks` in whole cell rows, about
-    _TILE grid rows at a time (a lazy product whole, once per grid level).
+    The kernel is read through `_row_blocks` in whole cell rows, as many as
+    fit in `core.block_rows` grid rows (16 at g = 2048), or one (a lazy product
+    whole, once per grid level).
     """
     kernel = as_kernel(w)
     s = kernel.step
@@ -466,9 +475,8 @@ def cell_means(w, m: int, q: QuadratureSpec, zero_diagonal: bool = False) -> np.
         return s.refine(m // s.n).values.copy()
 
     def cells_at(g: int) -> np.ndarray:
-        side = g // m  # grid rows per cell row
-        rows = max(1, _TILE // side)  # cell rows per block
-        cells = _cells(_row_blocks(kernel, midpoints(g), g, rows * side), m, rows)
+        rows = _cell_rows(g, m)
+        cells = _cells(_row_blocks(kernel, midpoints(g), g, rows * (g // m)), m, rows)
         if zero_diagonal:
             np.fill_diagonal(cells, 0.0)
         return cells

@@ -32,8 +32,18 @@ def _trusted(cls, **fields):
 # Side of the square tiles in which a transposed pass reads a matrix. A transposed tile
 # walks its rows one cache line each, a row's stride apart; at n = 2048 (16 KiB rows) the
 # passes ran 1.7x slower in 256-row tiles than in 128-row ones, on 2 vCPUs of a SkylakeX.
-# The edge draw and the cell averages read kernels in blocks of as many rows.
 _TILE = 128
+
+# Bytes of one block of a row-block pass (the edge draw, the kernel reads of the cell
+# averages and of a lazy square, settle's comparison): a few float64 or uint64 temporaries
+# of this size stay in a 2 MiB L2 at once. The 2048-grid of minmax took 52 ms in 128-row
+# blocks (2 MiB each) and 14 ms in 16-row ones, on 2 vCPUs of a SkylakeX.
+_BLOCK_BYTES = 1 << 18
+
+
+def block_rows(width: int) -> int:
+    """Rows of ``width`` float64 entries that fit in _BLOCK_BYTES: at least one."""
+    return max(1, _BLOCK_BYTES // (8 * max(1, width)))
 
 
 def tile_pairs(n: int) -> list[tuple[slice, slice]]:
@@ -60,9 +70,11 @@ def asymmetry(m: np.ndarray) -> float:
     return float(np.max(gaps))
 
 
-def sym_mean(m: np.ndarray) -> np.ndarray:
-    """(m + m.T) / 2, a tile pair at a time, halved once at the end. Each entry is the same
-    one addition and one halving, so the bytes do not depend on the tile order.
+def sym_mean(m: np.ndarray, in_place: bool = False) -> np.ndarray:
+    """(m + m.T) / 2, a tile pair at a time, halved once at the end, into a new array or,
+    ``in_place``, into m itself (a tile's sum is taken before either tile of its pair is
+    overwritten). Each entry is the same one addition and one halving, so the bytes do not
+    depend on the tile order or on where they go.
 
     May return m itself: when m equals its transpose bit for bit, each entry's result is
     (a + a) * 0.5, which is a, so m already holds the result's bytes (an |a| above half the
@@ -70,24 +82,26 @@ def sym_mean(m: np.ndarray) -> np.ndarray:
     values, because a -0.0 facing a 0.0 is equal in value but sums to 0.0 on both sides."""
     if is_symmetric(m.view(np.uint64)):
         return m
-    out = np.empty_like(m, order="C")
+    out = m if in_place else np.empty_like(m, order="C")
     for r, c in tile_pairs(m.shape[0]):
-        np.add(m[r, c], m[c, r].T, out=out[r, c])
+        upper = m[r, c] + m[c, r].T
         if r != c:
             np.add(m[c, r], m[r, c].T, out=out[c, r])
+        out[r, c] = upper
     out *= 0.5
     return out
 
 
-def _as_reals(values, what: str) -> np.ndarray:
-    """values as a float64 array, or a ValidationError naming ``what`` for entries that are
-    not real numbers: a string, a complex or a ragged row."""
+def _as_reals(values, what: str, copy: bool = False) -> np.ndarray:
+    """values as a float64 array (a new one with ``copy``), or a ValidationError that
+    starts with ``what`` for entries that are not real numbers: a string, a complex or a
+    ragged row."""
     try:
         if np.iscomplexobj(values):  # NumPy would drop an array's imaginary part
             raise TypeError("got complex values")
-        return np.asarray(values, dtype=np.float64)
+        return (np.array if copy else np.asarray)(values, dtype=np.float64)
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{what} must be real numbers: {exc}") from None
+        raise ValidationError(f"{what}: {exc}") from None
 
 
 def cell_index(x, n: int):
@@ -109,10 +123,7 @@ class StepGraphon:
     hi: float = 1.0
 
     def __post_init__(self):
-        try:
-            m = np.array(self.values, dtype=np.float64)
-        except (TypeError, ValueError) as exc:  # a string, a complex or a ragged row
-            raise ValidationError(f"expected a matrix of real numbers: {exc}") from None
+        m = _as_reals(self.values, "expected a matrix of real numbers", copy=True)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValidationError(f"expected a square matrix, got shape {m.shape}")
         if m.shape[0] != self.n:
@@ -255,7 +266,7 @@ class LatentPoints:
     xs: np.ndarray
 
     def __post_init__(self):
-        xs = _as_reals(self.xs, "latent points")
+        xs = _as_reals(self.xs, "latent points must be real numbers")
         if xs.shape != (self.n,):
             raise ValidationError(f"expected {self.n} latent points, got shape {xs.shape}")
         lo = np.arange(self.n) / self.n

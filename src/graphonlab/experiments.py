@@ -42,7 +42,7 @@ from .algebra import (
     QuadratureSpec, _first_grid, block_means, cell_means, midpoints, power, settle,
     validate_graphon,
 )
-from .core import StepGraphon, as_kernel, canonical_graphon, constant
+from .core import StepGraphon, _trusted, as_kernel, canonical_graphon, constant
 from .errors import QuadratureError, ValidationError
 from .norms import cut_norm_auto, l1_distance
 from .sampling import SamplerConfig, sample_graph, sample_latents, expected_graphon
@@ -125,7 +125,8 @@ class _LimitDistance:
                       f"limit distance at n={n}", self.tol).value
 
     def limit_cells(self, n: int) -> np.ndarray:
-        """Cell averages of the limit power on the n-grid."""
+        """Cell averages of the limit power on the n-grid: a new array for an analytic
+        limit, which the caller may overwrite; a step limit's are kept and must not be."""
         if self.limit_step is not None:
             # a function of n alone, kept for the draws at n, which the sweeps take in a row
             if self.step_cells[0] != n:
@@ -152,13 +153,17 @@ def _pairwise_sum(entries, lo: int, hi: int) -> float:
 
 def _mean_abs_diff(lim: np.ndarray, v: np.ndarray) -> float:
     """Mean of |lim - V| over a g x g grid, V the n x n step matrix v spread over s x s
-    blocks (s = g // n): np.abs(lim - V).mean() to its bytes, with no g x g temporary."""
+    blocks (s = g // n): np.abs(lim - V).mean() to its bytes, with no g x g temporary.
+    A leaf spreads its cell rows of v along x once and takes each grid row of V from them,
+    so the subtraction runs over whole rows of g entries, not over s entries at a time."""
     g, n = lim.shape[0], v.shape[0]
     s = g // n
 
     def entries(lo: int, hi: int) -> np.ndarray:  # the grid rows that hold lo..hi-1
         r0, r1 = lo // g, -(-hi // g)
-        diff = np.subtract(lim[r0:r1].reshape(r1 - r0, n, s), v[np.arange(r0, r1) // s, :, None])
+        spread = np.repeat(v[r0 // s : (r1 - 1) // s + 1], s, axis=1)  # its cell rows of V
+        diff = spread[np.arange(r0, r1) // s - r0 // s]  # its grid rows of V
+        np.subtract(lim[r0:r1], diff, out=diff)
         return np.abs(diff, out=diff).reshape(-1)[lo - r0 * g : hi - r0 * g]
 
     return _pairwise_sum(entries, 0, g * g) / (g * g)
@@ -211,10 +216,13 @@ def _sampled(w, k: int, n: int, q: QuadratureSpec, dist: _LimitDistance,
     cfg = SamplerConfig(n, graph_key, w)
     ak = power(canonical_graphon(sample_graph(cfg, sample_latents(cfg))), k, q)
     l1 = dist.distance(ak)
-    diff = np.subtract(ak.values, dist.limit_cells(n))
-    del ak
-    # both terms are symmetric; StepGraphon copies the difference, clipped in place
-    signed = StepGraphon(n, np.clip(diff, -1.0, 1.0, out=diff), -1.0, 1.0)
+    cells = dist.limit_cells(n)
+    # into the cells' own buffer, unless they are a step limit's, kept for the next draw
+    diff = np.subtract(ak.values, cells, out=None if dist.limit_step is not None else cells)
+    del ak, cells
+    # both terms are bitwise symmetric, so the clipped difference is a valid step: no copy
+    signed = _trusted(StepGraphon, n=n, values=np.clip(diff, -1.0, 1.0, out=diff),
+                      lo=-1.0, hi=1.0)
     del diff
     return l1, cut_norm_auto(signed, seed=cut_key).value
 

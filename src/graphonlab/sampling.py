@@ -17,25 +17,27 @@ resampled every draw, since the expectation ranges over latents and edges.
 
 `sample_graph` is the one edge draw: `mc_expected_graphon`, the CLI and the
 sweeps all take its ``SimpleGraph.pairs``, the (E, 2) int64 array of the edges
-in lexicographic order. Edges are drawn a block of ``core._TILE`` = 128 rows at
-a time, and only the pairs i < j enter the draw, so only they are read: the
-block of rows [lo, lo + 128) reads W(x[lo:lo + 128], x[lo:]) through
-`algebra._row_blocks` (a lazy product whole, once per draw, and sliced), its
-diagonal tile and the columns to the tile's right, about n^2/2 points in all.
-It draws the tile's pairs above the diagonal and the whole rectangle to its
-right at those same counters, so every variate and edge is the one a
-whole-matrix draw gives, in the same order, and a draw holds about 8 MiB at
-n = 2048. The tile's pairs (i, j), i < j, are built once per tile size and
-kept, not once per draw, and the last block, which has no rectangle to its
-right, draws none, so a draw at n <= 128 is one tile. Each block keeps its
-hits as flat offsets into the block, in row-major order, and they are
-expanded once into one (E, 2) array, so the edge list is held once (20 bytes
-an edge at the peak). Its edges are sorted and
-distinct by construction, so the draw builds its `SimpleGraph` without
-re-checking them. A non-finite probability is named by its pair, and wins over
-an out-of-range one, wherever the blocks hold them; a value below the diagonal
-outside the diagonal tiles is never read, and `validate_graphon`, not the
-sampler, refuses a kernel that is bad only there.
+in lexicographic order. Edges are drawn a block of t = ``core.block_rows(n)``
+rows at a time, as many n-wide float64 rows as fit in 256 KiB (16 at n = 2048,
+so that a block's few temporaries stay in L2), and only the pairs i < j enter
+the draw, so only they are read: the block of rows [lo, lo + t) reads
+W(x[lo:lo + t], x[lo:]) through `algebra._row_blocks` (a lazy product whole,
+once per draw, and sliced), its diagonal tile and the columns to the tile's
+right, about n^2/2 points in all. It draws the tile's pairs above the diagonal
+and the whole rectangle to its right at those same counters, so every variate
+and edge is the one a whole-matrix draw gives, in the same order, whatever t
+is, and a draw at n = 2048 peaks at about 3.4 MiB, 2.7 of them its edge list.
+The tile's pairs (i, j), i < j, are built once per tile size and kept, not
+once per draw, and the last block, which has no rectangle to its right, draws
+none, so a draw at n <= 181, whose block holds all n rows, is one tile. Each
+block keeps its hits as flat offsets into the block, in row-major order, and
+they are expanded once into one (E, 2) array, so the edge list is held once
+(20 bytes an edge at the peak). Its edges are sorted and distinct by
+construction, so the draw builds its `SimpleGraph` without re-checking them.
+A non-finite probability is named by its pair, and wins over an out-of-range
+one, wherever the blocks hold them; a value below the diagonal outside the
+diagonal tiles is never read, and `validate_graphon`, not the sampler, refuses
+a kernel that is bad only there.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ import numpy as np
 from . import rng
 from .algebra import QuadratureSpec, _row_blocks, cell_means
 from .core import (
-    _TILE, RANGE_TOL, LatentPoints, SimpleGraph, StepGraphon, _as_reals, _trusted, as_kernel,
+    RANGE_TOL, LatentPoints, SimpleGraph, StepGraphon, _as_reals, _trusted, as_kernel,
+    block_rows,
 )
 from .errors import DomainError, ValidationError
 
@@ -119,7 +122,7 @@ def _refuse(blocks):
 @lru_cache(maxsize=16)
 def _tile_pairs_above(rows: int) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (r, c), r < c, of a rows x rows tile in row-major order (read-only), built
-    once per tile size: a draw has at most two sizes, _TILE and n % _TILE."""
+    once per tile size: a draw has at most two sizes, its block's and the last one's."""
     r, c = np.triu_indices(rows, 1)
     r.setflags(write=False)
     c.setflags(write=False)
@@ -128,12 +131,13 @@ def _tile_pairs_above(rows: int) -> tuple[np.ndarray, np.ndarray]:
 
 def sample_graph(cfg: SamplerConfig, latents) -> SimpleGraph:
     """Independent Bernoulli edges with probability W(x_i, x_j), i < j: pair (i, j) is an
-    edge when the uniform at counter i*n + j is below W(x_i, x_j). Read and drawn _TILE
-    rows at a time: a block's pairs are those of its diagonal tile above the diagonal and
-    the whole rectangle to the tile's right, once every probability the block read lies in
-    [0, 1] within RANGE_TOL; 0 <= u < 1 compares with an unclipped p as with its clip."""
+    edge when the uniform at counter i*n + j is below W(x_i, x_j). Read and drawn
+    `core.block_rows(n)` rows at a time: a block's pairs are those of its diagonal tile
+    above the diagonal and the whole rectangle to the tile's right, once every probability
+    the block read lies in [0, 1] within RANGE_TOL; 0 <= u < 1 compares with an unclipped p
+    as with its clip."""
     stratified = isinstance(latents, LatentPoints)
-    xs = latents.xs if stratified else _as_reals(latents, "latents")
+    xs = latents.xs if stratified else _as_reals(latents, "latents must be real numbers")
     if xs.shape != (cfg.n,):
         raise ValidationError(f"latents have shape {xs.shape}, expected ({cfg.n},)")
     if not stratified:  # stratified points lie in their strata by construction
@@ -143,9 +147,10 @@ def sample_graph(cfg: SamplerConfig, latents) -> SimpleGraph:
             raise DomainError(f"latent {bad} = {xs[bad]} outside [0, 1]")
     n = cfg.n
     key = rng.derive_key(cfg.seed, _TAG_EDGES)
-    read = _row_blocks(as_kernel(cfg.graphon), xs, 0, _TILE, upper=True)
-    blocks = zip(range(0, n, _TILE), read)
-    offset = np.int32 if _TILE * n < 2**31 else np.int64  # a block's offsets lie below _TILE * n
+    tile = block_rows(n)
+    read = _row_blocks(as_kernel(cfg.graphon), xs, 0, tile, upper=True)
+    blocks = zip(range(0, n, tile), read)
+    offset = np.int32 if tile * n < 2**31 else np.int64  # a block's offsets lie below tile * n
     hits = []
     for lo, p in blocks:
         if not (np.min(p) >= -RANGE_TOL and np.max(p) <= 1.0 + RANGE_TOL):  # False on NaN too
@@ -161,7 +166,7 @@ def sample_graph(cfg: SamplerConfig, latents) -> SimpleGraph:
         hits.append(np.flatnonzero(hit).astype(offset, copy=False))  # row-major: lexicographic
     pairs = np.empty((sum(map(len, hits)), 2), dtype=np.int64)
     at = 0
-    for lo, off in zip(range(0, n, _TILE), hits):
+    for lo, off in zip(range(0, n, tile), hits):
         edges = pairs[at:at + len(off)]
         np.divmod(off, n - lo, out=(edges[:, 0], edges[:, 1]))  # the block is n - lo wide
         edges += lo

@@ -766,15 +766,15 @@ class _ShapeRecordingKernel(_CountingKernel):
 
 def _factor_tiles(g: int) -> list:
     """The shapes in which a self-product on its own g-grid reads its factor: the grid once,
-    128 rows at a time."""
-    return [(128, g, g)] * (g // 128)
+    in blocks of 256 KiB (64 rows at g = 512, 32 at 1024, 16 at 2048)."""
+    return [(2**15 // g, g, g)] * (g * g // 2**15)
 
 
 def test_cell_means_of_a_lazy_power_evaluates_its_factor_once_per_grid_level():
     w = _ShapeRecordingKernel("w", lambda x, y: np.minimum(x, y) * (1.0 - np.maximum(x, y)))
     q = gl.QuadratureSpec(base_grid=512, max_refinements=1, tol=1e-3)
     cells = cell_means(gl.power(w, 2, q), 4, q)
-    # two levels (512 and 1024); each evaluates the factor grid once, in 128-row tiles
+    # two levels (512 and 1024); each evaluates the factor grid once, in row blocks
     assert w.shapes == _factor_tiles(512) + _factor_tiles(1024)
     assert cells.tobytes() == _full_grid_cell_means(gl.power(w, 2, q), 4, q).tobytes()
 
@@ -785,7 +785,7 @@ def test_integrals_and_l1_distances_of_a_lazy_power_evaluate_its_factor_once_per
     for measure in (lambda k: gl.integrate2d(k, q), lambda k: gl.l1_distance(k, step, q)):
         w = _ShapeRecordingKernel("w", lambda x, y: np.minimum(x, y) * (1.0 - np.maximum(x, y)))
         measure(gl.power(w, 2, q))
-        # one factor grid per level, in 128-row tiles, however many row blocks of the
+        # one factor grid per level, in row blocks, however many row blocks of the
         # product the measure reads
         assert w.shapes == _factor_tiles(1024) + _factor_tiles(2048)
 
@@ -1062,3 +1062,56 @@ def test_step_products_and_powers_hold_at_most_two_matrices_at_once(peak_bytes):
     s = random_step(512, key=3, signed=False)  # one 512 x 512 matrix is 2 MiB
     for make in (lambda: gl.product(s, s), lambda: gl.power(s, 2)):
         assert peak_bytes(make) < 5 * 2**20
+
+
+# one, three and five cell rows a block on the first grid level (7 cell rows, so a short
+# last block), and one a block on the level after it
+@pytest.mark.parametrize("rows", [1, 3, 5])
+@pytest.mark.parametrize("name", ["expr", "minmax", "step", "lazy_power"])
+def test_cell_means_in_blocks_of_a_few_cell_rows_keep_their_bytes(name, rows, monkeypatch):
+    from graphonlab import core
+    from graphonlab.algebra import _first_grid
+    kernel = (gl.power(gl.builtin("minmax"), 2) if name == "lazy_power"
+              else _CELL_KERNELS[name]())
+    m, q = 7, gl.QuadratureSpec(base_grid=256, max_refinements=2, tol=1e-3)
+    default = cell_means(kernel, m, q, zero_diagonal=True)
+    g0 = _first_grid(q, m, kernel)  # 259 points, or 273 for the 3-step
+    monkeypatch.setattr(core, "_BLOCK_BYTES", rows * (g0 // m) * 8 * g0)
+    got = cell_means(kernel, m, q, zero_diagonal=True)
+    want = _full_grid_cell_means(kernel, m, q, zero_diagonal=True)
+    assert got.tobytes() == default.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 3, 5])
+@pytest.mark.parametrize("m", [8, 100, 300])
+def test_block_means_in_blocks_of_a_few_cell_rows_keep_their_bytes(m, rows, monkeypatch):
+    from graphonlab import core
+    vals = np.random.default_rng(m).random((600, 600))  # not symmetric
+    default = block_means(vals, m)
+    monkeypatch.setattr(core, "_BLOCK_BYTES", rows * (600 // m) * 8 * 600)
+    got = block_means(vals, m)
+    assert got.tobytes() == default.tobytes() == _full_grid_block_means(vals, m).tobytes()
+
+
+def test_block_means_symmetrizes_its_cells_in_place(peak_bytes):
+    vals = np.random.default_rng(0).random((1024, 1024))  # cell means not bitwise symmetric
+    # the 2 MiB of cells, a block's row sums (128 KiB) and a tile pair's sum (128 KiB); a
+    # symmetrized copy of the cells would be 2 MiB more
+    assert peak_bytes(lambda: block_means(vals, 512)) < 2.5 * 2**20
+
+
+# the factor grid filled one, three and five rows at a time at g = 301 (a prime): a bitwise
+# symmetric factor (minmax) is squared in place, any other (exp) by the gemm
+@pytest.mark.parametrize("rows", [1, 3, 5])
+@pytest.mark.parametrize("source", ["min(x,y)*(1-max(x,y))", "exp(-abs(x-y))*x*y"])
+def test_a_lazy_square_filled_a_few_rows_at_a_time_keeps_its_bytes(source, rows, monkeypatch):
+    from graphonlab import core
+    g = 301
+    w = _ShapeRecordingKernel("w", gl.from_expression(source).fn)
+    zm = midpoints(g)
+    default = gl.power(w, 2).eval_grid(zm, zm, g)
+    w.shapes.clear()
+    monkeypatch.setattr(core, "_BLOCK_BYTES", rows * 8 * g)
+    got = gl.power(w, 2).eval_grid(zm, zm, g)
+    assert w.shapes == [(rows, g, g)] * (g // rows) + [(g % rows, g, g)] * (g % rows > 0)
+    assert got.tobytes() == default.tobytes()

@@ -503,3 +503,27 @@ def test_core_constructors_refuse_bad_fields(make, message):
     with pytest.raises(ValidationError) as info:
         make()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("values", [np.array([[0.5 + 0.25j]]), np.array([[0.5 + 0j]]),
+                                    [[0.5 + 0.25j]]])
+def test_step_values_that_are_complex_are_refused(values):
+    with pytest.raises(ValidationError, match="^expected a matrix of real numbers: got complex"):
+        gl.StepGraphon(1, values)
+
+
+@pytest.mark.parametrize("n", [3, 255, 257, 513])
+@pytest.mark.parametrize("kind", ["same", "nan-pair", "signed-zeros", "one-nan", "one-ulp"])
+def test_sym_mean_in_place_writes_the_bytes_of_its_copy(n, kind):
+    m = _with_pair(n, kind)
+    m[n - 2, n // 5] += 0.5  # not bitwise symmetric, across tiles when n > 256
+    want = sym_mean(m)
+    assert want is not m
+    assert sym_mean(m, in_place=True) is m and m.tobytes() == want.tobytes()
+
+
+def test_sym_mean_in_place_holds_one_tile_pair(peak_bytes):
+    m = _symmetric(1024)
+    m[5, 900] += 0.25
+    # a copy would be 8 MiB; a tile's sum is 128 KiB
+    assert peak_bytes(lambda: sym_mean(m, in_place=True)) < 2**20

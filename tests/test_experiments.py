@@ -363,3 +363,51 @@ def test_counterexample_sweep_averages_the_limit_once_per_n(monkeypatch):
                         lambda kw, n, q: calls.append(n) or cell_means(kw, n, q))
     gl.run_counterexample_sweep(0.5, [4, 8], 5)
     assert calls == [4, 8]
+
+
+@pytest.mark.parametrize("g", [300, 768, 1000, 2048])
+def test_limit_distance_equals_the_kron_spread_mean_in_leaves_that_start_mid_row(g, monkeypatch):
+    from graphonlab import experiments
+    pairwise, starts = experiments._pairwise_sum, set()
+
+    def spying(entries, lo, hi):  # records where each leaf starts
+        return pairwise(lambda a, b: starts.add(a % g) or entries(a, b), lo, hi)
+
+    monkeypatch.setattr(experiments, "_pairwise_sum", spying)
+    lim = np.abs(_spread(g * g, g + 1).reshape(g, g))
+    for n in [n for n in (1, 2, 3, 4, 5, 8, 16, 100, 256, 300, 768, 1000, 2048) if g % n == 0]:
+        v = np.abs(_spread(n * n, n + 1).reshape(n, n))
+        s = g // n
+        want = np.abs(lim - np.kron(v, np.ones((s, s)))).mean()
+        assert np.float64(_mean_abs_diff(lim, v)).tobytes() == want.tobytes(), n
+    # g * g halves to leaves of whole rows at g = 768 and 2048, and mid-row at 300 and 1000
+    assert (starts != {0}) == (g in (300, 1000))
+
+
+def test_a_sampled_difference_leaves_the_cells_of_a_step_limit_untouched():
+    from graphonlab import experiments
+    q = gl.QuadratureSpec()
+    dist = _LimitDistance(random_step(3, key=5, signed=False), 2, [6], q)
+    kept = dist.limit_cells(6).copy()
+    cuts = [experiments._sampled(dist.kw, 1, 6, q, dist, key, 9)[1] for key in (1, 2, 1)]
+    assert dist.limit_cells(6).tobytes() == kept.tobytes()
+    assert cuts[0] == cuts[2] and cuts[0] != cuts[1]
+
+
+@pytest.mark.parametrize("w", ["minmax", "step"])
+def test_a_sampled_difference_is_the_clipped_difference_it_was(w, monkeypatch):
+    from graphonlab import experiments
+    q = gl.QuadratureSpec(base_grid=64, tol=1e-3)
+    w = gl.builtin("minmax") if w == "minmax" else random_step(4, key=3, signed=False)
+    dist = _LimitDistance(w, 2, [8], q)
+    cfg = gl.SamplerConfig(8, 4, w)
+    ak = gl.power(gl.canonical_graphon(gl.sample_graph(cfg, gl.sample_latents(cfg))), 2, q)
+    dist.distance(ak)
+    want = np.clip(ak.values - dist.limit_cells(8), -1.0, 1.0)
+    seen = []
+    auto = experiments.cut_norm_auto
+    monkeypatch.setattr(experiments, "cut_norm_auto",
+                        lambda s, seed: seen.append(s) or auto(s, seed=seed))
+    experiments._sampled(w, 2, 8, q, dist, 4, 9)
+    gl.StepGraphon(8, seen[0].values, -1.0, 1.0)  # every check of the public constructor holds
+    assert seen[0].values.tobytes() == want.tobytes() and not seen[0].values.flags.writeable

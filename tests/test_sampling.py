@@ -436,3 +436,41 @@ def test_a_kernel_bad_only_far_below_the_diagonal_is_drawn_and_refused_by_valida
     assert got.dtype == want.dtype and np.array_equal(got, want)
     with pytest.raises(ValidationError, match="^below is not"):
         gl.validate_graphon(below)
+
+
+class _RowRecordingKernel:
+    """A kernel through the kernel protocol that records how many rows each read has."""
+
+    step = None
+
+    def __init__(self, kernel):
+        self.kernel, self.rows = kernel, []
+
+    def eval_grid(self, xs, ys, gz):
+        self.rows.append(len(xs))
+        return self.kernel.eval_grid(xs, ys, gz)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 5])
+@pytest.mark.parametrize("kernel", sorted(_DRAW_KERNELS))
+def test_a_draw_in_blocks_of_a_few_rows_keeps_the_whole_matrix_draw(kernel, rows, monkeypatch):
+    n = 131  # a prime: no block size divides it
+    c = cfg(n, 13, _DRAW_KERNELS[kernel])
+    xs = gl.sample_latents(c).xs
+    default = gl.sample_graph(c, xs).pairs
+    monkeypatch.setattr(core, "_BLOCK_BYTES", rows * 8 * n)
+    w = _RowRecordingKernel(as_kernel(c.graphon))
+    got = gl.sample_graph(replace(c, graphon=w), xs).pairs
+    if kernel != "lazy_power":  # a lazy product is read whole, once, and sliced
+        assert w.rows == [rows] * (n // rows) + [n % rows] * (n % rows > 0)
+    want = np.stack(_whole_matrix_draw(c, xs), axis=1)
+    assert got.tobytes() == default.tobytes() == want.tobytes()
+
+
+def test_a_draw_takes_its_block_rows_from_the_byte_budget(monkeypatch):
+    w = _RowRecordingKernel(gl.builtin("minmax"))
+    for n, rows in [(20, [20]), (300, [109, 109, 82]), (2048, [16] * 128)]:
+        w.rows.clear()
+        c = cfg(n, 2, w)
+        gl.sample_graph(c, gl.sample_latents(c))
+        assert w.rows == rows  # 256 KiB of float64 rows: 109 at n = 300, 16 at n = 2048
