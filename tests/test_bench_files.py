@@ -32,3 +32,29 @@ def test_a_bench_file_is_stamped_checked_and_summarized(path):
         for metric, summary in entry["summary"].items():
             values = [run["result"]["metrics"][metric]["value"] for run in runs]
             assert summary["median"] == statistics.median(values), f"{key} {metric}"
+
+
+
+# Claims recorded as two files, the parent's runs and the change's, from one run that
+# alternated the two sides seed by seed.
+CLAIM_PAIRS = [
+    ("BENCH_pr32_theorem-large.json", "BENCH_pr33_theorem-large.json"),
+    ("BENCH_pr34_graph-large.json", "BENCH_pr35_graph-large.json"),
+]
+SAME_HOST_FIELDS = ("cpu_model", "blas", "backend", "nproc", "python", "numpy")
+
+
+@pytest.mark.parametrize("parent, change", CLAIM_PAIRS, ids=lambda name: name[:-5])
+def test_a_claim_pair_ran_the_same_seeds_on_one_host_at_one_commit_a_side(parent, change):
+    root = Path(__file__).resolve().parents[1]
+    before, after = (json.loads((root / name).read_text()) for name in (parent, change))
+    assert before.keys() == after.keys()
+    for key in before:
+        runs = before[key]["runs"] + after[key]["runs"]
+        half = len(before[key]["runs"])
+        seeds = [run["seed"] for run in runs]
+        assert seeds[:half] == seeds[half:], key
+        commits = [{run["stamp"]["commit"] for run in side} for side in (runs[:half], runs[half:])]
+        assert len(commits[0]) == len(commits[1]) == 1 and commits[0] != commits[1], key
+        for field in SAME_HOST_FIELDS:
+            assert len({run["stamp"][field] for run in runs}) == 1, f"{key} {field}"
