@@ -354,7 +354,7 @@ def _step_product(sa: StepGraphon, sb: StepGraphon, label: str):
     if asymmetry(vals) > SYMMETRY_TOL:
         return ProductGraphon(label=label, asym_values=vals)
     # symmetric, finite and in range by construction: no re-check, no copy
-    return _trusted(StepGraphon, n=m, values=sym_mean(vals, in_place=True), lo=lo, hi=hi)
+    return _trusted(StepGraphon, n=m, values=sym_mean(vals), lo=lo, hi=hi)
 
 
 def product(a, b, q: QuadratureSpec = QuadratureSpec()):
@@ -388,7 +388,7 @@ def power(w, k: int, q: QuadratureSpec = QuadratureSpec()):
         vals = _matrix_power(s.values, k)
         vals /= scale  # in place, as the symmetrization and the clip below
         lo, hi = _step_range(s)
-        vals = _clip_to(sym_mean(vals, in_place=True), lo, hi)
+        vals = _clip_to(sym_mean(vals), lo, hi)
         # symmetric, finite and in range by construction: no re-check, no copy
         return _trusted(StepGraphon, n=s.n, values=vals, lo=lo, hi=hi)
     name = getattr(kw, "label", "?")
@@ -449,7 +449,7 @@ def _cells(blocks, m: int, rows: int) -> np.ndarray:
     cells = np.empty((m, m))
     for lo, block in zip(range(0, m, rows), blocks):
         cells[lo : lo + rows] = _row_means(block, m)
-    return sym_mean(cells, in_place=True)
+    return sym_mean(cells)
 
 
 def block_means(vals: np.ndarray, m: int) -> np.ndarray:

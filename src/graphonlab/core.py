@@ -70,38 +70,36 @@ def asymmetry(m: np.ndarray) -> float:
     return float(np.max(gaps))
 
 
-def sym_mean(m: np.ndarray, in_place: bool = False) -> np.ndarray:
-    """(m + m.T) / 2, a tile pair at a time, halved once at the end, into a new array or,
-    ``in_place``, into m itself (a tile's sum is taken before either tile of its pair is
-    overwritten). Each entry is the same one addition and one halving, so the bytes do not
-    depend on the tile order or on where they go.
+def sym_mean(m: np.ndarray) -> np.ndarray:
+    """(m + m.T) / 2 into m itself, which it returns: a tile pair at a time (a tile's sum is
+    taken before either tile of its pair is overwritten), halved once at the end. Each entry
+    is the same one addition and one halving, so the bytes do not depend on the tile order.
+    Its callers own m: a matrix they built.
 
-    May return m itself: when m equals its transpose bit for bit, each entry's result is
+    Writes nothing when m equals its transpose bit for bit: each entry's result is
     (a + a) * 0.5, which is a, so m already holds the result's bytes (an |a| above half the
     float range, where a + a overflowed to inf, is now kept). The test compares bits, not
     values, because a -0.0 facing a 0.0 is equal in value but sums to 0.0 on both sides."""
     if is_symmetric(m.view(np.uint64)):
         return m
-    out = m if in_place else np.empty_like(m, order="C")
     for r, c in tile_pairs(m.shape[0]):
         upper = m[r, c] + m[c, r].T
         if r != c:
-            np.add(m[c, r], m[r, c].T, out=out[c, r])
-        out[r, c] = upper
-    out *= 0.5
-    return out
+            np.add(m[c, r], m[r, c].T, out=m[c, r])
+        m[r, c] = upper
+    m *= 0.5
+    return m
 
 
-def _as_reals(values, what: str, copy: bool = False) -> np.ndarray:
-    """values as a float64 array (a new one with ``copy``), or a ValidationError that
-    starts with ``what`` for entries that are not real numbers: a string, a complex or a
-    ragged row."""
+def _as_reals(values, what: str) -> np.ndarray:
+    """values as a float64 array, or a ValidationError naming ``what`` for entries that are
+    not real numbers: a string, a complex or a ragged row."""
     try:
         if np.iscomplexobj(values):  # NumPy would drop an array's imaginary part
             raise TypeError("got complex values")
-        return (np.array if copy else np.asarray)(values, dtype=np.float64)
+        return np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{what}: {exc}") from None
+        raise ValidationError(f"{what} must be real numbers: {exc}") from None
 
 
 def cell_index(x, n: int):
@@ -123,7 +121,7 @@ class StepGraphon:
     hi: float = 1.0
 
     def __post_init__(self):
-        m = _as_reals(self.values, "expected a matrix of real numbers", copy=True)
+        m = np.array(_as_reals(self.values, "step values"))  # a copy of its own
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValidationError(f"expected a square matrix, got shape {m.shape}")
         if m.shape[0] != self.n:
@@ -266,7 +264,7 @@ class LatentPoints:
     xs: np.ndarray
 
     def __post_init__(self):
-        xs = _as_reals(self.xs, "latent points must be real numbers")
+        xs = _as_reals(self.xs, "latent points")
         if xs.shape != (self.n,):
             raise ValidationError(f"expected {self.n} latent points, got shape {xs.shape}")
         lo = np.arange(self.n) / self.n

@@ -126,11 +126,13 @@ class _LimitDistance:
 
     def limit_cells(self, n: int) -> np.ndarray:
         """Cell averages of the limit power on the n-grid: a new array for an analytic
-        limit, which the caller may overwrite; a step limit's are kept and must not be."""
+        limit, which the caller may overwrite; a step limit's are kept, and read-only."""
         if self.limit_step is not None:
             # a function of n alone, kept for the draws at n, which the sweeps take in a row
             if self.step_cells[0] != n:
-                self.step_cells = (n, cell_means(self.kw, n, self.q))
+                cells = cell_means(self.kw, n, self.q)
+                cells.setflags(write=False)
+                self.step_cells = (n, cells)
             return self.step_cells[1]
         # called after distance() at this n, which cached levels that n divides
         return block_means(self._limit_at(max(g for g in self.cache if g % n == 0)), n)
@@ -217,8 +219,8 @@ def _sampled(w, k: int, n: int, q: QuadratureSpec, dist: _LimitDistance,
     ak = power(canonical_graphon(sample_graph(cfg, sample_latents(cfg))), k, q)
     l1 = dist.distance(ak)
     cells = dist.limit_cells(n)
-    # into the cells' own buffer, unless they are a step limit's, kept for the next draw
-    diff = np.subtract(ak.values, cells, out=None if dist.limit_step is not None else cells)
+    # into the cells' own buffer, unless they are kept (read-only) for the next draw
+    diff = np.subtract(ak.values, cells, out=cells if cells.flags.writeable else None)
     del ak, cells
     # both terms are bitwise symmetric, so the clipped difference is a valid step: no copy
     signed = _trusted(StepGraphon, n=n, values=np.clip(diff, -1.0, 1.0, out=diff),

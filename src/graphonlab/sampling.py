@@ -137,7 +137,7 @@ def sample_graph(cfg: SamplerConfig, latents) -> SimpleGraph:
     the block read lies in [0, 1] within RANGE_TOL; 0 <= u < 1 compares with an unclipped p
     as with its clip."""
     stratified = isinstance(latents, LatentPoints)
-    xs = latents.xs if stratified else _as_reals(latents, "latents must be real numbers")
+    xs = latents.xs if stratified else _as_reals(latents, "latents")
     if xs.shape != (cfg.n,):
         raise ValidationError(f"latents have shape {xs.shape}, expected ({cfg.n},)")
     if not stratified:  # stratified points lie in their strata by construction

@@ -389,6 +389,7 @@ def test_a_sampled_difference_leaves_the_cells_of_a_step_limit_untouched():
     q = gl.QuadratureSpec()
     dist = _LimitDistance(random_step(3, key=5, signed=False), 2, [6], q)
     kept = dist.limit_cells(6).copy()
+    assert not dist.limit_cells(6).flags.writeable  # what tells _sampled to leave them be
     cuts = [experiments._sampled(dist.kw, 1, 6, q, dist, key, 9)[1] for key in (1, 2, 1)]
     assert dist.limit_cells(6).tobytes() == kept.tobytes()
     assert cuts[0] == cuts[2] and cuts[0] != cuts[1]
