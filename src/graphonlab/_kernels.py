@@ -225,15 +225,16 @@ def enum_best_mask(values: np.ndarray) -> int:
 # of the generator word at counter t * 2^32 + i (mod 2^64), so every start is
 # a pure function of (key, t). A restart stops after 4n^2 + 8 passes at most.
 #
-# Reference order (`_half_pass`): r sums the rows of S and c the columns of T,
-# each one term at a time in ascending index order (`compress(axis=0)` then a
-# row-by-row `sum(axis=0)`; the columns of T are rows of the `values.T` view).
-# pos and neg are NumPy's sums of the positive and negative entries. A
-# restart returns the rows of its last pass and the value of its last
-# improving pass; the first restart of largest value wins.
+# Reference order (`_half_pass`): r sums the rows of S and c the rows of T, each
+# one row at a time in ascending index order (`compress(axis=0)` then a row-by-row
+# `sum(axis=0)`). The matrix must be symmetric, as the one caller's are (the
+# `StepGraphon` values of `norms.cut_norm_lower_bound`), so the rows of T are its
+# columns. pos and neg are NumPy's sums of the positive and negative entries. A
+# restart returns the rows of its last pass and the value of its last improving
+# pass; the first restart of largest value wins.
 #
 # Batch: the live restarts are the rows of one 0/1 matrix, so a half pass is
-# one gemm, `S @ values` and then `T @ values.T`, with signs taken per row.
+# one gemm, `S @ values` and then `T @ values`, with signs taken per row.
 # The gemm sums in an order of its own, which varies with the BLAS kernel and
 # thread count, so, as in `enum_best_mask`, it only nominates. Two sums of
 # the same terms in any two orders differ by less than (n + 2) * eps times
@@ -241,7 +242,8 @@ def enum_best_mask(values: np.ndarray) -> int:
 # certain when its gemm margin exceeds its bound:
 #
 #   * the sign of r_j: |r_j| > K * sum_i |v_ij| (a bound of 0 means the two
-#     sums agree bit for bit);
+#     sums agree bit for bit); it bounds c_i too, whose terms lie in row i, and
+#     row i's sum of |v| is column i's up to rounding, far inside K's slack;
 #   * pos >= neg, and a pass's value against the restart's best: a gap over
 #     2K * sum |v| for each term that is a gemm estimate.
 #
@@ -283,7 +285,8 @@ def _batch_half_pass(sel, m, bound, tol):
 
 
 def altmax_best_rows(values: np.ndarray, restarts: int, key: int) -> np.ndarray:
-    """Row subset S (boolean) of the first restart of largest value; restarts >= 1."""
+    """Row subset S (boolean) of the first restart of largest value; restarts >= 1.
+    ``values`` must be symmetric, as a `StepGraphon`'s are: each half pass reads its rows."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     n = values.shape[0]
     base = np.arange(restarts, dtype=np.uint64)[:, None] * np.uint64(_RESTART_STRIDE)
@@ -293,33 +296,31 @@ def altmax_best_rows(values: np.ndarray, restarts: int, key: int) -> np.ndarray:
     cols = np.zeros_like(rows)  # T of each restart's last improving pass
     best = np.full(restarts, -np.inf)
     best_tol = np.zeros(restarts)  # 0 where best is a reference value
-    col_abs, row_abs = np.zeros(n), np.empty(n)
+    col_abs = np.zeros(n)
     for i in range(0, n, 256):  # row blocks: no n x n temporary
-        a = np.abs(values[i:i + 256])
-        col_abs += a.sum(axis=0)
-        row_abs[i:i + 256] = a.sum(axis=1)
+        col_abs += np.abs(values[i:i + 256]).sum(axis=0)
     k = 2.0 * (n + 2) * np.finfo(np.float64).eps
-    tol = 2.0 * k * float(col_abs.sum())
+    bound, tol = k * col_abs, 2.0 * k * float(col_abs.sum())
     live = np.arange(restarts)
     for p in range(4 * n * n + 8):
         if not live.size:
             break
         s = rows[live]
-        _, sel, sure = _batch_half_pass(s, values, k * col_abs, tol)
+        _, sel, sure = _batch_half_pass(s, values, bound, tol)
         for a in np.flatnonzero(~sure):
             sel[a] = _half_pass(values, s[a])[1]
         go = ~(sel == cols[live]).all(axis=1) if p else np.ones(live.size, dtype=bool)
         live, s, sel = live[go], s[go], sel[go]
-        val, s_new, sure = _batch_half_pass(sel, values.T, k * row_abs, tol)
+        val, s_new, sure = _batch_half_pass(sel, values, bound, tol)
         val_tol = np.where(sure, tol, 0.0)
         for a in np.flatnonzero(~sure):
-            val[a], s_new[a] = _half_pass(values.T, sel[a])
+            val[a], s_new[a] = _half_pass(values, sel[a])
         gap = val_tol + best_tol[live]
         for a in np.flatnonzero((np.abs(val - best[live]) <= gap) & (gap > 0.0)):
             if val_tol[a]:
-                val[a], val_tol[a] = _half_pass(values.T, sel[a])[0], 0.0
+                val[a], val_tol[a] = _half_pass(values, sel[a])[0], 0.0
             if best_tol[live[a]]:
-                best[live[a]], best_tol[live[a]] = _half_pass(values.T, cols[live[a]])[0], 0.0
+                best[live[a]], best_tol[live[a]] = _half_pass(values, cols[live[a]])[0], 0.0
         up = val > best[live]
         rows[live] = s_new
         best[live[up]], best_tol[live[up]], cols[live[up]] = val[up], val_tol[up], sel[up]
@@ -331,7 +332,7 @@ def altmax_best_rows(values: np.ndarray, restarts: int, key: int) -> np.ndarray:
         for a in top:
             t = cols[a].tobytes()
             if t not in exact:
-                exact[t] = _half_pass(values.T, cols[a])[0]
+                exact[t] = _half_pass(values, cols[a])[0]
         win = top[np.argmax([exact[cols[a].tobytes()] for a in top])]
     return rows[win].copy()
 

@@ -48,10 +48,10 @@ bitwise symmetric (a kernel whose two argument orders round apart) keeps the gem
 symmetric is left as it is; the transposed passes (`core.is_symmetric`,
 `core.sym_mean`, `core.asymmetry`) read a matrix in cache-sized tiles.
 The kernel protocol is two attributes: `eval_grid(xs, ys, gz)` and `step`, the exact
-StepGraphon or None. `grain_of` reads `step`, or a ProductGraphon's matrix or factors, and
-`core.evaluate` is the one point read. `validate_graphon` is the one rule for being a
-graphon (symmetric, finite, in [0, 1]); every command and the theorem sweep that needs a
-graphon calls it.
+StepGraphon or None. `grain_of` reads `step`, or the lcm of a ProductGraphon's factors'
+grains, exact or lazy, and `core.evaluate` is the one point read. `validate_graphon` is the
+one rule for being a graphon (symmetric, finite, in [0, 1]); every command and the theorem
+sweep that needs a graphon calls it.
 """
 
 from __future__ import annotations
@@ -91,6 +91,9 @@ class QuadratureSpec:
     tol: float = 1e-4
 
     def __post_init__(self):
+        for name in ("base_grid", "max_refinements"):  # grids shift and count refinements
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.base_grid < 2:
             raise ValidationError("base_grid must be >= 2")
         if not (0.0 < self.tol < math.inf):  # NaN fails every comparison
@@ -149,12 +152,10 @@ def ceil_to_multiple(value: int, factor: int) -> int:
 
 def grain_of(kernel) -> int:
     """Step block count whose multiples sample the kernel exactly (0 if none): the side of
-    its step, of an exact product's matrix, or, for a lazy product, the lcm of its factors'
-    grains (0 when either has none), since a product of steps is exact on any grid aligned
-    to both."""
+    its step or, for a product, the lcm of its factors' grains (0 when either has none),
+    since a product of steps is exact on any grid aligned to both. An exact product's
+    factors are its two steps, and their lcm is its matrix's side."""
     if isinstance(kernel, ProductGraphon):
-        if kernel.asym_values is not None:
-            return kernel.asym_values.shape[0]
         return math.lcm(grain_of(kernel.left), grain_of(kernel.right))
     return kernel.step.n if kernel.step is not None else 0
 
@@ -253,10 +254,10 @@ def _matrix_power(a: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ProductGraphon:
-    """Kernel product a (.) b that no step graphon holds: an exact asymmetric
-    step-by-step product (its matrix in ``asym_values``), or a lazy product of
-    ``left`` and ``right``. ``q`` settles the z-integral of a lazy product
-    evaluated without a z-grid (gz == 0), from the grid `_first_grid` aligns to the
+    """Kernel product ``left`` (.) ``right`` that no step graphon holds: an exact asymmetric
+    product of two steps (its matrix in ``asym_values``), or a lazy product. Either way its
+    grain is the lcm of its factors' (`grain_of`). ``q`` settles the z-integral of a lazy
+    product evaluated without a z-grid (gz == 0), from the grid `_first_grid` aligns to the
     factors' grains. ``step`` is None: no product held here is a step.
 
     On a grid, a lazy product allocates its result before its factors, so that the factors
@@ -265,8 +266,8 @@ class ProductGraphon:
     """
 
     label: str
-    left: object = None
-    right: object = None
+    left: object
+    right: object
     asym_values: Optional[np.ndarray] = None
     q: QuadratureSpec = QuadratureSpec()
     step = None  # the kernel protocol's step form; not a field
@@ -352,7 +353,7 @@ def _step_product(sa: StepGraphon, sb: StepGraphon, label: str):
     lo, hi = _step_range(sa, sb)
     vals = _clip_to(vals, lo, hi)
     if asymmetry(vals) > SYMMETRY_TOL:
-        return ProductGraphon(label=label, asym_values=vals)
+        return ProductGraphon(label=label, left=sa, right=sb, asym_values=vals)
     # symmetric, finite and in range by construction: no re-check, no copy
     return _trusted(StepGraphon, n=m, values=sym_mean(vals), lo=lo, hi=hi)
 

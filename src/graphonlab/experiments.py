@@ -102,7 +102,6 @@ class _LimitDistance:
         self.kw = as_kernel(power(w, k, q))
         self.limit_step = self.kw.step
         self.cache = {}
-        self.step_cells = (None, None)  # (n, cell averages of the step limit on the n-grid)
         if self.limit_step is None:
             lip = getattr(w, "lipschitz", None) or 1.0
             sup = getattr(w, "sup_bound", 1.0)
@@ -125,15 +124,10 @@ class _LimitDistance:
                       f"limit distance at n={n}", self.tol).value
 
     def limit_cells(self, n: int) -> np.ndarray:
-        """Cell averages of the limit power on the n-grid: a new array for an analytic
-        limit, which the caller may overwrite; a step limit's are kept, and read-only."""
+        """Cell averages of the limit power on the n-grid, in a new array that the caller
+        owns and may overwrite, for a step limit as for an analytic one."""
         if self.limit_step is not None:
-            # a function of n alone, kept for the draws at n, which the sweeps take in a row
-            if self.step_cells[0] != n:
-                cells = cell_means(self.kw, n, self.q)
-                cells.setflags(write=False)
-                self.step_cells = (n, cells)
-            return self.step_cells[1]
+            return cell_means(self.kw, n, self.q)
         # called after distance() at this n, which cached levels that n divides
         return block_means(self._limit_at(max(g for g in self.cache if g % n == 0)), n)
 
@@ -172,7 +166,12 @@ def _mean_abs_diff(lim: np.ndarray, v: np.ndarray) -> float:
 
 
 def _sorted_ns(ns) -> list:
-    out = sorted({int(n) for n in ns})
+    out = set()
+    for n in ns:  # as StepGraphon.refine's factor: int() would truncate 4.9 and parse "8"
+        if not isinstance(n, (int, np.integer)):
+            raise ValidationError(f"sweep sizes must be integers, got {n!r}")
+        out.add(int(n))
+    out = sorted(out)
     if not out:
         raise ValidationError("empty sweep")
     return out
@@ -211,16 +210,14 @@ def _sampled(w, k: int, n: int, q: QuadratureSpec, dist: _LimitDistance,
              graph_key: int, cut_key: int) -> tuple[float, float]:
     """The sampled columns at n: the L1 distance of the k-th power of the graph drawn
     under graph_key to the limit, and the cut norm of its signed difference to the
-    limit's cell averages. Each n x n array (8 MiB at n = 1024) lives only inside the
-    stage that uses it: the power is dead before the cut norm runs. A step limit's cell
-    averages are the exception: `limit_cells` keeps them until the sweep moves on to the
-    next n."""
+    limit's cell averages, written into the cells' own buffer. Each n x n array (8 MiB
+    at n = 1024) lives only inside the stage that uses it: the power is dead before the
+    cut norm runs."""
     cfg = SamplerConfig(n, graph_key, w)
     ak = power(canonical_graphon(sample_graph(cfg, sample_latents(cfg))), k, q)
     l1 = dist.distance(ak)
     cells = dist.limit_cells(n)
-    # into the cells' own buffer, unless they are kept (read-only) for the next draw
-    diff = np.subtract(ak.values, cells, out=cells if cells.flags.writeable else None)
+    diff = np.subtract(ak.values, cells, out=cells)
     del ak, cells
     # both terms are bitwise symmetric, so the clipped difference is a valid step: no copy
     signed = _trusted(StepGraphon, n=n, values=np.clip(diff, -1.0, 1.0, out=diff),

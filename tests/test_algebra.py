@@ -951,6 +951,15 @@ def test_quadrature_spec_refuses_a_tolerance_that_is_not_positive_and_finite(tol
         gl.QuadratureSpec(tol=tol)
 
 
+@pytest.mark.parametrize("field, value", [("base_grid", 2.5), ("base_grid", "8"),
+                                          ("max_refinements", 1.5), ("max_refinements", 2.0)])
+def test_quadrature_spec_refuses_grid_counts_that_are_not_integers(field, value):
+    # a float would fail later, as a bare TypeError from a grid shift or a range
+    with pytest.raises(ValidationError, match=f"{field} must be an integer, got {value!r}"):
+        gl.QuadratureSpec(**{field: value})
+    assert getattr(gl.QuadratureSpec(**{field: np.int64(8)}), field) == 8
+
+
 def _asym_2x3():
     return gl.product(random_step(2, key=21, signed=False), random_step(3, key=22, signed=False))
 

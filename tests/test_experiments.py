@@ -270,6 +270,36 @@ def test_heuristic_range_reports_match_golden_bytes(tmp_path, name):
         assert got == want, ext
 
 
+# Reference digests of a constant-limit sweep past the enumeration cap: the cut norm of
+# each sampled ER - 1/2 difference comes from the heuristic, whose column sums are often
+# exactly 0, so its batch redoes many half passes in the reference order
+GOLDEN_CONSTANT_HALF = {
+    "csv": "cb4c88358c80b2adb1cd9013a0ef2d237e0300b8ad4f71911fd93dbde13027bb",
+    "json": "ead913d4f6be5f37172f12ef730db1ca5b4e9c42a5d42952b05cd75171b021ed",
+    "svg": "31f8cd0ad4957a4536b6fa4876781610eb0b5b3cb7aa236e5c6b8ae8c0476331",
+}
+
+
+def test_constant_limit_sweep_past_the_cap_matches_golden_bytes(tmp_path):
+    code = main(["sweep", "theorem", "--graphon-builtin", "constant:0.5", "--k", "1",
+                 "--ns", "40,64", "--seed", "1", "--out", str(tmp_path / "half"),
+                 "--format", "csv,json,svg"])
+    assert code == 0
+    for ext, want in GOLDEN_CONSTANT_HALF.items():
+        got = hashlib.sha256((tmp_path / f"half.{ext}").read_bytes()).hexdigest()
+        assert got == want, ext
+
+
+@pytest.mark.parametrize("ns", [[4.9], [4, "8"], [4.5, 8]])
+def test_sweeps_refuse_sizes_that_are_not_integers(ns):
+    # int() would truncate 4.9 to a row n = 4 and parse "8"
+    bad = next(n for n in ns if not isinstance(n, int))
+    for run in (lambda: gl.run_counterexample_sweep(0.5, ns, 2),
+                lambda: gl.run_theorem_sweep(gl.constant(0.5), 1, ns, seed=1)):
+        with pytest.raises(ValidationError, match=f"must be integers, got {bad!r}"):
+            run()
+
+
 # Reference digests of ER draws in the exact range, at p != 1/2: n = 1 (one
 # vertex, no edge), n = 2 and n = 12, each cut norm from exact enumeration
 GOLDEN_ER_EXACT = {
@@ -355,16 +385,6 @@ def test_limit_cells_are_bitwise_symmetric(limit):
         assert np.array_equal(cells, cells.T)
 
 
-def test_counterexample_sweep_averages_the_limit_once_per_n(monkeypatch):
-    from graphonlab import experiments
-    calls = []
-    cell_means = experiments.cell_means
-    monkeypatch.setattr(experiments, "cell_means",
-                        lambda kw, n, q: calls.append(n) or cell_means(kw, n, q))
-    gl.run_counterexample_sweep(0.5, [4, 8], 5)
-    assert calls == [4, 8]
-
-
 @pytest.mark.parametrize("g", [300, 768, 1000, 2048])
 def test_limit_distance_equals_the_kron_spread_mean_in_leaves_that_start_mid_row(g, monkeypatch):
     from graphonlab import experiments
@@ -389,10 +409,21 @@ def test_a_sampled_difference_leaves_the_cells_of_a_step_limit_untouched():
     q = gl.QuadratureSpec()
     dist = _LimitDistance(random_step(3, key=5, signed=False), 2, [6], q)
     kept = dist.limit_cells(6).copy()
-    assert not dist.limit_cells(6).flags.writeable  # what tells _sampled to leave them be
     cuts = [experiments._sampled(dist.kw, 1, 6, q, dist, key, 9)[1] for key in (1, 2, 1)]
     assert dist.limit_cells(6).tobytes() == kept.tobytes()
     assert cuts[0] == cuts[2] and cuts[0] != cuts[1]
+
+
+@pytest.mark.parametrize("w", ["minmax", "step"])
+def test_the_caller_owns_each_array_of_limit_cells(w):
+    q = gl.QuadratureSpec(base_grid=64, tol=1e-3)
+    w = gl.builtin("minmax") if w == "minmax" else random_step(4, key=3, signed=False)
+    dist = _LimitDistance(w, 2, [8], q)
+    dist.distance(gl.expected_graphon(w, 8, q))  # an analytic limit's cells read its levels
+    first, second = dist.limit_cells(8), dist.limit_cells(8)
+    assert first.flags.writeable and second.flags.writeable
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == second.tobytes()
 
 
 @pytest.mark.parametrize("w", ["minmax", "step"])
