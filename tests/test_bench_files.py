@@ -58,3 +58,20 @@ def test_a_claim_pair_ran_the_same_seeds_on_one_host_at_one_commit_a_side(parent
         assert len(commits[0]) == len(commits[1]) == 1 and commits[0] != commits[1], key
         for field in SAME_HOST_FIELDS:
             assert len({run["stamp"][field] for run in runs}) == 1, f"{key} {field}"
+
+
+# All three workloads at one commit a side, recorded as the parent's file and the change's
+# from one run that alternated the two sides seed by seed; no gain is claimed from them.
+ALL_WORKLOAD_PAIRS = [("BENCH_pr35_all.json", "BENCH_pr36_all.json")]
+
+
+@pytest.mark.parametrize("parent, change", ALL_WORKLOAD_PAIRS, ids=lambda name: name[:-5])
+def test_an_all_workload_pair_covers_every_workload_alike(parent, change):
+    root = Path(__file__).resolve().parents[1]
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    want = {f"{w['name']}/trace0" for w in spec["workloads"]}
+    for name in (parent, change):
+        doc = json.loads((root / name).read_text())
+        assert doc.keys() == want, name
+        assert all([r["seed"] for r in doc[k]["runs"]] == list(range(1, 11)) for k in doc), name
+    test_a_claim_pair_ran_the_same_seeds_on_one_host_at_one_commit_a_side(parent, change)
