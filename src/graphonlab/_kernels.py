@@ -226,8 +226,12 @@ def enum_best_mask(values: np.ndarray) -> int:
 # a pure function of (key, t). A restart stops after 4n^2 + 8 passes at most.
 #
 # Reference order (`_half_pass`): r sums the rows of S and c the rows of T, each
-# one row at a time in ascending index order (`compress(axis=0)` then a row-by-row
-# `sum(axis=0)`). The matrix must be symmetric, as the one caller's are (the
+# one row at a time in ascending index order from 0.0, the order of NumPy's
+# `compress(axis=0)` then `sum(axis=0)`: the first selected row plus 0.0 (which
+# turns a -0.0 into 0.0, as NumPy's start from 0.0 does), then `r += m[i]` for
+# each later row, read from the matrix itself. No |S| x n copy is made: in the
+# constant-limit sweep at n = 4096, gathering those copies took 35 of its 55 s.
+# The matrix must be symmetric, as the one caller's are (the
 # `StepGraphon` values of `norms.cut_norm_lower_bound`), so the rows of T are its
 # columns. pos and neg are NumPy's sums of the positive and negative entries. A
 # restart returns the rows of its last pass and the value of its last improving
@@ -266,7 +270,13 @@ _RESTART_STRIDE = 1 << 32
 def _half_pass(m, sel):
     """max(pos, neg) and the sign-optimal subset of the sum of m's rows at sel,
     summed one row at a time in ascending order (the reference order)."""
-    r = np.compress(sel, m, axis=0).sum(axis=0)
+    rows = np.flatnonzero(sel)
+    if rows.size:
+        r = m[rows[0]] + 0.0  # NumPy's sum starts from 0.0, which turns -0.0 into 0.0
+        for i in rows[1:]:
+            r += m[i]
+    else:
+        r = np.zeros(m.shape[1])
     pos = r[r > 0.0].sum()
     neg = -r[r < 0.0].sum()
     return max(pos, neg), (r > 0.0) if pos >= neg else (r < 0.0)

@@ -18,11 +18,12 @@ their bytes) takes as many rows as fit in one budget, `core.block_rows`: 256 KiB
 `_first_grid` is the one grid-alignment rule: every quadrature, a lazy product's
 z-integral at a point read included, starts on its grid. Cell averages over s x s grid blocks
 (`_row_means`) have the bytes of NumPy's ``reshape(...).mean(axis=(1, 3))``;
-for 2 <= s < 8 and at least two cells a row they are whole-row strided adds in
+for s < 16 and at least two cells a row they are whole-row strided adds in
 the order NumPy's reduction adds, which runs its inner loop over one cell side
-(s entries) and so spends its time on loop overhead. One cell a row (NumPy
-merges the axes into one pairwise sum) and s >= 8 (a pairwise inner loop) sum
-in other orders and keep NumPy's mean.
+(s entries) and so spends its time on loop overhead: sequential below s = 8, and from
+s = 8 NumPy's pairwise sum, 8 lanes combined pairwise and then the tail in order (lane
+sums). One cell a row (NumPy merges the axes into one pairwise sum) and s >= 16 (an
+inner loop long enough to beat strided adds) keep NumPy's mean.
 
 Products of analytic kernels are kept lazy: (a (.) b)(x, y) is evaluated by
 midpoint quadrature in z on demand, and grid evaluation contracts the factor
@@ -41,9 +42,19 @@ at a time, a syrk for the diagonal block and a gemm to its right into one panel 
 then mirrors the lower triangle: syrk's flops, and the bytes of `_matmul(F, F)`, since on
 the plain route syrk's triangle equals the gemm's and that gemm of an exactly symmetric F
 is exactly symmetric (the tests check four BLAS kernels at 1 and 2 threads). It holds F
-and the buffer, 1.25 grids at g = 2048. Only the lazy square tests F: an F that is not
+and the buffer, 1.25 grids at g = 2048. It takes the square's divisor (g for W (.) W,
+n^(k-1) for the last square of a step power whose k is a power of two, m for a step times
+itself) and divides each panel as it copies it out, so no pass of its own scales the
+result; and a square, mirrored, is bitwise symmetric, so none is symmetrized or tested.
+Only the lazy square tests F: an F that is not
 bitwise symmetric (a kernel whose two argument orders round apart) keeps the gemm
-`_matmul(F, F)`, whose F F differs from F F.T in its last bits. Every symmetrization is
+`_matmul(F, F)`, whose F F differs from F F.T in its last bits. A power of a step whose
+values are all 0.0 or 1.0 (a sampled graph's adjacency) is computed in float32 while
+n^(k-1) < 2^24 (`_exact_in_float32`) and then divided into float64: every partial sum is
+an integer below 2^24, so the power has the float64 bytes in any summation order, on any
+BLAS kernel and thread count, at half the bytes and about twice syrk's speed; the route
+is chosen by testing the values (`_is_zero_one`), never by the caller. A clip runs only
+when an entry lies outside its range or on a zero bound. Every symmetrization is
 `core.sym_mean` in place, on a matrix its caller owns: an input that is already bitwise
 symmetric is left as it is; the transposed passes (`core.is_symmetric`,
 `core.sym_mean`, `core.asymmetry`) read a matrix in cache-sized tiles.
@@ -80,6 +91,7 @@ MAX_LAZY_POWER = 400
 # a multiple of the 64 rows to which `_matmul` aligns, so no panel pads but the last, and of
 # core._TILE, so every diagonal tile of the mirror lies in a panel's diagonal block
 _PANEL_ROWS = 512
+_ONE_BITS = np.float64(1.0).view(np.uint64)
 
 
 @dataclass(frozen=True)
@@ -236,19 +248,28 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> n
     return out
 
 
-def _matrix_power(a: np.ndarray, k: int) -> np.ndarray:
-    """a^k, k >= 2, of the bitwise symmetric a, in np.linalg.matrix_power's order: (a a) a
-    at k = 3, else squarings multiplied in from the lowest bit (a a at k = 2). Each square
-    is `_square_in_place` on a copy, so bitwise symmetric in turn; every other product is
-    `_matmul`."""
+def _matrix_power(a: np.ndarray, k: int, divisor: float = 1) -> np.ndarray:
+    """a^k / divisor, k >= 2, of the bitwise symmetric a, which the caller owns: its squares
+    may overwrite it. np.linalg.matrix_power's order: (a a) a at k = 3, else squarings
+    multiplied in from the lowest bit (a a at k = 2). Each square is `_square_in_place`,
+    on a copy only where its operand is also a factor, so bitwise symmetric in turn; every
+    other product is `_matmul`. A power of two is its last square, which divides its panels
+    as it copies them out, and so is bitwise symmetric; any other k is divided at the end."""
+    if k & (k - 1) == 0:
+        for _ in range(k.bit_length() - 2):
+            a = _square_in_place(a)
+        return _square_in_place(a, divisor)
     if k == 3:
-        return _matmul(_square_in_place(a.copy()), a)
-    z = result = None
-    while k:
-        z = a if z is None else _square_in_place(z.copy())
-        k, bit = divmod(k, 2)
-        if bit:
-            result = z if result is None else _matmul(result, z)
+        result = _matmul(_square_in_place(a.copy()), a)
+    else:
+        z = result = None
+        while k:
+            z = a if z is None else _square_in_place(z.copy() if z is result else z)
+            k, bit = divmod(k, 2)
+            if bit:
+                result = z if result is None else _matmul(result, z)
+    if divisor != 1:
+        result /= divisor
     return result
 
 
@@ -303,28 +324,32 @@ def _own_square(kernel, zm: np.ndarray) -> np.ndarray:
     for lo, block in zip(range(0, g, rows), _row_blocks(kernel, zm, g, rows)):
         f[lo : lo + rows] = block
     del block  # the last row block would otherwise live through the square
-    f = _square_in_place(f) if is_symmetric(f) else _matmul(f, f)
+    if is_symmetric(f):
+        return _square_in_place(f, g)
+    f = _matmul(f, f)
     f /= g
     return f
 
 
-def _square_in_place(f: np.ndarray) -> np.ndarray:
-    """Overwrite the bitwise symmetric square f with f @ f.T, to the bytes of
-    `_matmul(f, f.T)` (BLAS syrk's upper triangle, mirrored, on the plain route): the one
-    square of a symmetric matrix. For each panel p = f[lo:hi] of _PANEL_ROWS rows,
-    the upper part of its rows goes into one buffer as the diagonal block `_matmul(p, p.T)`
-    (syrk on the plain route) and the gemm `_matmul(p, f[hi:].T)` to its right, and is
-    copied over rows that no later panel reads; then each tile below the diagonal takes
-    the transpose of its mirror above. Every entry equals the whole product's (the tests
-    check this on four BLAS kernels at 1 and 2 threads). Returns f."""
+def _square_in_place(f: np.ndarray, divisor: float = 1) -> np.ndarray:
+    """Overwrite the bitwise symmetric square f with f @ f.T / divisor, to the bytes of
+    `_matmul(f, f.T) / divisor` (BLAS syrk's upper triangle, mirrored, on the plain route):
+    the one square of a symmetric matrix. For each panel p = f[lo:hi] of _PANEL_ROWS rows,
+    the upper part of its rows goes into one buffer of f's dtype as the diagonal block
+    `_matmul(p, p.T)` (syrk on the plain route) and the gemm `_matmul(p, f[hi:].T)` to its
+    right, and is divided as it is copied over rows that no later panel reads; then each
+    tile below the diagonal takes the transpose of its mirror above, so the result is
+    bitwise symmetric. Every entry equals the whole product's (the tests check this on
+    four BLAS kernels at 1 and 2 threads). Returns f."""
     g = f.shape[0]
-    buf = np.empty(min(g, _PANEL_ROWS) * g)
+    buf = np.empty(min(g, _PANEL_ROWS) * g, dtype=f.dtype)
     for lo in range(0, g, _PANEL_ROWS):
         hi = min(lo + _PANEL_ROWS, g)
         p, rows = f[lo:hi], hi - lo
         diag = _matmul(p, p.T, buf[: rows * rows].reshape(rows, rows))
         right = _matmul(p, f[hi:].T, buf[rows * rows : rows * (g - lo)].reshape(rows, g - hi))
-        f[lo:hi, lo:hi], f[lo:hi, hi:] = diag, right
+        np.divide(diag, divisor, out=f[lo:hi, lo:hi])
+        np.divide(right, divisor, out=f[lo:hi, hi:])
     for r, c in tile_pairs(g):
         if r != c:  # a diagonal tile lies in a panel's diagonal block, computed whole
             f[c, r] = f[r, c].T
@@ -333,9 +358,14 @@ def _square_in_place(f: np.ndarray) -> np.ndarray:
 
 def _clip_to(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
     # matrix products of in-range factors can overshoot by float rounding only; every caller
-    # hands over a matrix it owns, which is clipped in place
-    if values.min() < lo - 1e-9 or values.max() > hi + 1e-9:
+    # hands over a matrix it owns, which is clipped in place. The clip changes no entry
+    # inside [lo, hi], so it runs only when an entry lies outside or on a bound that is
+    # zero (whether a clip keeps -0.0 at a bound of 0.0 is NumPy's choice)
+    low, high = values.min(), values.max()
+    if low < lo - 1e-9 or high > hi + 1e-9:
         raise ValidationError("product values escape the expected range")
+    if (lo < low or low == lo != 0.0) and (high < hi or high == hi != 0.0):
+        return values
     return np.clip(values, lo, hi, out=values)
 
 
@@ -348,14 +378,18 @@ def _step_product(sa: StepGraphon, sb: StepGraphon, label: str):
     otherwise the exact asymmetric matrix. A step times itself squares a copy in place."""
     m = math.lcm(sa.n, sb.n)
     a = sa.refine(m // sa.n).values
-    vals = _square_in_place(a.copy()) if sa is sb else _matmul(a, sb.refine(m // sb.n).values)
-    vals /= m  # in place, as the clip
     lo, hi = _step_range(sa, sb)
-    vals = _clip_to(vals, lo, hi)
-    if asymmetry(vals) > SYMMETRY_TOL:
-        return ProductGraphon(label=label, left=sa, right=sb, asym_values=vals)
+    if sa is sb:  # a square, mirrored: bitwise symmetric
+        vals = _clip_to(_square_in_place(a.copy(), m), lo, hi)
+    else:
+        vals = _matmul(a, sb.refine(m // sb.n).values)
+        vals /= m  # in place, as the clip
+        vals = _clip_to(vals, lo, hi)
+        if asymmetry(vals) > SYMMETRY_TOL:
+            return ProductGraphon(label=label, left=sa, right=sb, asym_values=vals)
+        vals = sym_mean(vals)
     # symmetric, finite and in range by construction: no re-check, no copy
-    return _trusted(StepGraphon, n=m, values=sym_mean(vals), lo=lo, hi=hi)
+    return _trusted(StepGraphon, n=m, values=vals, lo=lo, hi=hi)
 
 
 def product(a, b, q: QuadratureSpec = QuadratureSpec()):
@@ -367,6 +401,26 @@ def product(a, b, q: QuadratureSpec = QuadratureSpec()):
     if sa is not None and sb is not None:
         return _step_product(sa, sb, label)
     return ProductGraphon(label=label, left=ka, right=kb, q=q)
+
+
+def _exact_in_float32(n: int, k: int) -> bool:
+    """Whether float32 holds every partial sum of the k-th power of an n x n 0/1 matrix
+    exactly: each is a nonnegative integer of at most n^(k-1), which stays below 2^24, so
+    the power has the same bits in any summation order, on any BLAS kernel and thread
+    count."""
+    return n ** (k - 1) < 1 << 24
+
+
+def _is_zero_one(values: np.ndarray) -> bool:
+    """Whether every entry is 0.0 or 1.0 bit for bit (a -0.0 is not), `core.block_rows`
+    rows at a time: False at the first block that holds any other value."""
+    bits = values.view(np.uint64)
+    rows = block_rows(bits.shape[1])
+    for lo in range(0, len(bits), rows):
+        block = bits[lo : lo + rows]
+        if not ((block == 0) | (block == _ONE_BITS)).all():
+            return False
+    return True
 
 
 def power(w, k: int, q: QuadratureSpec = QuadratureSpec()):
@@ -386,10 +440,26 @@ def power(w, k: int, q: QuadratureSpec = QuadratureSpec()):
             raise ValidationError(
                 f"power k={k} of an n={s.n} step: n^(k-1) overflows a float"
             ) from None
-        vals = _matrix_power(s.values, k)
-        vals /= scale  # in place, as the symmetrization and the clip below
         lo, hi = _step_range(s)
-        vals = _clip_to(sym_mean(vals), lo, hi)
+        if _exact_in_float32(s.n, k) and _is_zero_one(s.values):
+            # a graph's adjacency: the float32 power is A^k to the bit, so it is symmetric,
+            # and in [0, 1] once divided by n^(k-1), the most walks of length k from i to j.
+            # A holds the first half of each row of the result, where a power of two is
+            # squared in place, so no n x n array but the result is added to the step's
+            vals = np.empty((s.n, s.n))
+            a = vals.view(np.float32)[:, : s.n]
+            a[...] = s.values
+            a = _matrix_power(a, k)
+            rows = block_rows(s.n)
+            for top in range(0, s.n, rows):  # NumPy reads a block before it overwrites it
+                np.divide(a[top : top + rows], scale, out=vals[top : top + rows],
+                          dtype=np.float64)
+        else:
+            # the divisions, the symmetrization and the clip all work in place
+            vals = _matrix_power(s.values.copy(), k, scale)
+            if k & (k - 1):  # a power of two is its last square, mirrored
+                vals = sym_mean(vals)
+            vals = _clip_to(vals, lo, hi)
         # symmetric, finite and in range by construction: no re-check, no copy
         return _trusted(StepGraphon, n=s.n, values=vals, lo=lo, hi=hi)
     name = getattr(kw, "label", "?")
@@ -415,20 +485,34 @@ def _row_means(vals: np.ndarray, m: int) -> np.ndarray:
     bytes of ``vals.reshape(rows // s, s, m, s).mean(axis=(1, 3))``.
 
     On a C-contiguous float64 block with m >= 2, NumPy's reduction runs its inner loop over
-    one cell side: it sums each grid row's s column offsets in order from 0.0, adds those
-    row sums in order and divides by s * s. For 2 <= s < 8 that inner loop is a plain
-    sequential sum, so whole-row strided adds in the same order give the same bytes in a few
-    long loops instead of many loops of length s; adding 0.0 last turns a cell of -0.0s
-    into NumPy's +0.0. Any other block keeps NumPy's reduction: at m = 1 NumPy merges the
-    axes into one pairwise sum, at s >= 8 its inner loop sums pairwise (and is long enough
-    already), and a block that is not C-contiguous (a transposed grid, or the zero-stride
-    grid of a constant expression) may be iterated in another order."""
+    one cell side: it takes each grid row's sum over a cell's s column offsets, adds those
+    row sums in order from 0.0 and divides by s * s. Its inner sum is sequential from 0.0 for
+    s < 8, and pairwise from s = 8: 8 lanes (offsets j, j + 8, ... below s - s % 8), combined
+    as ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)), then the remaining offsets in order. For
+    2 <= s < 16, where each lane is one offset, whole-row strided adds in that same order
+    give the same bytes in a few long loops instead of many loops of length s; adding 0.0
+    last turns a cell of -0.0s into NumPy's +0.0. At s = 1 the block plus 0.0 is the mean.
+    Any other block keeps NumPy's reduction: at m = 1 NumPy merges the axes into one
+    pairwise sum, from s = 16 its inner loop is long enough to beat strided adds (on 2 vCPUs
+    of a SkylakeX the theorem-large sweep's s = 16 blocks took 8.0 ms through NumPy against
+    13.4 ms as lanes, and its s = 8 blocks 14.7 ms against 10.4 ms), and a block that is not
+    C-contiguous (a transposed grid, or the zero-stride grid of a constant expression) may
+    be iterated in another order."""
     s = vals.shape[1] // m
     v = vals.reshape(vals.shape[0] // s, s, m, s)
-    if not (2 <= s < 8 and m >= 2 and vals.flags.c_contiguous and vals.dtype == np.float64):
+    if not (s < 16 and m >= 2 and vals.flags.c_contiguous and vals.dtype == np.float64):
         return v.mean(axis=(1, 3))
+    if s == 1:  # a cell is one grid point x, whose mean NumPy takes as (0.0 + x) / 1
+        return vals + 0.0
     row_sums = v[..., 0] + v[..., 1]  # (cell rows, s, m): each grid row's sum over a cell
-    for b in range(2, s):
+    done = 2
+    if s >= 8:  # the 8 lanes
+        row_sums += v[..., 2] + v[..., 3]
+        upper = v[..., 4] + v[..., 5]
+        upper += v[..., 6] + v[..., 7]
+        row_sums += upper
+        done = 8
+    for b in range(done, s):
         row_sums += v[..., b]
     out = row_sums[:, 0] + row_sums[:, 1]
     for a in range(2, s):

@@ -132,14 +132,15 @@ class _LimitDistance:
         return block_means(self._limit_at(max(g for g in self.cache if g % n == 0)), n)
 
 
-_PAIRWISE_LEAF = 1 << 15  # entries per np.sum in _pairwise_sum: 256 KiB of float64
+_PAIRWISE_LEAF = 1 << 16  # entries per np.sum in _pairwise_sum: 512 KiB of float64
 
 
 def _pairwise_sum(entries, lo: int, hi: int) -> float:
     """np.sum of flat entries lo..hi-1 that ``entries(lo, hi)`` builds a leaf at a time, to
-    NumPy's bytes: its add-reduce halves n entries at n//2 - (n//2) % 8, so summing leaves
-    of at most _PAIRWISE_LEAF entries with np.sum and adding the halves back up that tree
-    is the whole array's sum."""
+    NumPy's bytes: its add-reduce halves n entries at n//2 - (n//2) % 8, so any node of
+    that tree sums its entries to the same bits with one np.sum. Summing leaves of at most
+    _PAIRWISE_LEAF entries with np.sum and adding the halves back up the tree is the whole
+    array's sum."""
     n = hi - lo
     if n <= _PAIRWISE_LEAF:
         return float(np.sum(entries(lo, hi)))
@@ -150,16 +151,20 @@ def _pairwise_sum(entries, lo: int, hi: int) -> float:
 def _mean_abs_diff(lim: np.ndarray, v: np.ndarray) -> float:
     """Mean of |lim - V| over a g x g grid, V the n x n step matrix v spread over s x s
     blocks (s = g // n): np.abs(lim - V).mean() to its bytes, with no g x g temporary.
-    A leaf spreads its cell rows of v along x once and takes each grid row of V from them,
-    so the subtraction runs over whole rows of g entries, not over s entries at a time."""
+    At s = 1 a leaf subtracts v's rows themselves. Otherwise it spreads its cell rows of v
+    along x once and takes each grid row of V from them, so the subtraction runs over whole
+    rows of g entries, not over s entries at a time."""
     g, n = lim.shape[0], v.shape[0]
     s = g // n
 
     def entries(lo: int, hi: int) -> np.ndarray:  # the grid rows that hold lo..hi-1
         r0, r1 = lo // g, -(-hi // g)
-        spread = np.repeat(v[r0 // s : (r1 - 1) // s + 1], s, axis=1)  # its cell rows of V
-        diff = spread[np.arange(r0, r1) // s - r0 // s]  # its grid rows of V
-        np.subtract(lim[r0:r1], diff, out=diff)
+        if s == 1:
+            diff = np.subtract(lim[r0:r1], v[r0:r1])
+        else:
+            spread = np.repeat(v[r0 // s : (r1 - 1) // s + 1], s, axis=1)  # its cell rows of V
+            diff = spread[np.arange(r0, r1) // s - r0 // s]  # its grid rows of V
+            np.subtract(lim[r0:r1], diff, out=diff)
         return np.abs(diff, out=diff).reshape(-1)[lo - r0 * g : hi - r0 * g]
 
     return _pairwise_sum(entries, 0, g * g) / (g * g)

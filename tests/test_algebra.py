@@ -179,7 +179,7 @@ def test_matmul_is_the_product_within_rounding(m, k, n):
 def test_step_matrix_power_keeps_the_order_of_numpy_matrix_power(n):
     a = random_step(n, key=n, signed=False).values
     for k in range(2, 8):
-        assert _matrix_power(a, k).tobytes() == np.linalg.matrix_power(a, k).tobytes(), k
+        assert _matrix_power(a.copy(), k).tobytes() == np.linalg.matrix_power(a, k).tobytes(), k
 
 
 def _symmetric_kinds(n: int):
@@ -234,7 +234,78 @@ def _old_matrix_power(a, k):
 def test_step_matrix_power_keeps_the_bytes_of_plain_products(n):
     a = random_step(n, key=n + 1, signed=False).values
     for k in range(2, 9):
-        assert _matrix_power(a, k).tobytes() == _old_matrix_power(a, k).tobytes(), k
+        assert _matrix_power(a.copy(), k).tobytes() == _old_matrix_power(a, k).tobytes(), k
+
+
+def _graph_step(n: int, p: float, seed: int) -> gl.StepGraphon:
+    """The 0/1 adjacency of a random simple graph, as the sweep's canonical graphon."""
+    e = np.triu(np.random.default_rng(seed).random((n, n)) < p, 1).astype(float)
+    return gl.StepGraphon(n, e + e.T)
+
+
+def _spy_power_dtypes(monkeypatch) -> list:
+    """The dtype of every matrix that `power` hands to `_matrix_power`."""
+    from graphonlab import algebra
+    seen, matrix_power = [], algebra._matrix_power
+    monkeypatch.setattr(algebra, "_matrix_power",
+                        lambda a, k, *rest: seen.append(a.dtype) or matrix_power(a, k, *rest))
+    return seen
+
+
+@pytest.mark.parametrize("n", [17, 64, 300])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_graph_powers_in_float32_equal_float64_to_the_bit(n, k, monkeypatch):
+    seen = _spy_power_dtypes(monkeypatch)
+    for p in (0.1, 0.5, 0.9):
+        s = _graph_step(n, p, seed=100 * n + k)
+        scale = float(n) ** (k - 1)
+        power = gl.power(s, k, gl.QuadratureSpec())
+        got = power.values
+        # the float64 route, and the exact integer power
+        want = _matrix_power(s.values.copy(), k, scale)
+        exact = np.linalg.matrix_power(s.values.astype(np.int64), k) / scale
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), p
+        assert got.tobytes() == exact.tobytes(), p
+        assert (power.n, power.lo, power.hi) == (n, 0.0, 1.0), p
+        assert got.flags.c_contiguous and not got.flags.writeable, p
+    route = np.float32 if n ** (k - 1) < 2**24 else np.float64  # n = 300, k = 4: float64
+    assert seen == [route] * 3
+
+
+def test_the_float32_route_refuses_sums_that_reach_2_to_the_24():
+    from graphonlab.algebra import _exact_in_float32
+    # integers only: no matrix of these sizes is built
+    assert _exact_in_float32(4095, 3) and not _exact_in_float32(4096, 3)  # 2^24 at 4096
+    assert _exact_in_float32(255, 4) and not _exact_in_float32(256, 4)
+    assert _exact_in_float32(2**24 - 1, 2) and not _exact_in_float32(2**24, 2)
+    assert _exact_in_float32(2, 24) and not _exact_in_float32(2, 25)
+    assert _exact_in_float32(1, 10**4) and _exact_in_float32(1024, 2)
+
+
+@pytest.mark.parametrize("kind", ["half", "negative-zero"])
+def test_a_step_that_is_not_a_graph_takes_the_float64_route(kind, monkeypatch):
+    from graphonlab.algebra import _is_zero_one
+    seen = _spy_power_dtypes(monkeypatch)
+    v = _graph_step(40, 0.5, seed=7).values.copy()
+    assert _is_zero_one(v)
+    if kind == "half":
+        v[39, 38] = v[38, 39] = 0.5  # in the last row block that `_is_zero_one` reads
+    else:
+        v[39, 39] = -0.0  # equal to 0.0 in value, but not in bits
+    assert not _is_zero_one(v)
+    s = gl.StepGraphon(40, v)
+    got = gl.power(s, 2).values
+    want = _matrix_power(s.values.copy(), 2, 40.0)
+    assert seen == [np.float64] and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("graph", [True, False])
+def test_power_of_a_step_leaves_the_callers_values_untouched(graph):
+    s = _graph_step(70, 0.3, seed=8) if graph else random_step(70, key=8, signed=False)
+    before = s.values.tobytes()
+    for k in (2, 3, 4):
+        gl.power(s, k)
+        assert s.values.tobytes() == before, k
 
 
 @pytest.mark.parametrize("n", [1, 30, 256, 300])
@@ -294,7 +365,7 @@ for n in (1, 30, 100, 256, 270, 512, 600, 1024):
             bad.append(f"a a.T at n={n} {kind}")
         # 600 rows are two panels of the in-place square, neither aligned to 256
         if (n <= 270 or n == 600) and (
-                _matrix_power(a, 4).tobytes() != _old_matrix_power(a, 4).tobytes()):
+                _matrix_power(a.copy(), 4).tobytes() != _old_matrix_power(a, 4).tobytes()):
             bad.append(f"a^4 at n={n} {kind}")
 print("; ".join(bad) or "ok")
 """
@@ -698,6 +769,24 @@ def _row_means_cases(s: int, m: int):
 def test_row_means_are_numpys_block_means_to_the_bit(s, m):
     for vals in _row_means_cases(s, m):
         assert _row_means(vals, m).tobytes() == _numpy_row_means(vals, m).tobytes()
+
+
+def _lane_cases(s: int, m: int):
+    """Blocks of two cell rows whose magnitudes span 1e-3 to 1e3, with one cell of -0.0s."""
+    r = np.random.default_rng(100 * s + m)
+    vals = r.uniform(-1.0, 1.0, (2 * s, s * m)) * 10.0 ** r.uniform(-3.0, 3.0, (2 * s, s * m))
+    vals[s:, s : 2 * s] = -0.0
+    return vals
+
+
+# from s = 8 NumPy's inner sum is pairwise: lanes of strided adds up to s = 15, then NumPy
+@pytest.mark.parametrize("m", [2, 5])
+@pytest.mark.parametrize("s", [8, 12, 16, 24, 32, 64, 128])
+def test_row_means_of_pairwise_cell_sides_are_numpys_block_means(s, m):
+    vals = _lane_cases(s, m)
+    got = _row_means(vals, m)
+    assert got.tobytes() == _numpy_row_means(vals, m).tobytes()
+    assert got[1, 1] == 0.0 and not np.signbit(got[1, 1])  # the cell of -0.0s
 
 
 def _blocks_in_other_layouts(s: int):

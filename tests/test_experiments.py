@@ -336,7 +336,8 @@ def _spread(size: int, seed: int) -> np.ndarray:
     return r.standard_normal(size) * 10.0 ** r.uniform(-10, 10, size)
 
 
-@pytest.mark.parametrize("size", [1, 7, 8, 127, 129, 2**15 - 1, 2**15 + 1])
+@pytest.mark.parametrize("size", [1, 7, 8, 127, 129, 2**15 - 1, 2**15 + 1, 2**16 - 1,
+                                  2**16 + 1, 3 * 2**16 + 5])
 def test_pairwise_sum_is_numpys_mean_to_the_bit(size):
     d = _spread(size, size)
     got = _pairwise_sum(lambda lo, hi: np.abs(d[lo:hi]), 0, size) / size
@@ -346,7 +347,8 @@ def test_pairwise_sum_is_numpys_mean_to_the_bit(size):
 @pytest.mark.parametrize("g,n", [(15, 3), (15, 5), (270, 5), (270, 6), (516, 4), (516, 129),
                                  (1080, 8), (1080, 540), (2048, 64), (2048, 1024), (2064, 16),
                                  (2064, 129), (1536, 512), (2048, 512), (1792, 256),
-                                 (516, 516)])
+                                 (516, 516), (1024, 1024), (1536, 1536), (1536, 3),
+                                 (1536, 96), (1536, 768)])
 def test_limit_distance_sum_is_the_whole_grid_mean_to_the_bit(g, n):
     lim = np.abs(_spread(g * g, g).reshape(g, g))
     v = np.abs(_spread(n * n, n).reshape(n, n))
@@ -385,7 +387,7 @@ def test_limit_cells_are_bitwise_symmetric(limit):
         assert np.array_equal(cells, cells.T)
 
 
-@pytest.mark.parametrize("g", [300, 768, 1000, 2048])
+@pytest.mark.parametrize("g", [300, 768, 1000, 1200, 2048])
 def test_limit_distance_equals_the_kron_spread_mean_in_leaves_that_start_mid_row(g, monkeypatch):
     from graphonlab import experiments
     pairwise, starts = experiments._pairwise_sum, set()
@@ -395,13 +397,15 @@ def test_limit_distance_equals_the_kron_spread_mean_in_leaves_that_start_mid_row
 
     monkeypatch.setattr(experiments, "_pairwise_sum", spying)
     lim = np.abs(_spread(g * g, g + 1).reshape(g, g))
-    for n in [n for n in (1, 2, 3, 4, 5, 8, 16, 100, 256, 300, 768, 1000, 2048) if g % n == 0]:
+    for n in [n for n in (1, 2, 3, 4, 5, 8, 16, 100, 256, 300, 768, 1000, 1200, 2048)
+              if g % n == 0]:
         v = np.abs(_spread(n * n, n + 1).reshape(n, n))
         s = g // n
         want = np.abs(lim - np.kron(v, np.ones((s, s)))).mean()
         assert np.float64(_mean_abs_diff(lim, v)).tobytes() == want.tobytes(), n
-    # g * g halves to leaves of whole rows at g = 768 and 2048, and mid-row at 300 and 1000
-    assert (starts != {0}) == (g in (300, 1000))
+    # g * g halves to leaves of whole rows at g = 300, 768 and 2048, and mid-row at 1000 and
+    # 1200 (a leaf of 62,500 and of 45,000 entries)
+    assert (starts != {0}) == (g in (1000, 1200))
 
 
 def test_a_sampled_difference_leaves_the_cells_of_a_step_limit_untouched():

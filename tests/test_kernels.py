@@ -441,6 +441,28 @@ def test_every_reference_pass_of_the_heuristic_reads_the_rows_it_was_given(monke
     assert all(m is values and m.flags.c_contiguous for m in seen)
 
 
+def _compress_half_pass(m, sel):
+    """The reference pass as NumPy sums it: the rows of S gathered, then summed."""
+    r = np.compress(sel, m, axis=0).sum(axis=0)
+    pos = r[r > 0.0].sum()
+    neg = -r[r < 0.0].sum()
+    return max(pos, neg), (r > 0.0) if pos >= neg else (r < 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 64, 257])
+def test_the_reference_pass_is_numpys_compress_and_sum(n):
+    g = np.random.default_rng(n)
+    wide = g.standard_normal((n, n)) * 10.0 ** g.uniform(-100, 100, (n, n))
+    zeros = g.choice([-0.0, 0.0, 0.5, -0.5], size=(n, n), p=[0.7, 0.1, 0.1, 0.1])
+    er = (g.random((n, n)) < 0.5) - 0.5
+    for name, m in (("wide", wide), ("signed-zeros", zeros), ("er", er)):
+        m = np.triu(m) + np.triu(m, 1).T
+        for sel in (np.zeros(n, bool), np.ones(n, bool), g.random(n) < 0.5):
+            (got, t), (want, want_t) = _kernels._half_pass(m, sel), _compress_half_pass(m, sel)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), name
+            assert t.tolist() == want_t.tolist(), name
+
+
 @pytest.mark.parametrize("seed, n", [(160, 11), (5384, 15)])
 def test_batched_altmax_compares_tied_values_in_the_reference_order(seed, n):
     # two different T reach one value here, and the gemm's rounding of the two
