@@ -40,6 +40,7 @@ def test_a_bench_file_is_stamped_checked_and_summarized(path):
 CLAIM_PAIRS = [
     ("BENCH_pr32_theorem-large.json", "BENCH_pr33_theorem-large.json"),
     ("BENCH_pr34_graph-large.json", "BENCH_pr35_graph-large.json"),
+    ("BENCH_pr36_theorem-large.json", "BENCH_pr37_theorem-large.json"),
 ]
 SAME_HOST_FIELDS = ("cpu_model", "blas", "backend", "nproc", "python", "numpy")
 
