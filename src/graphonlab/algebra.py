@@ -74,8 +74,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    RANGE_TOL, StepGraphon, _trusted, as_kernel, asymmetry, block_rows, cell_index,
-    is_symmetric, sym_mean, tile_pairs,
+    RANGE_TOL, StepGraphon, _check_count, _trusted, as_kernel, asymmetry, block_rows,
+    cell_index, is_symmetric, spread, sym_mean, tile_pairs,
 )
 from .errors import QuadratureError, ValidationError
 
@@ -103,15 +103,10 @@ class QuadratureSpec:
     tol: float = 1e-4
 
     def __post_init__(self):
-        for name in ("base_grid", "max_refinements"):  # grids shift and count refinements
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.base_grid < 2:
-            raise ValidationError("base_grid must be >= 2")
+        _check_count(self.base_grid, "base_grid", 2)  # grids shift and count refinements
+        _check_count(self.max_refinements, "max_refinements", 0)
         if not (0.0 < self.tol < math.inf):  # NaN fails every comparison
             raise ValidationError(f"tol must be a positive finite number, got {self.tol}")
-        if self.max_refinements < 0:
-            raise ValidationError("max_refinements must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -427,8 +422,7 @@ def power(w, k: int, q: QuadratureSpec = QuadratureSpec()):
     """k-fold self-product; the step (1/n)^(k-1) A^k for a step, else a lazy chain of k - 1
     products. A k whose n^(k-1) overflows a float, or a lazy chain deeper than
     MAX_LAZY_POWER, is refused before any product is formed."""
-    if k < 1:
-        raise ValidationError("power exponent must be >= 1")
+    _check_count(k, "power exponent", 1)
     if k == 1:
         return w
     kw = as_kernel(w)
@@ -552,12 +546,14 @@ def cell_means(w, m: int, q: QuadratureSpec, zero_diagonal: bool = False) -> np.
     between successive grid doublings (a zeroed diagonal never changes).
     The kernel is read through `_row_blocks` in whole cell rows, as many as
     fit in `core.block_rows` grid rows (16 at g = 2048), or one (a lazy product
-    whole, once per grid level).
+    whole, once per grid level). A step whose n divides m (diagonal kept) is its
+    values spread to m exactly, in one new array that the caller owns.
     """
     kernel = as_kernel(w)
     s = kernel.step
     if s is not None and m % s.n == 0 and not zero_diagonal:
-        return s.refine(m // s.n).values.copy()
+        cells = spread(s.values, m // s.n)
+        return cells.copy() if cells is s.values else cells
 
     def cells_at(g: int) -> np.ndarray:
         rows = _cell_rows(g, m)
@@ -608,8 +604,7 @@ def validate_graphon(w, q: QuadratureSpec = QuadratureSpec()) -> None:
 def discretize(w, m: int, q: QuadratureSpec = QuadratureSpec()) -> StepGraphon:
     """Step graphon of cell averages over the m-grid (diagonal included), in the
     range of w's step form, or [0, 1] without one."""
-    if m < 1:
-        raise ValidationError("discretization block count must be >= 1")
+    _check_count(m, "discretization block count", 1)
     kernel = as_kernel(w)
     s = kernel.step
     if s is None:  # a signed step is valid input: it brackets a cut norm

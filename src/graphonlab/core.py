@@ -91,6 +91,16 @@ def sym_mean(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _check_count(value, what: str, least: int, refusal: Optional[str] = None) -> None:
+    """Refuse, with a ValidationError, a count that is not an int or NumPy integer (a float
+    would be truncated, or fail deep inside NumPy) or that is below ``least``; ``refusal``
+    replaces the message "{what} must be >= {least}"."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ValidationError(refusal or f"{what} must be >= {least}")
+
+
 def _as_reals(values, what: str) -> np.ndarray:
     """values as a float64 array, or a ValidationError naming ``what`` for entries that are
     not real numbers: a string, a complex or a ragged row."""
@@ -158,10 +168,7 @@ class StepGraphon:
     def refine(self, factor: int) -> "StepGraphon":
         """Exact representation on the (n*factor)-grid: each value repeated in a factor x
         factor block, so still finite, symmetric and in range."""
-        if not isinstance(factor, (int, np.integer)):
-            raise ValidationError(f"refine factor must be an integer, got {factor!r}")
-        if factor < 1:
-            raise ValidationError("refine factor must be >= 1")
+        _check_count(factor, "refine factor", 1)
         if factor == 1:
             return self
         big = spread(self.values, factor)

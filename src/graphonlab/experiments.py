@@ -7,9 +7,11 @@ The headline quantity of a theorem sweep is
 
 computed with exact matrix algebra whenever the k-th power of the limit is a
 step function (constants, step inputs), and by aligned midpoint quadrature
-otherwise. Each row also records, for one seeded sample graph per n, the L1
-distance of the sampled power to the limit and the cut norm of its signed
-difference to the discretized limit. At k = 1 the sampled L1 distance does not
+otherwise. Both sum |limit - E| through `norms` (`l1_distance`, and
+`_mean_abs_diff` on the limit's grid levels); this module keeps no norm code.
+Each row also records, for one seeded sample graph per n, the L1 distance of
+the sampled power to the limit and the cut norm of its signed difference to the
+discretized limit. At k = 1 the sampled L1 distance does not
 decay (its mean tends to 2 * integral of W(1 - W)); at k >= 2 it does, more
 slowly than e_n: in theorem-large sweeps (minmax, k = 2) the one-draw column
 falls from 0.008-0.010 at n = 64 to 0.0021 at n = 1024. The counterexample
@@ -30,9 +32,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -42,9 +44,9 @@ from .algebra import (
     QuadratureSpec, _first_grid, block_means, cell_means, midpoints, power, settle,
     validate_graphon,
 )
-from .core import StepGraphon, _trusted, as_kernel, canonical_graphon, constant
+from .core import StepGraphon, _check_count, _trusted, as_kernel, canonical_graphon, constant
 from .errors import QuadratureError, ValidationError
-from .norms import cut_norm_auto, l1_distance
+from .norms import _mean_abs_diff, cut_norm_auto, l1_distance
 from .sampling import SamplerConfig, sample_graph, sample_latents, expected_graphon
 
 _TAG_SWEEP_GRAPH = 5
@@ -132,44 +134,6 @@ class _LimitDistance:
         return block_means(self._limit_at(max(g for g in self.cache if g % n == 0)), n)
 
 
-_PAIRWISE_LEAF = 1 << 16  # entries per np.sum in _pairwise_sum: 512 KiB of float64
-
-
-def _pairwise_sum(entries, lo: int, hi: int) -> float:
-    """np.sum of flat entries lo..hi-1 that ``entries(lo, hi)`` builds a leaf at a time, to
-    NumPy's bytes: its add-reduce halves n entries at n//2 - (n//2) % 8, so any node of
-    that tree sums its entries to the same bits with one np.sum. Summing leaves of at most
-    _PAIRWISE_LEAF entries with np.sum and adding the halves back up the tree is the whole
-    array's sum."""
-    n = hi - lo
-    if n <= _PAIRWISE_LEAF:
-        return float(np.sum(entries(lo, hi)))
-    half = n // 2 - (n // 2) % 8
-    return _pairwise_sum(entries, lo, lo + half) + _pairwise_sum(entries, lo + half, hi)
-
-
-def _mean_abs_diff(lim: np.ndarray, v: np.ndarray) -> float:
-    """Mean of |lim - V| over a g x g grid, V the n x n step matrix v spread over s x s
-    blocks (s = g // n): np.abs(lim - V).mean() to its bytes, with no g x g temporary.
-    At s = 1 a leaf subtracts v's rows themselves. Otherwise it spreads its cell rows of v
-    along x once and takes each grid row of V from them, so the subtraction runs over whole
-    rows of g entries, not over s entries at a time."""
-    g, n = lim.shape[0], v.shape[0]
-    s = g // n
-
-    def entries(lo: int, hi: int) -> np.ndarray:  # the grid rows that hold lo..hi-1
-        r0, r1 = lo // g, -(-hi // g)
-        if s == 1:
-            diff = np.subtract(lim[r0:r1], v[r0:r1])
-        else:
-            spread = np.repeat(v[r0 // s : (r1 - 1) // s + 1], s, axis=1)  # its cell rows of V
-            diff = spread[np.arange(r0, r1) // s - r0 // s]  # its grid rows of V
-            np.subtract(lim[r0:r1], diff, out=diff)
-        return np.abs(diff, out=diff).reshape(-1)[lo - r0 * g : hi - r0 * g]
-
-    return _pairwise_sum(entries, 0, g * g) / (g * g)
-
-
 def _sorted_ns(ns) -> list:
     out = set()
     for n in ns:  # as StepGraphon.refine's factor: int() would truncate 4.9 and parse "8"
@@ -189,8 +153,7 @@ def run_theorem_sweep(
     ns = _sorted_ns(ns)
     if ns[0] < 2:
         raise ValidationError("theorem sweep needs every n >= 2")
-    if k < 1:
-        raise ValidationError("power k must be >= 1")
+    _check_count(k, "power k", 1)
     validate_graphon(w, q)
     dist = _LimitDistance(w, k, ns, q)
     rows = []
@@ -245,8 +208,7 @@ def run_counterexample_sweep(
     """
     if not (0.0 < p < 1.0):
         raise ValidationError("counterexample level p must lie in (0, 1)")
-    if draws_per_n < 1:
-        raise ValidationError("draws_per_n must be >= 1")
+    _check_count(draws_per_n, "draws_per_n", 1)
     ns = _sorted_ns(ns)
     w = constant(p)
     dist = _LimitDistance(w, 1, ns, q)
@@ -282,22 +244,41 @@ def report_to_dict(r: ConvergenceReport) -> dict:
     }
 
 
-def report_from_dict(doc: dict) -> ConvergenceReport:
-    rows = [SweepRow(**{c: row[c] for c in _COLUMNS}) for row in doc["rows"]]
-    return ConvergenceReport(
-        label=doc["label"],
-        kind=doc["kind"],
-        k=doc["k"],
-        seed=doc["seed"],
-        quadrature=QuadratureSpec(**doc["quadrature"]),
-        rows=rows,
-        incomplete=doc.get("incomplete", False),
-    )
+def _typed_fields(doc, cls) -> dict:
+    """The fields of the record cls that the JSON object doc holds, each checked against its
+    annotation (a nested record's as a JSON object). A field that cls does not declare is
+    refused, and so is a missing one without a default; a ValidationError names it."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{cls.__name__} must be a JSON object, got {type(doc).__name__}")
+    hints = get_type_hints(cls)
+    if unknown := sorted(doc.keys() - hints.keys()):
+        raise ValidationError(f"{cls.__name__} has unknown fields {unknown}")
+    for name, f in cls.__dataclass_fields__.items():
+        if name not in doc and f.default is MISSING:
+            raise ValidationError(f"{cls.__name__} has no field '{name}'")
+        tp = dict if is_dataclass(hints[name]) else hints[name]
+        if name in doc and not glio._has_type(doc[name], tp):
+            raise ValidationError(f"{cls.__name__} field '{name}' must be {f.type}, "
+                                  f"got {doc[name]!r:.60}")
+    return {name: doc[name] for name in hints if name in doc}
+
+
+def report_from_dict(doc) -> ConvergenceReport:
+    """The report that `report_to_dict` gave as doc, every field checked by `_typed_fields`."""
+    top = _typed_fields(doc, ConvergenceReport)
+    top["quadrature"] = QuadratureSpec(**_typed_fields(top["quadrature"], QuadratureSpec))
+    top["rows"] = [SweepRow(**_typed_fields(row, SweepRow)) for row in top["rows"]]
+    return ConvergenceReport(**top)
 
 
 def load_report(path) -> ConvergenceReport:
-    """Public because it reads back the JSON report that `emit_report` writes."""
-    return report_from_dict(json.loads(Path(path).read_text()))
+    """Public because it reads back the JSON report that `emit_report` writes. A file that
+    is not such a report is refused with a ValidationError that names it."""
+    p = Path(path)
+    try:
+        return report_from_dict(json.loads(p.read_text()))
+    except (ValueError, ValidationError) as exc:  # not JSON (or not UTF-8), or not a report
+        raise ValidationError(f"{p.name}: not a sweep report: {exc}") from None
 
 
 def _csv_cell(v: Optional[float]) -> str:

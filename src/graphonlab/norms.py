@@ -1,5 +1,14 @@
 """L1 distance and cut norm, the two convergence gauges.
 
+L1 distance of step grids, exactly
+----------------------------------
+This module owns every exact L1 sum of step grids: `_mean_abs_diff` is the mean
+of |L - V| over a g x g grid L, with V an n x n step matrix spread over it. It
+sums leaves of 2^16 entries in NumPy's pairwise order, so the result has the bytes
+of np.abs(L - V).mean() with no g x g temporary. `l1_distance` of two steps calls
+it with the finer step spread to their lcm grid, and the theorem sweep calls it
+with each grid level of an analytic limit power.
+
 Cut norm of a step function, exactly
 -----------------------------------
 The cut norm takes a supremum of |integral over U x V| over *measurable*
@@ -47,8 +56,8 @@ from .algebra import (
     LCM_GRID_CAP, QuadratureSpec, _first_grid, _grid_mean, _row_blocks, discretize, midpoints,
     settle,
 )
-from .core import StepGraphon, as_kernel, spread
-from .errors import EnumerationBudgetError, ValidationError
+from .core import StepGraphon, _check_count, as_kernel, spread
+from .errors import EnumerationBudgetError
 
 ENUMERATION_CAP = 24
 DEFAULT_RESTARTS = 50  # of the heuristic, on every path that does not set a count
@@ -97,16 +106,14 @@ def cut_norm_exact(s: StepGraphon) -> CutNormResult:
 
 def cut_norm_lower_bound(s: StepGraphon, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> CutNormResult:
     """Alternating maximization from seeded restarts; always <= the true value."""
-    if restarts < 1:
-        raise ValidationError("restarts must be >= 1")
+    _check_count(restarts, "restarts", 1)
     key = rng.derive_key(seed, _TAG_RESTARTS)
     return _result(s.values, _kernels.altmax_best_rows(s.values, restarts, key), exact=False)
 
 
 def cut_norm_auto(s: StepGraphon, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> CutNormResult:
     """Exact within the enumeration budget, heuristic beyond it."""
-    if restarts < 1:  # refused on both paths, not only where the heuristic runs
-        raise ValidationError("restarts must be >= 1")
+    _check_count(restarts, "restarts", 1)  # refused on both paths, not only the heuristic's
     if s.n <= ENUMERATION_CAP:
         return cut_norm_exact(s)
     return cut_norm_lower_bound(s, restarts=restarts, seed=seed)
@@ -117,15 +124,59 @@ def cut_norm_auto(s: StepGraphon, restarts: int = DEFAULT_RESTARTS, seed: int = 
 # ---------------------------------------------------------------------------
 
 
+_PAIRWISE_LEAF = 1 << 16  # entries per np.sum in _pairwise_sum: 512 KiB of float64
+
+
+def _pairwise_sum(entries, lo: int, hi: int) -> float:
+    """np.sum of flat entries lo..hi-1 that ``entries(lo, hi)`` builds a leaf at a time, to
+    NumPy's bytes: its add-reduce halves n entries at n//2 - (n//2) % 8, so any node of
+    that tree sums its entries to the same bits with one np.sum. Summing leaves of at most
+    _PAIRWISE_LEAF entries with np.sum and adding the halves back up the tree is the whole
+    array's sum."""
+    n = hi - lo
+    if n <= _PAIRWISE_LEAF:
+        return float(np.sum(entries(lo, hi)))
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_sum(entries, lo, lo + half) + _pairwise_sum(entries, lo + half, hi)
+
+
+def _mean_abs_diff(lim: np.ndarray, v: np.ndarray) -> float:
+    """Mean of |lim - V| over a g x g grid, V the n x n step matrix v spread over s x s
+    blocks (s = g // n): np.abs(lim - V).mean() to its bytes, with no g x g temporary.
+    At s = 1 a leaf subtracts v's rows themselves. Otherwise it spreads its cell rows of v
+    along x once and takes each grid row of V from them, so the subtraction runs over whole
+    rows of g entries, not over s entries at a time."""
+    g, n = lim.shape[0], v.shape[0]
+    s = g // n
+
+    def entries(lo: int, hi: int) -> np.ndarray:  # the grid rows that hold lo..hi-1
+        r0, r1 = lo // g, -(-hi // g)
+        if s == 1:
+            diff = np.subtract(lim[r0:r1], v[r0:r1])
+        else:
+            band = np.repeat(v[r0 // s : (r1 - 1) // s + 1], s, axis=1)  # its cell rows of V
+            diff = band[np.arange(r0, r1) // s - r0 // s]  # its grid rows of V
+            np.subtract(lim[r0:r1], diff, out=diff)
+        return np.abs(diff, out=diff).reshape(-1)[lo - r0 * g : hi - r0 * g]
+
+    return _pairwise_sum(entries, 0, g * g) / (g * g)
+
+
 def l1_distance(a, b, q: QuadratureSpec = QuadratureSpec()) -> float:
-    """Integral of |a - b|: exact on a common step grid, quadrature otherwise."""
+    """Integral of |a - b|: exact on a common step grid, quadrature otherwise.
+
+    Two steps whose lcm grid m is within LCM_GRID_CAP are compared exactly by
+    `_mean_abs_diff`: the finer step spread to m against the coarser one's own values,
+    the bytes of np.abs(A - B).mean() on the m-grid in either order (|a - b| and |b - a|
+    are the same bits). No m x m difference is built, and when one n divides the other no
+    m x m array at all."""
     ka, kb = as_kernel(a), as_kernel(b)
     sa, sb = ka.step, kb.step
     if sa is not None and sb is not None:
         m = math.lcm(sa.n, sb.n)
         if m <= LCM_GRID_CAP:
-            d = spread(sa.values, m // sa.n) - spread(sb.values, m // sb.n)
-            return float(np.abs(d, out=d).mean())
+            fine, coarse = (sa, sb) if sa.n >= sb.n else (sb, sa)
+            return _mean_abs_diff(spread(fine.values, m // fine.n), coarse.values)
 
     def abs_diff(g: int, rows: int):
         xs = midpoints(g)
@@ -159,8 +210,7 @@ def cut_distance_upper_via_discretization(
     Valid because discretization moves the cut norm by at most the L1
     distance between the kernel and its cell-average step function.
     """
-    if restarts < 1:  # refused before any grid is built
-        raise ValidationError("restarts must be >= 1")
+    _check_count(restarts, "restarts", 1)  # refused before any grid is built
     d = discretize(a, m, q)
     cut = cut_norm_auto(d, restarts=restarts, seed=seed)
     gap = l1_distance(a, d, q)  # exactly 0.0 for a step whose n divides m

@@ -51,8 +51,8 @@ import numpy as np
 from . import rng
 from .algebra import QuadratureSpec, _row_blocks, cell_means
 from .core import (
-    RANGE_TOL, LatentPoints, SimpleGraph, StepGraphon, _as_reals, _trusted, as_kernel,
-    block_rows,
+    RANGE_TOL, LatentPoints, SimpleGraph, StepGraphon, _as_reals, _check_count, _trusted,
+    as_kernel, block_rows,
 )
 from .errors import DomainError, ValidationError
 
@@ -68,8 +68,7 @@ class SamplerConfig:
     graphon: object
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError("sampler needs n >= 1")
+        _check_count(self.n, "sampler n", 1, "sampler needs n >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,8 +181,7 @@ def expected_graphon(w, n: int, q: QuadratureSpec = QuadratureSpec()) -> StepGra
     between the infimum and supremum of W on its cell. Only i < j is
     computed; the matrix is mirrored and the diagonal set to zero.
     """
-    if n < 1:
-        raise ValidationError("expected graphon needs n >= 1")
+    _check_count(n, "expected graphon n", 1, "expected graphon needs n >= 1")
     return StepGraphon(n, cell_means(w, n, q, zero_diagonal=True), 0.0, 1.0)
 
 
@@ -195,8 +193,7 @@ def mc_expected_graphon(cfg: SamplerConfig, draws: int) -> McEstimate:
     errors use the unbiased Bernoulli formula sqrt(m(1-m)/(draws-1)) per
     entry (zero when draws == 1).
     """
-    if draws < 1:
-        raise ValidationError("draws must be >= 1")
+    _check_count(draws, "draws", 1)
     n = cfg.n
     counts = np.zeros((n, n))
     for d in range(draws):

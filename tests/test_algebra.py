@@ -843,6 +843,18 @@ def test_zeroing_the_diagonal_of_cell_means_adds_no_matrix(peak_bytes):
     assert peak_bytes(run) < 4 * m * m * 8
 
 
+@pytest.mark.parametrize("n", [4, 512])
+def test_cell_means_of_a_step_peak_at_one_matrix(n, peak_bytes):
+    m, step = 512, random_step(n, key=7, signed=False)
+    cells = []
+    # a 512 x 512 array is 2 MiB: the spread cells themselves, or the copy of a 512-step's
+    # own values; a refined step copied once more would make that two
+    assert peak_bytes(lambda: cells.append(cell_means(step, m, gl.QuadratureSpec()))) < (
+        m * m * 8 * 5 // 4)
+    assert cells[0].flags.writeable and not np.shares_memory(cells[0], step.values)
+    assert cells[0].tobytes() == np.kron(step.values, np.ones((m // n, m // n))).tobytes()
+
+
 class _ShapeRecordingKernel(_CountingKernel):
     def __init__(self, label, fn):
         super().__init__(label, fn)

@@ -460,6 +460,31 @@ def test_refine_refuses_a_factor_that_is_not_an_integer(factor):
         gl.constant(0.5).step.refine(factor)
 
 
+def _count_entry_points():
+    """(what, value, call) for every public entry point that takes a count."""
+    step, w = gl.constant(0.5).step, gl.builtin("minmax")
+    cfg = gl.SamplerConfig(4, 1, w)
+    yield "power exponent", 2.0, lambda: gl.power(step, 2.0)
+    yield "power exponent", 2.5, lambda: gl.power(w, 2.5)
+    yield "power k", 2.0, lambda: gl.run_theorem_sweep(w, 2.0, [4], seed=1)
+    yield "discretization block count", 4.5, lambda: gl.discretize(w, 4.5)
+    yield "expected graphon n", 4.5, lambda: gl.expected_graphon(w, 4.5)
+    yield "draws_per_n", 2.5, lambda: gl.run_counterexample_sweep(0.5, [4], 2.5)
+    yield "draws", 2.5, lambda: gl.mc_expected_graphon(cfg, 2.5)
+    yield "restarts", 2.5, lambda: gl.cut_norm_lower_bound(step, restarts=2.5)
+    yield "restarts", "3", lambda: gl.cut_norm_auto(step, restarts="3")
+    yield "restarts", 2.0, lambda: gl.cut_distance_upper_via_discretization(w, 4, restarts=2.0)
+    yield "sampler n", 4.5, lambda: gl.SamplerConfig(4.5, 1, w)
+    yield "refine factor", 2.0, lambda: step.refine(2.0)
+
+
+@pytest.mark.parametrize("what, value, call", [
+    pytest.param(*case, id=f"{case[0]}-{case[1]!r}") for case in _count_entry_points()])
+def test_every_count_must_be_an_integer(what, value, call):
+    with pytest.raises(ValidationError, match=f"^{what} must be an integer, got {value!r}$"):
+        call()
+
+
 @pytest.mark.parametrize("raw, msg", [
     ([(0, 1.7)], r"^vertices must be integers, got dtype float64$"),
     (np.array([[0.5, 1.9]]), r"^vertices must be integers, got dtype float64$"),

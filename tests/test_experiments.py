@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from xml.dom import minidom
 
@@ -10,9 +11,8 @@ from graphonlab.algebra import midpoints
 from graphonlab.cli import main
 from graphonlab.core import cell_index
 from graphonlab.errors import ValidationError
-from graphonlab.experiments import (
-    _LimitDistance, _mean_abs_diff, _pairwise_sum, render_svg, report_from_dict, report_to_dict,
-)
+from graphonlab.experiments import _LimitDistance, render_svg, report_from_dict, report_to_dict
+from graphonlab.norms import _mean_abs_diff, _pairwise_sum
 from conftest import blas_family, random_step
 
 
@@ -129,6 +129,37 @@ def test_emit_report_files(tmp_path):
     assert gl.load_report(written["json"]) == r
     svg = written["svg"].read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+def _spoiled_reports():
+    """(name, the text of a report file that is not a sweep report, the refusal's end)."""
+    r = gl.run_theorem_sweep(gl.constant(0.5), 1, [2, 4], seed=7)
+
+    def spoiled(edit) -> str:
+        doc = report_to_dict(r)
+        edit(doc)
+        return json.dumps(doc)
+
+    quad = lambda d: d["quadrature"].update(grid=d["quadrature"].pop("base_grid"))
+    yield "not-json", "{rows: []}", r"Expecting property name .*"
+    yield "list", "[]", r"ConvergenceReport must be a JSON object, got list"
+    yield "no-rows", spoiled(lambda d: d.pop("rows")), r"ConvergenceReport has no field 'rows'"
+    yield "grid", spoiled(quad), r"QuadratureSpec has unknown fields \['grid'\]"
+    yield "no-e_n", spoiled(lambda d: d["rows"][1].pop("l1_expected_vs_limit")), (
+        r"SweepRow has no field 'l1_expected_vs_limit'")
+    yield "string", spoiled(lambda d: d["rows"][0].update(l1_sampled_vs_limit="0.5")), (
+        r"SweepRow field 'l1_sampled_vs_limit' must be Optional\[float\], got '0.5'")
+    yield "negative", spoiled(lambda d: d["rows"][1].update(l1_sampled_vs_limit=-0.5)), (
+        r"negative distance in row n=4")
+
+
+@pytest.mark.parametrize("text, refusal", [
+    pytest.param(text, refusal, id=name) for name, text, refusal in _spoiled_reports()])
+def test_load_report_refuses_a_file_that_is_not_a_report_by_its_name(tmp_path, text, refusal):
+    path = tmp_path / "spoiled.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=f"^spoiled.json: not a sweep report: {refusal}$"):
+        gl.load_report(path)
 
 
 def test_emit_report_rejects_empty_and_unknown_formats(tmp_path):
@@ -389,13 +420,13 @@ def test_limit_cells_are_bitwise_symmetric(limit):
 
 @pytest.mark.parametrize("g", [300, 768, 1000, 1200, 2048])
 def test_limit_distance_equals_the_kron_spread_mean_in_leaves_that_start_mid_row(g, monkeypatch):
-    from graphonlab import experiments
-    pairwise, starts = experiments._pairwise_sum, set()
+    from graphonlab import norms
+    pairwise, starts = norms._pairwise_sum, set()
 
     def spying(entries, lo, hi):  # records where each leaf starts
         return pairwise(lambda a, b: starts.add(a % g) or entries(a, b), lo, hi)
 
-    monkeypatch.setattr(experiments, "_pairwise_sum", spying)
+    monkeypatch.setattr(norms, "_pairwise_sum", spying)
     lim = np.abs(_spread(g * g, g + 1).reshape(g, g))
     for n in [n for n in (1, 2, 3, 4, 5, 8, 16, 100, 256, 300, 768, 1000, 1200, 2048)
               if g % n == 0]:

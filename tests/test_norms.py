@@ -237,18 +237,34 @@ def test_result_matches_the_old_witness_pass(values, sel):
     assert all(type(i) is int for i in r.witness_s + r.witness_t)
 
 
-@pytest.mark.parametrize("na, nb", [(6, 4), (1, 20), (20, 1), (128, 3), (5, 35)])
-def test_step_l1_distance_matches_the_refined_difference_bit_for_bit(na, nb):
+# (7, 7) compares two equal grids (s = 1); (300, 3) and (3, 300) spread the coarser step
+# over 100 x 100 blocks of a 90,000-entry grid, past one 2^16-entry leaf of the sum
+@pytest.mark.parametrize("na, nb, both", [
+    pytest.param(na, nb, both, id=f"{na}-{nb}" + ("-both" if both else ""))
+    for na, nb in [(6, 4), (1, 20), (20, 1), (128, 3), (5, 35), (7, 7), (300, 3), (3, 300)]
+    for both in (False, True)])
+def test_step_l1_distance_matches_the_refined_difference_bit_for_bit(na, nb, both):
     a, b = random_step(na, key=1), random_step(nb, key=2)
     values = np.array(a.values)
     values[0, 0] = -0.0
     a = gl.StepGraphon(na, values, -1.0, 1.0)
+    if both:  # -0.0 against -0.0 on the first cell, and against a's values on the last
+        values = np.array(b.values)
+        values[0, 0] = values[-1, -1] = -0.0
+        b = gl.StepGraphon(nb, values, -1.0, 1.0)
     m = np.lcm(na, nb)
     av = np.kron(a.values, np.ones((m // na, m // na)))
     bv = np.kron(b.values, np.ones((m // nb, m // nb)))
     want = float(np.abs(av - bv).mean())
     assert gl.l1_distance(a, b).hex() == want.hex()
     assert gl.l1_distance(b, a).hex() == float(np.abs(bv - av).mean()).hex()
+
+
+def test_step_l1_distance_against_a_coarser_divisor_builds_no_grid(peak_bytes):
+    fine, one = random_step(512, key=3), gl.constant(0.25).step
+    # a 512 x 512 array is 2 MiB; the sum reads 2^16-entry leaves of |fine - 0.25|
+    assert peak_bytes(lambda: gl.l1_distance(fine, one)) < 512 * 512 * 8
+    assert peak_bytes(lambda: gl.l1_distance(one, fine)) < 512 * 512 * 8
 
 
 def test_cut_norm_lower_bound_refuses_restarts_below_1():
