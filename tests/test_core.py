@@ -461,7 +461,8 @@ def test_refine_refuses_a_factor_that_is_not_an_integer(factor):
 
 
 def _count_entry_points():
-    """(what, value, call) for every public entry point that takes a count."""
+    """(what, value, call) for every public entry point that takes a count; `refine` and
+    `QuadratureSpec` have tests of their own."""
     step, w = gl.constant(0.5).step, gl.builtin("minmax")
     cfg = gl.SamplerConfig(4, 1, w)
     yield "power exponent", 2.0, lambda: gl.power(step, 2.0)
@@ -475,7 +476,6 @@ def _count_entry_points():
     yield "restarts", "3", lambda: gl.cut_norm_auto(step, restarts="3")
     yield "restarts", 2.0, lambda: gl.cut_distance_upper_via_discretization(w, 4, restarts=2.0)
     yield "sampler n", 4.5, lambda: gl.SamplerConfig(4.5, 1, w)
-    yield "refine factor", 2.0, lambda: step.refine(2.0)
 
 
 @pytest.mark.parametrize("what, value, call", [
